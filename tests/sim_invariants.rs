@@ -155,6 +155,53 @@ fn qos_aware_policy_is_no_worse_for_at_risk_jobs() {
     );
 }
 
+/// Pins the capping stage's float trajectory on a cluster large enough
+/// that every re-cap touches thousands of nodes: 8192 nodes under
+/// even-slowdown with a wandering target. Any change to the order of the
+/// re-cap's float operations moves at least one of these bit patterns.
+#[test]
+fn recap_trajectory_is_pinned_on_an_8192_node_cluster() {
+    let catalog = standard_catalog().scale_nodes(8192 / 40);
+    let types = catalog.long_running();
+    let cfg = SimConfig {
+        total_nodes: 8192,
+        idle_power: Watts(90.0),
+        catalog,
+        types,
+        tick: Seconds(1.0),
+        policy: SimPowerPolicy::EvenSlowdown,
+        qos: QosConstraint::default(),
+        qos_risk_threshold: 0.8,
+    };
+    let schedule = poisson_schedule(&cfg.catalog, &cfg.types, 0.7, 8192, Seconds(400.0), 11);
+    let target = PowerTarget {
+        avg: Watts(8192.0 * 200.0),
+        reserve: Watts(8192.0 * 50.0),
+        signal: RegulationSignal::random_walk(Seconds(4.0), 0.35, Seconds(800.0), 3),
+    };
+    let variation = PerformanceVariation::with_sigma(8192, 0.05, 13);
+    let mut sim = TabularSim::new(cfg, target, &variation, schedule, None);
+    for _ in 0..400 {
+        sim.step();
+    }
+    let busy = 8192 - sim.idle_nodes();
+    assert!(
+        busy >= 4096,
+        "only {busy} busy nodes: the fixture must load the cluster"
+    );
+    assert_eq!(sim.state_hash(), 0x77a5_c9d7_486c_d998, "state hash");
+    assert_eq!(
+        sim.energy().value().to_bits(),
+        0x41be_6ce6_5293_56c3,
+        "energy bits"
+    );
+    assert_eq!(
+        sim.tracking().percentile_error(90.0).to_bits(),
+        0x3ffb_3e5b_5963_5814,
+        "tracking p90 bits"
+    );
+}
+
 #[test]
 fn tracking_error_definition_matches_recorder() {
     let sim = run_sim(24, SimPowerPolicy::Uniform, 0.05, 19);
