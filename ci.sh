@@ -56,7 +56,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "==> perf smoke: perfsuite --quick"
 PERF_JSON="$SMOKE_DIR/bench.json"
 PERF_OUT="$(./target/release/perfsuite --quick --runs 1 --out "$PERF_JSON" \
-    --baseline BENCH_PR10.json)"
+    --baseline BENCH_PR13.json)"
 grep -q '"bench"' "$PERF_JSON" && grep -q '"median_s"' "$PERF_JSON" \
     || { echo "perf smoke: $PERF_JSON is missing bench results"; cat "$PERF_JSON"; exit 1; }
 # Advisory regression table: perfsuite compares the quick run against the
@@ -71,6 +71,19 @@ if [ -n "$PERF_REGRESSIONS" ]; then
 else
     echo "    no >10% median regressions vs checked-in baseline"
 fi
+
+# Every figure binary repeats its output exactly, so results/ is a set of
+# goldens: a change that moves any of them changed behaviour. Regenerate a
+# file (./target/release/<bin> > results/<bin>.txt) only for an intended
+# behaviour change, in a commit of its own.
+echo "==> results goldens: rerun the figure binaries and diff results/"
+for BIN in fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablation sec72_short_jobs \
+    qos_justification; do
+    env -u ANOR_QUICK "./target/release/$BIN" > "$SMOKE_DIR/$BIN.txt"
+    diff -u "results/$BIN.txt" "$SMOKE_DIR/$BIN.txt" > "$SMOKE_DIR/$BIN.diff" \
+        || { echo "results goldens: $BIN output differs from results/$BIN.txt"; \
+             head -40 "$SMOKE_DIR/$BIN.diff"; exit 1; }
+done
 
 echo "==> trace smoke: fig6 --trace + anor-trace"
 TRACE_DIR="$SMOKE_DIR/trace"

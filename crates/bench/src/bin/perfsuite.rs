@@ -18,7 +18,7 @@
 //! - `sim_step_100k`: the same workload at 100,000 nodes, exercising the
 //!   event-driven engine at ROADMAP scale (60 simulated seconds with
 //!   `--quick`). The run's final state hash is also checked for equality
-//!   across re-cap worker counts and against the fast-forward path.
+//!   between per-tick stepping and the fast-forward path.
 //! - `sim_state_hash`: one FNV-1a fingerprint pass over the final
 //!   100k-node node/job tables (the determinism-check primitive).
 //! - `status_snapshot`: 10k snapshot+render passes over a live budgeter
@@ -31,10 +31,13 @@
 //!   violations) and its pump p99 is reported against the 10 ms target.
 //!
 //! Each bench reports the min, median and run-to-run standard deviation
-//! of K runs (default 5; 3 with `--quick`, which also shrinks the fig11
-//! scenario). When the prior PR's trajectory file exists (`--baseline`,
-//! default `BENCH_PR9.json`), medians that slowed by more than 10% are
-//! flagged as `PERF REGRESSION` lines.
+//! of K runs' wall-clock time (default 5; 3 with `--quick`, which also
+//! shrinks the fig11 scenario), plus the mean CPU time per run: user +
+//! system time of every thread, read from `/proc/self/stat` around the
+//! K-run batch (10 ms resolution over the batch, 0 where unavailable).
+//! When the prior PR's trajectory file exists (`--baseline`, default
+//! `BENCH_PR10.json`), medians that slowed by more than 10% are flagged
+//! as `PERF REGRESSION` lines.
 
 use anor_bench::analyze::{flag_regressions, parse_bench_file, BenchRow};
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
@@ -57,13 +60,46 @@ struct BenchResult {
     min_s: f64,
     median_s: f64,
     stddev_s: f64,
+    cpu_s: f64,
     runs: usize,
     jobs: usize,
 }
 
-/// Min / median / run-to-run standard deviation of wall-clock seconds
-/// over `runs` invocations.
-fn timed_runs(runs: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+impl BenchResult {
+    /// One-line rendering of the row's timings.
+    fn summary(&self) -> String {
+        format!(
+            "median {:.3} s (min {:.3}, \u{3c3} {:.3}, cpu {:.3} s/run) over {} run(s)",
+            self.median_s, self.min_s, self.stddev_s, self.cpu_s, self.runs
+        )
+    }
+}
+
+/// User plus system CPU seconds this process (all threads) has used so
+/// far: `utime + stime` of `/proc/self/stat`, in clock ticks of 1/100 s.
+/// 0 where the file is unavailable.
+fn cpu_seconds() -> f64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0.0;
+    };
+    // The command name may hold spaces; fields resume after its ')'.
+    let rest = stat.rsplit_once(')').map_or("", |(_, r)| r);
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    // After ')': state is field 3 of the full line, utime 14, stime 15.
+    let tick = |i: usize| {
+        fields
+            .get(i)
+            .and_then(|f| f.parse::<f64>().ok())
+            .unwrap_or(0.0)
+    };
+    (tick(11) + tick(12)) / 100.0
+}
+
+/// Time `runs` invocations of `f` as the `bench` row at `jobs` workers:
+/// min / median / standard deviation of wall-clock seconds, and the
+/// mean CPU seconds per run.
+fn timed_runs(bench: &str, jobs: usize, runs: usize, mut f: impl FnMut()) -> BenchResult {
+    let cpu_start = cpu_seconds();
     let mut samples: Vec<f64> = (0..runs)
         .map(|_| {
             let start = Instant::now();
@@ -71,9 +107,17 @@ fn timed_runs(runs: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
             start.elapsed().as_secs_f64()
         })
         .collect();
+    let cpu_s = (cpu_seconds() - cpu_start) / runs as f64;
     samples.sort_by(f64::total_cmp);
-    let sigma = std_dev(&samples);
-    (samples[0], samples[samples.len() / 2], sigma)
+    BenchResult {
+        bench: bench.to_string(),
+        min_s: samples[0],
+        median_s: samples[samples.len() / 2],
+        stddev_s: std_dev(&samples),
+        cpu_s,
+        runs,
+        jobs,
+    }
 }
 
 fn fig11_small(quick: bool, jobs: usize) -> fig11::Fig11Config {
@@ -146,13 +190,12 @@ fn sim_step_loop(nodes: u32, ticks: usize) {
     assert!(sim.measured_power().value() > 0.0);
 }
 
-/// One full run returning the final state hash. `workers` shards the
-/// re-cap staging pass; `fast_forward` drives the run through `run_to`
-/// (tracking frozen) instead of per-tick stepping. All variants must
-/// produce the same hash — that is the engine's determinism contract.
-fn sim_hash_run(nodes: u32, ticks: usize, workers: usize, fast_forward: bool) -> u64 {
+/// One full run returning the final state hash. `fast_forward` drives
+/// the run through `run_to` (tracking frozen) instead of per-tick
+/// stepping. Both must produce the same hash — that is the engine's
+/// determinism contract.
+fn sim_hash_run(nodes: u32, ticks: usize, fast_forward: bool) -> u64 {
     let mut sim = sim_build(nodes, ticks);
-    sim.set_recap_shards(workers);
     if fast_forward {
         sim.freeze_tracking();
         sim.run_to(Seconds(ticks as f64));
@@ -208,11 +251,12 @@ fn write_json(path: &str, results: &[BenchResult]) -> std::io::Result<()> {
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "  {{\"bench\": \"{}\", \"min_s\": {:.6}, \"median_s\": {:.6}, \
-             \"stddev_s\": {:.6}, \"runs\": {}, \"jobs\": {}}}{}\n",
+             \"stddev_s\": {:.6}, \"cpu_s\": {:.6}, \"runs\": {}, \"jobs\": {}}}{}\n",
             json_escape(&r.bench),
             r.min_s,
             r.median_s,
             r.stddev_s,
+            r.cpu_s,
             r.runs,
             r.jobs,
             if i + 1 < results.len() { "," } else { "" }
@@ -229,12 +273,12 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR13.json".to_string());
     let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR9.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
     let runs = args
         .iter()
         .position(|a| a == "--runs")
@@ -244,26 +288,16 @@ fn main() {
 
     anor_bench::header(
         "perfsuite",
-        "Benchmark trajectory harness (stats land in BENCH_PR10.json)",
+        &format!("Benchmark trajectory harness (stats land in {out_path})"),
     );
     let mut results = Vec::new();
     for jobs in [1usize, 8] {
         let cfg = fig11_small(quick, jobs);
-        let (min, median, sigma) = timed_runs(runs, || {
+        let r = timed_runs("fig11_small", jobs, runs, || {
             fig11::run(&cfg).expect("fig11 run failed");
         });
-        println!(
-            "fig11_small --jobs {jobs}: median {median:.3} s (min {min:.3}, σ {sigma:.3}) \
-             over {runs} run(s)"
-        );
-        results.push(BenchResult {
-            bench: "fig11_small".to_string(),
-            min_s: min,
-            median_s: median,
-            stddev_s: sigma,
-            runs,
-            jobs,
-        });
+        println!("fig11_small --jobs {jobs}: {}", r.summary());
+        results.push(r);
     }
     let serial = results[0].median_s;
     let parallel = results[1].median_s;
@@ -272,92 +306,56 @@ fn main() {
         serial / parallel.max(1e-9)
     );
 
-    let (min, median, sigma) = timed_runs(runs, || {
+    let r = timed_runs("fig4", 1, runs, || {
         let out = fig4::run_pooled(1);
         assert_eq!(out.even_slowdown.len(), 8);
     });
-    println!("fig4: median {median:.3} s (min {min:.3}, σ {sigma:.3}) over {runs} run(s)");
-    results.push(BenchResult {
-        bench: "fig4".to_string(),
-        min_s: min,
-        median_s: median,
-        stddev_s: sigma,
-        runs,
-        jobs: 1,
-    });
+    println!("fig4: {}", r.summary());
+    results.push(r);
 
     let (nodes, ticks) = if quick { (1000, 200) } else { (1000, 600) };
-    let (min, median, sigma) = timed_runs(runs, || sim_step_loop(nodes, ticks));
-    println!(
-        "sim_step_{nodes}x{ticks}: median {median:.3} s (min {min:.3}, σ {sigma:.3}) \
-         over {runs} run(s)"
-    );
-    results.push(BenchResult {
-        bench: format!("sim_step_{nodes}x{ticks}"),
-        min_s: min,
-        median_s: median,
-        stddev_s: sigma,
-        runs,
-        jobs: 1,
-    });
+    let bench = format!("sim_step_{nodes}x{ticks}");
+    let r = timed_runs(&bench, 1, runs, || sim_step_loop(nodes, ticks));
+    println!("{bench}: {}", r.summary());
+    results.push(r);
 
     let ticks_100k = if quick { 60 } else { 600 };
-    let (min, median, sigma) = timed_runs(runs, || sim_step_loop(100_000, ticks_100k));
-    println!(
-        "sim_step_100k: median {median:.3} s (min {min:.3}, \u{3c3} {sigma:.3}) over {runs} \
-         run(s) at {ticks_100k} simulated second(s)"
-    );
-    results.push(BenchResult {
-        bench: "sim_step_100k".to_string(),
-        min_s: min,
-        median_s: median,
-        stddev_s: sigma,
-        runs,
-        jobs: 1,
+    let r = timed_runs("sim_step_100k", 1, runs, || {
+        sim_step_loop(100_000, ticks_100k)
     });
+    println!(
+        "sim_step_100k: {} at {ticks_100k} simulated second(s)",
+        r.summary()
+    );
+    results.push(r);
 
     // The determinism contract behind the bench: the identical scenario
-    // must hash the same across re-cap worker counts, repeat runs and
-    // the fast-forward stepping mode.
-    let h_serial = sim_hash_run(100_000, ticks_100k, 1, false);
-    let h_sharded = sim_hash_run(100_000, ticks_100k, 4, false);
-    let h_jumped = sim_hash_run(100_000, ticks_100k, 1, true);
+    // must hash the same under per-tick stepping and the fast-forward
+    // stepping mode.
+    let h_stepped = sim_hash_run(100_000, ticks_100k, false);
+    let h_jumped = sim_hash_run(100_000, ticks_100k, true);
     assert_eq!(
-        h_serial, h_sharded,
-        "state hash must not depend on worker count"
-    );
-    assert_eq!(
-        h_serial, h_jumped,
+        h_stepped, h_jumped,
         "state hash must not depend on stepping mode"
     );
-    println!(
-        "sim_state_hash determinism: {h_serial:#018x} at 1 and 4 re-cap workers and under \
-         fast-forward"
-    );
+    println!("sim_state_hash determinism: {h_stepped:#018x} stepped and under fast-forward");
 
     let mut hashed_sim = sim_build(100_000, ticks_100k);
     for _ in 0..ticks_100k {
         hashed_sim.step();
     }
-    let (min, median, sigma) = timed_runs(runs, || {
+    let r = timed_runs("sim_state_hash", 1, runs, || {
         assert_ne!(hashed_sim.state_hash(), 0);
     });
     println!(
-        "sim_state_hash: median {median:.3} s (min {min:.3}, \u{3c3} {sigma:.3}) over {runs} \
-         run(s) for a 100k-node table fingerprint"
+        "sim_state_hash: {} for a 100k-node table fingerprint",
+        r.summary()
     );
-    results.push(BenchResult {
-        bench: "sim_state_hash".to_string(),
-        min_s: min,
-        median_s: median,
-        stddev_s: sigma,
-        runs,
-        jobs: 1,
-    });
+    results.push(r);
 
     let (b, _streams) = snapshot_fixture(8);
     let iters = 10_000usize;
-    let (min, median, sigma) = timed_runs(runs, || {
+    let r = timed_runs("status_snapshot", 1, runs, || {
         for _ in 0..iters {
             let snap = b.status_snapshot();
             assert_eq!(snap.jobs.len(), 8);
@@ -365,18 +363,11 @@ fn main() {
         }
     });
     println!(
-        "status_snapshot: median {median:.3} s per {iters} snapshot+render passes \
-         over {runs} run(s) ({:.1} µs/pass, min {min:.3} s, σ {sigma:.3} s)",
-        median / iters as f64 * 1e6
+        "status_snapshot: {} per {iters} snapshot+render passes ({:.1} µs/pass)",
+        r.summary(),
+        r.median_s / iters as f64 * 1e6
     );
-    results.push(BenchResult {
-        bench: "status_snapshot".to_string(),
-        min_s: min,
-        median_s: median,
-        stddev_s: sigma,
-        runs,
-        jobs: 1,
-    });
+    results.push(r);
 
     // The connection-plane bench: a full anor-load pass on the sharded
     // reactor — register N endpoints, land caps on all of them, drop
@@ -386,7 +377,7 @@ fn main() {
     let endpoints = if quick { 200 } else { 1000 };
     let mut last_p99 = 0.0f64;
     let mut last_eps = 0.0f64;
-    let (min, median, sigma) = timed_runs(runs, || {
+    let r = timed_runs("load_1k_endpoints", 1, runs, || {
         let cfg = LoadConfig {
             endpoints,
             storms: 1,
@@ -404,21 +395,14 @@ fn main() {
         last_eps = report.endpoints_per_sec;
     });
     println!(
-        "load_1k_endpoints: median {median:.3} s (min {min:.3}, σ {sigma:.3}) over {runs} \
-         run(s) at {endpoints} endpoint(s); {last_eps:.0} endpoints/s, pump p99 \
-         {last_p99:.3} ms (target < 10 ms)"
+        "load_1k_endpoints: {} at {endpoints} endpoint(s); {last_eps:.0} endpoints/s, pump p99 \
+         {last_p99:.3} ms (target < 10 ms)",
+        r.summary()
     );
     if last_p99 >= 10.0 {
         println!("PERF WARNING: pump p99 {last_p99:.3} ms exceeds the 10 ms reactor target");
     }
-    results.push(BenchResult {
-        bench: "load_1k_endpoints".to_string(),
-        min_s: min,
-        median_s: median,
-        stddev_s: sigma,
-        runs,
-        jobs: 1,
-    });
+    results.push(r);
 
     match write_json(&out_path, &results) {
         Ok(()) => println!("\nwrote {} result(s) to {out_path}", results.len()),

@@ -16,10 +16,8 @@
 //! `--trace <dir>`, capping decisions and their first observed effect
 //! stream to `<dir>/trace.jsonl` for `anor-trace`.
 //!
-//! Large clusters: `--recap-shards N` spreads the capping stage across
-//! N threads (`0` = all cores; output is byte-identical at any count),
-//! and `--history-cap K` bounds history to the last K rows (`0`
-//! disables retention entirely).
+//! Large clusters: `--history-cap K` bounds history to the last K rows
+//! (`0` disables retention entirely).
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_cluster::Args;
@@ -53,7 +51,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = Seconds(args.get_or("horizon-secs", 7200.0)?);
     let variation_pct: f64 = args.get_or("variation-pct", 0.0)?;
     let seed: u64 = args.get_or("seed", 11)?;
-    let recap_shards: usize = args.get_or("recap-shards", 1)?;
     let policy = parse_policy(args.get("policy").unwrap_or("uniform"))?;
     // Scale job footprints with cluster size, like the paper's 25×.
     let scale = (nodes as f64 / 40.0).round().max(1.0) as u32;
@@ -101,7 +98,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(t) = &tracer {
         sim.attach_tracer(t);
     }
-    sim.set_recap_shards(recap_shards);
     match args.get("history-cap") {
         Some(cap) => sim.record_history_capped(cap.parse::<usize>()?),
         None => sim.record_history(true),

@@ -103,7 +103,9 @@ mod tests {
         .iter()
         .map(|p| p.name())
         .collect();
+        // `dedup` only drops adjacent repeats, so sort first.
         let mut dedup = names.clone();
+        dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
     }

@@ -34,29 +34,18 @@ use crate::event::{Event, EventQueue};
 use crate::history::HistoryRow;
 use crate::policy::SimPowerPolicy;
 use crate::table::{
-    crossing_ticks, node_power, progress_rate, state_hash, JobRow, JobTable, NodeRow, NodeTable,
+    crossing_ticks, node_power, nominal_rate, progress_rate, state_hash, JobRow, JobTable, NodeRow,
+    NodeTable,
 };
 use anor_aqa::{JobSubmission, PendingView, PowerTarget, QueueScheduler, TrackingRecorder};
-use anor_exec::ExecPool;
 use anor_platform::PerformanceVariation;
 use anor_policy::JobView;
 use anor_telemetry::{CauseId, Gauge, Histogram, Telemetry, TraceStage, Tracer};
 use anor_types::{
-    Catalog, JobId, JobTypeId, Joules, NodeId, QosConstraint, QosDegradation, Seconds, Watts,
+    Catalog, JobId, JobTypeId, Joules, QosConstraint, QosDegradation, Seconds, Watts,
 };
 use std::collections::VecDeque;
 use std::time::Instant;
-
-/// Minimum busy-node population before the capping stage's staging pass
-/// is fanned out across the shard pool: below this, scoped-thread
-/// dispatch costs more than the work it parallelizes.
-const RECAP_SHARD_MIN_NODES: usize = 4096;
-
-/// Jobs per shard task in the staged capping pass. Chunk boundaries are
-/// a function of the running list alone — never of the worker count —
-/// so the staged results (and therefore the merged state) are
-/// byte-identical at any parallelism.
-const RECAP_SHARD_CHUNK: usize = 128;
 
 /// Static configuration of a simulated cluster.
 #[derive(Debug, Clone)]
@@ -132,26 +121,6 @@ struct SimInstruments {
     measured_watts: Gauge,
 }
 
-/// One node's staged re-cap, produced by the (possibly sharded) staging
-/// pass and applied during the ordered merge.
-struct NodeRecap {
-    node: NodeId,
-    power: Watts,
-    /// `new power − old power`, computed at staging time so the merge
-    /// replays the exact float operations of the serial loop.
-    delta: Watts,
-    rate: f64,
-    /// Progress materialized under the *old* rate at the re-cap tick.
-    anchor: f64,
-}
-
-/// One job's staged re-cap outcome (empty `nodes` = no change).
-struct JobRecap {
-    cap: Watts,
-    cap_changed: bool,
-    nodes: Vec<NodeRecap>,
-}
-
 /// The simulator.
 ///
 /// The hot path is event-driven: idle/busy node counts, the per-type
@@ -211,8 +180,6 @@ pub struct TabularSim {
     boundary_queued: bool,
     /// Measured power integrated over every elapsed tick.
     energy: Joules,
-    /// Worker pool for the sharded re-cap staging pass (None = serial).
-    shards: Option<ExecPool>,
     tracking: TrackingRecorder,
     history: VecDeque<HistoryRow>,
     history_cap: Option<usize>,
@@ -289,7 +256,6 @@ impl TabularSim {
             arrival_queued: false,
             boundary_queued: false,
             energy: Joules::ZERO,
-            shards: None,
             tracking: TrackingRecorder::new(reserve),
             history: VecDeque::new(),
             history_cap: None,
@@ -345,19 +311,6 @@ impl TabularSim {
     #[doc(hidden)]
     pub fn set_tick_oracle(&mut self, on: bool) {
         self.tick_oracle = on;
-    }
-
-    /// Shard the capping stage's staging pass across `workers` threads
-    /// (`0` = resolve from `ANOR_JOBS` / machine parallelism, `1` =
-    /// serial). Staged chunks are a fixed function of the running list
-    /// and results merge in submission order, so the simulation is
-    /// byte-identical at any worker count; sharding only pays off on
-    /// large clusters (≥ ~4k busy nodes).
-    pub fn set_recap_shards(&mut self, workers: usize) {
-        self.shards = match workers {
-            1 => None,
-            w => Some(ExecPool::new(w)),
-        };
     }
 
     /// Enable per-tick history retention (off by default to keep long
@@ -822,7 +775,7 @@ impl TabularSim {
     /// long as actual rates stay at or below it, the check can only land
     /// early (never after the true completion tick), so re-caps leave
     /// the queue untouched unless they push a node's rate above its
-    /// recorded ceiling — then `apply_recap` reschedules and the
+    /// recorded ceiling — then `recap_job` reschedules and the
     /// generation stamp invalidates the superseded event. An early check
     /// simply finds the job unfinished and re-arms; the check sequence
     /// is strictly increasing and lands exactly on the completion tick.
@@ -831,11 +784,12 @@ impl TabularSim {
             return;
         }
         let spec = &self.cfg.catalog[self.jobs.type_id(job_id)];
+        let nominal_max = nominal_rate(spec, spec.cap_range.max);
         let dtv = self.cfg.tick.value();
         let mut due = self.tick + 1;
         self.jobs.bump_gen(job_id);
         for &n in self.jobs.nodes_of(job_id) {
-            let rate_max = progress_rate(spec, spec.cap_range.max, self.nodes.perf_coeff(n));
+            let rate_max = nominal_max / self.nodes.perf_coeff(n);
             let rate_est = (self.nodes.rate(n) * Self::CHECK_RATE_HEADROOM).min(rate_max);
             self.nodes.set_rate_est(n, rate_est);
             let progress = self.nodes.progress_at_tick(n, self.tick, dtv);
@@ -956,69 +910,39 @@ impl TabularSim {
         q >= self.cfg.qos_risk_threshold * self.cfg.qos.limit
     }
 
-    /// Stage one job's re-cap: pure reads only, so shard workers can run
-    /// this concurrently over disjoint chunks. Deltas and re-anchored
-    /// progress are computed here exactly as the serial loop would, and
-    /// applied later in submission order.
-    fn stage_recap(&self, job_id: JobId, cap: Watts) -> JobRecap {
+    /// Re-cap one job to `cap` in a single pass over its nodes and report
+    /// whether its cap changed. Draw and nominal rate depend on the job
+    /// type and cap alone, so they are computed once; each node whose cap
+    /// differs (nodes of one job can carry different stale caps right
+    /// after a start) is re-anchored under its old rate, moves the power
+    /// aggregate by its draw delta and takes the new cap, draw and rate.
+    /// The job's outstanding completion check stays valid as long as
+    /// every node's rate stays at or below the ceiling the check was
+    /// scheduled against; a re-cap that crosses a ceiling reschedules
+    /// (the common case, rates wandering below their ceilings, is
+    /// heap-free).
+    fn recap_job(&mut self, job_id: JobId, cap: Watts) -> bool {
         let spec = &self.cfg.catalog[self.jobs.type_id(job_id)];
+        let power = node_power(spec, cap);
+        let nominal = nominal_rate(spec, cap);
         let dtv = self.cfg.tick.value();
-        let was = self
-            .jobs
-            .nodes_of(job_id)
-            .first()
-            .map(|&n| self.nodes.cap(n));
-        let mut staged = Vec::new();
-        // Re-cap is the state transition that invalidates a node's
-        // cached draw and progress rate (nodes of one job can carry
-        // different stale caps right after a start).
-        for &n in self.jobs.nodes_of(job_id) {
-            if self.nodes.cap(n) != cap {
-                let power = node_power(spec, cap);
-                staged.push(NodeRecap {
-                    node: n,
-                    power,
-                    delta: power - self.nodes.power(n),
-                    rate: progress_rate(spec, cap, self.nodes.perf_coeff(n)),
-                    anchor: self.nodes.progress_at_tick(n, self.tick, dtv),
-                });
-            }
-        }
-        JobRecap {
-            cap,
-            cap_changed: was != Some(cap),
-            nodes: staged,
-        }
-    }
-
-    /// Apply one staged re-cap: update the power aggregate by the
-    /// per-node delta and re-anchor the node under its new rate. The
-    /// job's outstanding completion check stays valid as long as every
-    /// node's rate stays at or below the ceiling the check was scheduled
-    /// against; a re-cap that crosses a ceiling reschedules (the common
-    /// case — rates wandering below their ceilings — is heap-free).
-    fn apply_recap(&mut self, job_id: JobId, recap: &JobRecap, changed: &mut Vec<(JobId, Watts)>) {
-        if recap.cap_changed {
-            changed.push((job_id, recap.cap));
-        }
+        let nodes = self.jobs.nodes_of(job_id);
+        let cap_changed = nodes.first().map(|&n| self.nodes.cap(n)) != Some(cap);
         let mut ceiling_crossed = false;
-        for u in &recap.nodes {
-            self.busy_power += u.delta;
-            ceiling_crossed |= u.rate > self.nodes.rate_est(u.node);
-            self.nodes
-                .recap(u.node, recap.cap, u.power, u.rate, u.anchor, self.tick);
+        for &n in nodes {
+            if self.nodes.cap(n) == cap {
+                continue;
+            }
+            let anchor = self.nodes.progress_at_tick(n, self.tick, dtv);
+            self.busy_power += power - self.nodes.power(n);
+            let rate = nominal / self.nodes.perf_coeff(n);
+            ceiling_crossed |= rate > self.nodes.rate_est(n);
+            self.nodes.recap(n, cap, power, rate, anchor, self.tick);
         }
         if ceiling_crossed {
             self.schedule_completion(job_id);
         }
-    }
-
-    /// The shard pool, when sharding the staging pass is worthwhile.
-    fn recap_pool(&self, running: &[JobId]) -> Option<&ExecPool> {
-        let busy = (self.cfg.total_nodes - self.idle_count) as usize;
-        self.shards
-            .as_ref()
-            .filter(|p| p.jobs() > 1 && running.len() > 1 && busy >= RECAP_SHARD_MIN_NODES)
+        cap_changed
     }
 
     fn cap_power(&mut self, target_now: Watts) {
@@ -1040,34 +964,14 @@ impl TabularSim {
             at_risk.push(qos_aware && self.job_at_risk(job_id));
         }
         let caps = self.cfg.policy.assign(busy_budget, &job_views, &at_risk);
+        // One job at a time, in running order. Running jobs own disjoint
+        // nodes, so re-capping job j writes nothing a later job reads.
         let running = std::mem::take(&mut self.running);
-        // Stage (possibly sharded: pure reads over fixed chunks), then
-        // merge in submission order — the merged float-operation
-        // sequence is identical to the serial loop's at any worker
-        // count.
-        let recaps: Vec<JobRecap> = if let Some(pool) = self.recap_pool(&running) {
-            let work: Vec<(JobId, Watts)> =
-                running.iter().copied().zip(caps.iter().copied()).collect();
-            let chunks: Vec<&[(JobId, Watts)]> = work.chunks(RECAP_SHARD_CHUNK).collect();
-            pool.map(&chunks, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(j, c)| self.stage_recap(j, c))
-                    .collect::<Vec<JobRecap>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            running
-                .iter()
-                .zip(&caps)
-                .map(|(&j, &c)| self.stage_recap(j, c))
-                .collect()
-        };
         let mut changed: Vec<(JobId, Watts)> = Vec::new();
-        for (&job_id, recap) in running.iter().zip(&recaps) {
-            self.apply_recap(job_id, recap, &mut changed);
+        for (&job_id, &cap) in running.iter().zip(&caps) {
+            if self.recap_job(job_id, cap) {
+                changed.push((job_id, cap));
+            }
         }
         self.running = running;
         if changed.is_empty() {
@@ -1635,49 +1539,6 @@ mod tests {
         assert_eq!(jumped.energy(), stepped.energy());
         assert_eq!(jumped.measured_power(), stepped.measured_power());
         assert_eq!(jumped.outcome().completed, stepped.outcome().completed);
-    }
-
-    #[test]
-    fn recap_sharding_is_byte_identical_at_any_worker_count() {
-        // Force the sharded staging path by dropping the busy-node
-        // threshold condition out of reach is not possible from a test,
-        // so use a cluster big enough to cross it: 8192 nodes.
-        let catalog = standard_catalog().scale_nodes(8192 / 40);
-        let types = catalog.long_running();
-        let cfg = SimConfig {
-            total_nodes: 8192,
-            idle_power: Watts(90.0),
-            catalog,
-            types,
-            tick: Seconds(1.0),
-            policy: SimPowerPolicy::EvenSlowdown,
-            qos: QosConstraint::default(),
-            qos_risk_threshold: 0.8,
-        };
-        let sched = quick_schedule(&cfg, 0.7, 400.0, 11);
-        let target = PowerTarget {
-            avg: Watts(8192.0 * 200.0),
-            reserve: Watts(8192.0 * 50.0),
-            signal: RegulationSignal::random_walk(Seconds(4.0), 0.35, Seconds(800.0), 3),
-        };
-        let mut hashes = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let mut sim = TabularSim::new(
-                cfg.clone(),
-                target.clone(),
-                &PerformanceVariation::with_sigma(8192, 0.05, 13),
-                sched.clone(),
-                None,
-            );
-            sim.set_recap_shards(workers);
-            for _ in 0..400 {
-                sim.step();
-            }
-            hashes.push((workers, sim.state_hash(), sim.energy()));
-        }
-        assert_eq!(hashes[0].1, hashes[1].1, "1 vs 2 workers");
-        assert_eq!(hashes[0].1, hashes[2].1, "1 vs 4 workers");
-        assert_eq!(hashes[0].2, hashes[1].2, "energy 1 vs 2 workers");
     }
 
     #[test]

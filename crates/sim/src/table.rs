@@ -116,9 +116,10 @@ impl JobRow {
 }
 
 /// Linear rate-of-progress model (Section 5.6): progress per second at a
-/// given cap, interpolated between the type's fastest and slowest
-/// precharacterized rates, divided by the node's performance coefficient.
-pub fn progress_rate(spec: &JobTypeSpec, cap: Watts, perf_coeff: f64) -> f64 {
+/// given cap on a nominal node, interpolated between the type's fastest
+/// and slowest precharacterized rates. It depends on the job type and cap
+/// alone, so a re-cap computes it once per job.
+pub fn nominal_rate(spec: &JobTypeSpec, cap: Watts) -> f64 {
     let t_fast = spec.time_uncapped.value();
     let t_slow = t_fast * (1.0 + spec.sensitivity);
     let r_fast = 1.0 / t_fast;
@@ -126,7 +127,13 @@ pub fn progress_rate(spec: &JobTypeSpec, cap: Watts, perf_coeff: f64) -> f64 {
     let window =
         anor_types::CapRange::new(spec.cap_range.min, spec.effective_cap(spec.cap_range.max));
     let f = window.fraction(window.clamp(cap)).clamp(0.0, 1.0);
-    (r_slow + (r_fast - r_slow) * f) / perf_coeff
+    r_slow + (r_fast - r_slow) * f
+}
+
+/// A node's progress per second at a given cap: the [`nominal_rate`]
+/// divided by the node's performance coefficient.
+pub fn progress_rate(spec: &JobTypeSpec, cap: Watts, perf_coeff: f64) -> f64 {
+    nominal_rate(spec, cap) / perf_coeff
 }
 
 /// Per-node power draw while running a job under a cap.
@@ -544,7 +551,7 @@ impl JobTable {
 /// FNV-1a over the materialized node and job tables: a cheap,
 /// order-sensitive fingerprint of final simulator state. Two runs that
 /// agree on every table bit agree on this hash; the perfsuite asserts it
-/// is identical across re-cap shard worker counts and repeat runs.
+/// is identical across stepping modes and repeat runs.
 pub fn state_hash(nodes: &[NodeRow], jobs: &[JobRow]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(nodes.len() as u64);
