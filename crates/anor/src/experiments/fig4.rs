@@ -21,16 +21,11 @@ pub fn budgets() -> Vec<f64> {
     (0..=15).map(|i| 1500.0 + 100.0 * i as f64).collect()
 }
 
-/// Run the analysis with the default worker count.
-pub fn run() -> Fig4Output {
-    run_pooled(0)
-}
-
 /// Run the analysis fanning the budget sweep out over `jobs` workers
 /// (0 = resolve from `ANOR_JOBS` / available parallelism). Each budget
 /// point is an independent assignment; results come back in sweep order
 /// and series assembly is serial, so output is identical for any count.
-pub fn run_pooled(jobs: usize) -> Fig4Output {
+pub fn run(jobs: usize) -> Fig4Output {
     let catalog = standard_catalog();
     let views: Vec<JobView> = catalog
         .iter()
@@ -78,7 +73,7 @@ mod tests {
 
     #[test]
     fn even_slowdown_reduces_worst_job_in_midrange() {
-        let out = run();
+        let out = run(0);
         // Mid-range budgets: clear win for even-slowdown (Section 6.1.1).
         for budget in [1800.0, 2100.0, 2400.0] {
             let worst_es = max_at(&out.even_slowdown, budget);
@@ -92,7 +87,7 @@ mod tests {
 
     #[test]
     fn slowdown_range_widens_as_budget_decreases_under_even_power() {
-        let out = run();
+        let out = run(0);
         let spread = |budget: f64| {
             let ys: Vec<f64> = out
                 .even_power
@@ -106,7 +101,7 @@ mod tests {
 
     #[test]
     fn no_opportunity_at_extreme_budgets() {
-        let out = run();
+        let out = run(0);
         // At the top budget every job is (nearly) uncapped under both.
         let hi = budgets().last().copied().unwrap();
         assert!(max_at(&out.even_slowdown, hi) < 12.0);
@@ -115,7 +110,7 @@ mod tests {
 
     #[test]
     fn equal_slowdown_across_unsaturated_jobs() {
-        let out = run();
+        let out = run(0);
         // At a mid budget, jobs not pinned at min cap share one slowdown.
         let ys: Vec<f64> = out
             .even_slowdown

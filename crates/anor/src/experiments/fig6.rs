@@ -5,12 +5,8 @@
 //! feedback, and SP's sensitivity over-estimated (classified as EP)
 //! without and with feedback. The paper uses 3 trials.
 
-use super::hw::{
-    run_configs, run_configs_chaos, run_configs_opts, run_configs_pooled, run_configs_recorded,
-    run_configs_traced, run_configs_with, HwBar, HwConfig, HwRunOptions,
-};
-use anor_cluster::{BudgetPolicy, FaultPlan, JobSetup};
-use anor_telemetry::{Telemetry, Tracer};
+use super::hw::{run_configs, HwBar, HwConfig, HwRunOptions};
+use anor_cluster::{BudgetPolicy, JobSetup};
 use anor_types::Result;
 
 /// The six configuration rows of the figure.
@@ -68,86 +64,11 @@ pub fn configs() -> Vec<HwConfig> {
     ]
 }
 
-/// Run the figure with the paper's 3 trials (or fewer for quick runs).
-pub fn run(trials: usize, seed: u64) -> Result<Vec<HwBar>> {
-    run_configs(&configs(), trials, seed)
-}
-
-/// [`run`] with an explicit telemetry sink shared by all trials.
-pub fn run_with(trials: usize, seed: u64, telemetry: &Telemetry) -> Result<Vec<HwBar>> {
-    run_configs_with(&configs(), trials, seed, telemetry)
-}
-
-/// [`run_with`] plus an optional causal tracer shared by all trials
-/// (the `--trace <dir>` path).
-pub fn run_traced(
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-) -> Result<Vec<HwBar>> {
-    run_configs_traced(&configs(), trials, seed, telemetry, tracer)
-}
-
-/// [`run_traced`] with an explicit worker count for the trial fan-out
-/// (0 = resolve from `ANOR_JOBS` / available parallelism); output is
-/// identical for every value.
-pub fn run_pooled(
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-    jobs: usize,
-) -> Result<Vec<HwBar>> {
-    run_configs_pooled(&configs(), trials, seed, telemetry, tracer, jobs)
-}
-
-/// [`run_pooled`] with an optional chaos [`FaultPlan`] injected into
-/// every trial's emulated transport (the `--faults <spec>` path): drops
-/// force endpoint reconnects, corruption exercises the codec's reject
-/// path, and the run must still complete with the figure's shape intact.
-pub fn run_chaos(
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-    jobs: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<Vec<HwBar>> {
-    run_configs_chaos(&configs(), trials, seed, telemetry, tracer, jobs, faults)
-}
-
-/// [`run_chaos`] plus an optional flight-recording directory (the
-/// `--record <dir>` path): every (configuration, trial) cell's budgeter
-/// is recorded into `<dir>/<label>-c<ci>-t<trial>.rec` for
-/// `anor-replay --verify`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_recorded(
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-    jobs: usize,
-    faults: Option<&FaultPlan>,
-    record_dir: Option<&std::path::Path>,
-) -> Result<Vec<HwBar>> {
-    run_configs_recorded(
-        &configs(),
-        trials,
-        seed,
-        telemetry,
-        tracer,
-        jobs,
-        faults,
-        record_dir,
-    )
-}
-
-/// Run the figure with every optional knob — including the budgeter's
-/// connection plane — in one [`HwRunOptions`]. The figure binaries call
-/// this; the positional variants above remain for older callers.
-pub fn run_opts(trials: usize, seed: u64, opts: &HwRunOptions) -> Result<Vec<HwBar>> {
-    run_configs_opts(&configs(), trials, seed, opts)
+/// Run the figure with `trials` trials (paper: 3) and every optional
+/// knob — telemetry, tracing, workers, chaos, recording, connection
+/// plane — in `opts`.
+pub fn run(trials: usize, seed: u64, opts: &HwRunOptions) -> Result<Vec<HwBar>> {
+    run_configs(&configs(), trials, seed, opts)
 }
 
 #[cfg(test)]
@@ -157,7 +78,7 @@ mod tests {
 
     #[test]
     fn figure_6_shape_holds() {
-        let bars = run(1, 42).unwrap();
+        let bars = run(1, 42, &HwRunOptions::default()).unwrap();
         assert_eq!(bars.len(), 6);
         let bt = |label: &str| job_slowdown(bar(&bars, label), "bt");
         // Performance awareness reduces BT's slowdown vs agnostic.

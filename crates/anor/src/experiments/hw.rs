@@ -13,7 +13,7 @@ use anor_exec::ExecPool;
 use anor_telemetry::{FlightRecorder, Telemetry, Tracer};
 use anor_types::stats::{mean, std_dev};
 use anor_types::{Result, Watts};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The shared budget: 75% of the 4-node TDP (0.75 × 4 × 280 W).
 pub const SHARED_BUDGET: Watts = Watts(840.0);
@@ -53,10 +53,9 @@ pub struct HwBar {
     pub jobs: Vec<(String, f64, f64)>,
 }
 
-/// Optional knobs shared by every figure's emulated-cluster grid; the
-/// positional `run_configs*` cascade below delegates here. New runners
-/// should build one of these (`..HwRunOptions::default()`) instead of
-/// threading another positional argument through the cascade.
+/// Optional knobs shared by every figure's emulated-cluster grid
+/// ([`run_configs`]). Callers set what they need and take the rest from
+/// `..HwRunOptions::default()`.
 #[derive(Debug, Clone)]
 pub struct HwRunOptions {
     /// Telemetry sink shared by every trial (`--telemetry <dir>`).
@@ -90,73 +89,6 @@ impl Default for HwRunOptions {
     }
 }
 
-/// Run a set of configurations for `trials` repetitions each.
-pub fn run_configs(configs: &[HwConfig], trials: usize, seed: u64) -> Result<Vec<HwBar>> {
-    run_configs_with(configs, trials, seed, &Telemetry::new())
-}
-
-/// [`run_configs`] with an explicit telemetry sink shared by every
-/// trial's emulated cluster (the `--telemetry <dir>` path of the figure
-/// binaries).
-pub fn run_configs_with(
-    configs: &[HwConfig],
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> Result<Vec<HwBar>> {
-    run_configs_traced(configs, trials, seed, telemetry, None)
-}
-
-/// [`run_configs_with`] plus an optional causal [`Tracer`] shared by
-/// every trial's budgeter, endpoints and runtimes (the `--trace <dir>`
-/// path of the figure binaries).
-pub fn run_configs_traced(
-    configs: &[HwConfig],
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-) -> Result<Vec<HwBar>> {
-    run_configs_pooled(configs, trials, seed, telemetry, tracer, 0)
-}
-
-/// [`run_configs_traced`] with an explicit worker count (0 = resolve
-/// from `ANOR_JOBS` / available parallelism).
-///
-/// Every (configuration, trial) cell is an independent emulated-cluster
-/// run — each binds its own ephemeral loopback ports and seeds from the
-/// trial index alone — so the grid fans out over [`ExecPool`]. Results
-/// return in submission order and the per-configuration aggregation
-/// below runs serially over them, so the bars are identical for every
-/// worker count.
-pub fn run_configs_pooled(
-    configs: &[HwConfig],
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-    jobs: usize,
-) -> Result<Vec<HwBar>> {
-    run_configs_chaos(configs, trials, seed, telemetry, tracer, jobs, None)
-}
-
-/// [`run_configs_pooled`] with an optional chaos [`FaultPlan`] injected
-/// into every trial's emulated transport. Each (configuration, trial)
-/// cell forks the plan with a cell-unique salt, so the fault schedule is
-/// identical across re-runs and independent of the worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_configs_chaos(
-    configs: &[HwConfig],
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-    jobs: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<Vec<HwBar>> {
-    run_configs_recorded(configs, trials, seed, telemetry, tracer, jobs, faults, None)
-}
-
 /// Filesystem-safe slug of a configuration label (for per-cell recording
 /// file names).
 fn label_slug(label: &str) -> String {
@@ -172,41 +104,23 @@ fn label_slug(label: &str) -> String {
         .collect()
 }
 
-/// [`run_configs_chaos`] plus an optional flight-recording directory (the
-/// `--record <dir>` path of the figure binaries). Every (configuration,
-/// trial) cell records its budgeter into
-/// `<dir>/<label>-c<ci>-t<trial>.rec`, replayable with
-/// `anor-replay --verify` — including chaos runs, because each cell's
+/// Run a set of configurations for `trials` repetitions each, with every
+/// optional knob in `opts`.
+///
+/// Every (configuration, trial) cell is an independent emulated-cluster
+/// run — each binds its own ephemeral loopback ports and seeds from the
+/// trial index alone — so the grid fans out over [`ExecPool`]. Results
+/// return in submission order and the per-configuration aggregation
+/// below runs serially over them, so the bars are identical for every
+/// worker count.
+///
+/// A chaos plan is forked per cell with a cell-unique salt, so the fault
+/// schedule is identical across re-runs and independent of the worker
+/// count. With a recording directory, every cell records its budgeter
+/// into `<dir>/<label>-c<ci>-t<trial>.rec`, replayable with
+/// `anor-replay --verify` — chaos runs included, because each cell's
 /// fault fork is deterministic.
-#[allow(clippy::too_many_arguments)]
-pub fn run_configs_recorded(
-    configs: &[HwConfig],
-    trials: usize,
-    seed: u64,
-    telemetry: &Telemetry,
-    tracer: Option<&Tracer>,
-    jobs: usize,
-    faults: Option<&FaultPlan>,
-    record_dir: Option<&Path>,
-) -> Result<Vec<HwBar>> {
-    run_configs_opts(
-        configs,
-        trials,
-        seed,
-        &HwRunOptions {
-            telemetry: telemetry.clone(),
-            tracer: tracer.cloned(),
-            jobs,
-            faults: faults.cloned(),
-            record_dir: record_dir.map(Path::to_path_buf),
-            transport: TransportKind::default(),
-        },
-    )
-}
-
-/// The root of the `run_configs*` cascade: every optional knob in one
-/// [`HwRunOptions`], including the budgeter connection plane.
-pub fn run_configs_opts(
+pub fn run_configs(
     configs: &[HwConfig],
     trials: usize,
     seed: u64,

@@ -1,22 +1,14 @@
 #![warn(missing_docs)]
 //! # anor-core
 //!
-//! The facade of the ANOR workspace: re-exports of every subsystem plus
-//! [`experiments`], the scenario runners that regenerate each figure of
-//! the paper's evaluation (Section 6). Examples and the benchmark
-//! harness are thin wrappers over this crate.
+//! The scenario layer of the ANOR workspace: [`experiments`], the
+//! runners that regenerate each figure of the paper's evaluation
+//! (Section 6); [`bidding`] and [`training`], the hourly bid search and
+//! the AQA queue-weight training judged on the simulator; and
+//! [`render`], the text output of the figure binaries. The root `anor`
+//! crate re-exports these alongside the subsystem crates.
 
 pub mod bidding;
 pub mod experiments;
 pub mod render;
 pub mod training;
-
-pub use anor_aqa as aqa;
-pub use anor_cluster as cluster;
-pub use anor_geopm as geopm;
-pub use anor_model as model;
-pub use anor_platform as platform;
-pub use anor_policy as policy;
-pub use anor_sim as sim;
-pub use anor_telemetry as telemetry;
-pub use anor_types as types;

@@ -6,9 +6,9 @@
 //! * **bisection tolerance** — even-slowdown assignment cost as the
 //!   convergence tolerance tightens.
 
-use anor_core::model::{fit_anchored, fit_linear, fit_quadratic, ModelerConfig, PowerModeler};
-use anor_core::policy::{Budgeter, EvenSlowdownBudgeter, JobView};
-use anor_core::types::{standard_catalog, CapRange, JobId, PowerCurve, Seconds, Watts};
+use anor_model::{fit_anchored, fit_linear, fit_quadratic, ModelerConfig, PowerModeler};
+use anor_policy::{Budgeter, EvenSlowdownBudgeter, JobView};
+use anor_types::{standard_catalog, CapRange, JobId, PowerCurve, Seconds, Watts};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn observations(n: usize) -> Vec<(Watts, Seconds)> {

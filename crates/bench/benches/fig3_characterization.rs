@@ -2,8 +2,8 @@
 //! workload characterization sweep runs (one full run-to-completion per
 //! cap level per type).
 
-use anor_core::platform::SyntheticWorkload;
-use anor_core::types::{standard_catalog, Watts};
+use anor_platform::SyntheticWorkload;
+use anor_types::{standard_catalog, Watts};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn characterization(c: &mut Criterion) {

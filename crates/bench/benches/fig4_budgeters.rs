@@ -2,8 +2,8 @@
 //! even-power and even-slowdown budgeters as the number of concurrent
 //! jobs grows (the cluster tier runs this on every control pass).
 
-use anor_core::policy::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, JobView};
-use anor_core::types::{standard_catalog, JobId, Watts};
+use anor_policy::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, JobView};
+use anor_types::{standard_catalog, JobId, Watts};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn views(n: usize) -> Vec<JobView> {

@@ -2,8 +2,8 @@
 //! fit — the kernel behind every endpoint retrain (`T = A·P² + B·P + C`
 //! over the epoch-window samples).
 
-use anor_core::model::fit_quadratic;
-use anor_core::types::{Seconds, Watts};
+use anor_model::fit_quadratic;
+use anor_types::{Seconds, Watts};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// Synthetic epoch samples on a known curve plus deterministic jitter,

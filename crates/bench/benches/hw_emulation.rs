@@ -2,8 +2,8 @@
 //! cluster throughput — a short co-scheduled run including the GEOPM
 //! runtimes, job endpoints, TCP daemon and budgeter.
 
-use anor_core::cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
-use anor_core::types::Watts;
+use anor_cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
+use anor_types::Watts;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn hw_emulation(c: &mut Criterion) {

@@ -2,11 +2,11 @@
 //! access, PlatformIO stepping, agent-tree aggregation, wire-codec
 //! encode/decode, and epoch-window differencing.
 
-use anor_core::geopm::{AgentSample, AgentTree, PlatformIo};
-use anor_core::model::EpochWindow;
-use anor_core::platform::Node;
-use anor_core::types::msg::{ClusterToJob, EpochSample, JobToCluster};
-use anor_core::types::{standard_catalog, JobId, Joules, NodeId, Seconds, Watts};
+use anor_geopm::{AgentSample, AgentTree, PlatformIo};
+use anor_model::EpochWindow;
+use anor_platform::Node;
+use anor_types::msg::{ClusterToJob, EpochSample, JobToCluster};
+use anor_types::{standard_catalog, JobId, Joules, NodeId, Seconds, Watts};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn platform_step(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn platform_step(c: &mut Criterion) {
                 for _ in 0..100 {
                     io.advance(Seconds(0.5));
                 }
-                io.read_signal(anor_core::geopm::Signal::CpuEnergy)
+                io.read_signal(anor_geopm::Signal::CpuEnergy)
             },
             BatchSize::SmallInput,
         )

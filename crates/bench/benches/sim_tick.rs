@@ -2,10 +2,10 @@
 //! throughput at cluster scale (the paper's 1000-node runs step this
 //! loop once per simulated second).
 
-use anor_core::aqa::{poisson_schedule, PowerTarget, RegulationSignal};
-use anor_core::platform::PerformanceVariation;
-use anor_core::sim::{SimConfig, SimPowerPolicy, TabularSim};
-use anor_core::types::{Seconds, Watts};
+use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
+use anor_platform::PerformanceVariation;
+use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor_types::{Seconds, Watts};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn make_sim(nodes: u32) -> TabularSim {
@@ -13,7 +13,7 @@ fn make_sim(nodes: u32) -> TabularSim {
     cfg.total_nodes = nodes;
     // Keep job footprints feasible at small scale.
     let scale = (nodes as f64 / 40.0).round().max(1.0) as u32;
-    cfg.catalog = anor_core::types::standard_catalog().scale_nodes(scale);
+    cfg.catalog = anor_types::standard_catalog().scale_nodes(scale);
     cfg.types = cfg.catalog.long_running();
     let schedule = poisson_schedule(&cfg.catalog, &cfg.types, 0.75, nodes, Seconds(1800.0), 42);
     let target = PowerTarget {

@@ -16,7 +16,7 @@ fn main() {
     );
     let telemetry = telemetry_from_args();
     let tracer = tracer_from_args();
-    let out = fig4::run_pooled(jobs_from_args());
+    let out = fig4::run(jobs_from_args());
     println!(
         "{}",
         render_table(

@@ -2,50 +2,17 @@
 //! (75% of TDP over 4 nodes), six budgeter configurations, measured on
 //! the emulated cluster over TCP.
 
-use anor_bench::{
-    chaos_summary, faults_from_args, finish_recording, finish_telemetry, finish_tracer, header,
-    jobs_from_args, record_dir_from_args, scaled, telemetry_from_args, tracer_from_args,
-    transport_from_args,
-};
+use anor_bench::{run_hw_figure, scaled};
 use anor_core::experiments::fig6;
-use anor_core::experiments::hw::HwRunOptions;
-use anor_core::render::render_bars;
 
 fn main() {
-    header(
+    run_hw_figure(
         "Fig. 6",
         "Measured slowdown (%) of BT and SP under a shared 840 W budget",
-    );
-    let telemetry = telemetry_from_args();
-    let tracer = tracer_from_args();
-    let faults = faults_from_args();
-    let record = record_dir_from_args();
-    let trials = scaled(3, 1);
-    let opts = HwRunOptions {
-        telemetry: telemetry.clone(),
-        tracer: tracer.clone(),
-        jobs: jobs_from_args(),
-        faults: faults.clone(),
-        record_dir: record.clone(),
-        transport: transport_from_args(),
-    };
-    let bars = fig6::run_opts(trials, 6, &opts).expect("emulated run failed");
-    for bar in &bars {
-        let rows: Vec<(String, f64, f64)> = bar
-            .jobs
-            .iter()
-            .map(|(name, y, e)| (name.clone(), *y, *e))
-            .collect();
-        println!("{}", render_bars(&bar.label, &rows));
-    }
-    println!(
+        fig6::run,
+        scaled(3, 1),
+        6,
         "paper anchors: BT degrades when misclassified (either direction);\n\
-         feedback recovers most of the loss in both cases."
+         feedback recovers most of the loss in both cases.",
     );
-    if faults.is_some() {
-        chaos_summary(&telemetry);
-    }
-    finish_telemetry(&telemetry);
-    finish_tracer(&tracer);
-    finish_recording(&record);
 }

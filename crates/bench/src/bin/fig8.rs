@@ -1,51 +1,18 @@
 //! Regenerates Fig. 8: two SP instances under the shared 840 W budget,
 //! one potentially misclassified as EP.
 
-use anor_bench::{
-    chaos_summary, faults_from_args, finish_recording, finish_telemetry, finish_tracer, header,
-    jobs_from_args, record_dir_from_args, scaled, telemetry_from_args, tracer_from_args,
-    transport_from_args,
-};
+use anor_bench::{run_hw_figure, scaled};
 use anor_core::experiments::fig8;
-use anor_core::experiments::hw::HwRunOptions;
-use anor_core::render::render_bars;
 
 fn main() {
-    header(
+    run_hw_figure(
         "Fig. 8",
         "Measured slowdown (%) of two SP instances (one possibly = EP)",
-    );
-    let telemetry = telemetry_from_args();
-    let tracer = tracer_from_args();
-    let faults = faults_from_args();
-    let record = record_dir_from_args();
-    let trials = scaled(6, 1);
-    let opts = HwRunOptions {
-        telemetry: telemetry.clone(),
-        tracer: tracer.clone(),
-        jobs: jobs_from_args(),
-        faults: faults.clone(),
-        record_dir: record.clone(),
-        transport: transport_from_args(),
-    };
-    let bars = fig8::run_opts(trials, 8, &opts).expect("emulated run failed");
-    for bar in &bars {
-        let rows: Vec<(String, f64, f64)> = bar
-            .jobs
-            .iter()
-            .map(|(name, y, e)| (name.clone(), *y, *e))
-            .collect();
-        println!("{}", render_bars(&bar.label, &rows));
-    }
-    println!(
+        fig8::run,
+        scaled(6, 1),
+        8,
         "paper anchors: slowdowns stay small (low-sensitivity pair); the\n\
          misclassified instance's sibling sees a small slowdown; feedback\n\
-         recovers part of it."
+         recovers part of it.",
     );
-    if faults.is_some() {
-        chaos_summary(&telemetry);
-    }
-    finish_telemetry(&telemetry);
-    finish_tracer(&tracer);
-    finish_recording(&record);
 }

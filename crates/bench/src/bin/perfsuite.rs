@@ -39,20 +39,20 @@
 //! `BENCH_PR10.json`), medians that slowed by more than 10% are flagged
 //! as `PERF REGRESSION` lines.
 
+use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_bench::analyze::{flag_regressions, parse_bench_file, BenchRow};
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor_cluster::{
     run_load, BudgetPolicy, FramedStream, LoadConfig, StreamOptions, TransportKind,
     TransportOptions,
 };
-use anor_core::aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_core::experiments::{fig11, fig4};
-use anor_core::platform::PerformanceVariation;
-use anor_core::sim::{SimConfig, SimPowerPolicy, TabularSim};
-use anor_core::types::{QosConstraint, Seconds, Watts};
+use anor_platform::PerformanceVariation;
+use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
 use anor_types::msg::JobToCluster;
 use anor_types::stats::std_dev;
 use anor_types::JobId;
+use anor_types::{QosConstraint, Seconds, Watts};
 use std::time::Instant;
 
 struct BenchResult {
@@ -145,7 +145,7 @@ fn fig11_small(quick: bool, jobs: usize) -> fig11::Fig11Config {
 /// The `sim_step` bench scenario: 75% utilization, a ±35% random-walk
 /// regulation signal, 5% performance variation.
 fn sim_build(nodes: u32, ticks: usize) -> TabularSim {
-    let catalog = anor_core::types::standard_catalog().scale_nodes((nodes / 40).max(1));
+    let catalog = anor_types::standard_catalog().scale_nodes((nodes / 40).max(1));
     let types = catalog.long_running();
     let cfg = SimConfig {
         total_nodes: nodes,
@@ -307,7 +307,7 @@ fn main() {
     );
 
     let r = timed_runs("fig4", 1, runs, || {
-        let out = fig4::run_pooled(1);
+        let out = fig4::run(1);
         assert_eq!(out.even_slowdown.len(), 8);
     });
     println!("fig4: {}", r.summary());

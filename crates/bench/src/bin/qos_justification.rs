@@ -10,12 +10,12 @@
 //! the regime real academic clusters run in) and compute the same
 //! statistic with the tabular simulator.
 
+use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_bench::{header, scaled};
-use anor_core::aqa::{poisson_schedule, PowerTarget, RegulationSignal};
-use anor_core::platform::PerformanceVariation;
-use anor_core::sim::{SimConfig, SimPowerPolicy, TabularSim};
-use anor_core::types::stats::percentile;
-use anor_core::types::{standard_catalog, Seconds, Watts};
+use anor_platform::PerformanceVariation;
+use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor_types::stats::percentile;
+use anor_types::{standard_catalog, Seconds, Watts};
 
 fn main() {
     header(

@@ -13,8 +13,8 @@
 //! why the paper omits IS/EP from its final schedules.
 
 use anor_bench::header;
-use anor_core::cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
-use anor_core::types::{Seconds, Watts};
+use anor_cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
+use anor_types::{Seconds, Watts};
 
 fn bt_slowdown(partner_short: bool) -> f64 {
     let mut cfg = EmulatorConfig::paper(BudgetPolicy::Uniform, false);

@@ -13,8 +13,18 @@
 //! ```
 //!
 //! Set `ANOR_QUICK=1` to shrink trial counts / horizons for smoke runs.
+//!
+//! The `*_from_args` helpers parse the flags the figure binaries share
+//! (`--telemetry`, `--trace`, `--jobs`, `--faults`, `--record`,
+//! `--transport`), and [`run_hw_figure`] is the whole `main` of the
+//! emulated-hardware figures (Figs. 6–8). The harness imports the
+//! workspace crates it uses directly; the root `anor` crate is the
+//! facade for everyone else.
 
 pub mod analyze;
+
+use anor_core::experiments::hw::{HwBar, HwRunOptions};
+use anor_core::render::render_bars;
 
 /// True when the `ANOR_QUICK` environment variable requests a scaled-down
 /// run.
@@ -267,6 +277,41 @@ pub fn finish_tracer(tracer: &Option<anor_telemetry::Tracer>) {
             dir.display()
         );
     }
+}
+
+/// The whole `main` of the emulated-hardware figure binaries (Figs. 6–8):
+/// print the header, parse the six shared flags (`--telemetry`,
+/// `--trace`, `--faults`, `--record`, `--jobs`, `--transport`) into one
+/// [`HwRunOptions`], run the figure for `trials` trials from `seed`,
+/// render each bar and the paper `anchors`, then close the sinks.
+pub fn run_hw_figure(
+    figure: &str,
+    summary: &str,
+    run: fn(usize, u64, &HwRunOptions) -> anor_types::Result<Vec<HwBar>>,
+    trials: usize,
+    seed: u64,
+    anchors: &str,
+) {
+    header(figure, summary);
+    let opts = HwRunOptions {
+        telemetry: telemetry_from_args(),
+        tracer: tracer_from_args(),
+        faults: faults_from_args(),
+        record_dir: record_dir_from_args(),
+        jobs: jobs_from_args(),
+        transport: transport_from_args(),
+    };
+    let bars = run(trials, seed, &opts).expect("emulated run failed");
+    for bar in &bars {
+        println!("{}", render_bars(&bar.label, &bar.jobs));
+    }
+    println!("{anchors}");
+    if opts.faults.is_some() {
+        chaos_summary(&opts.telemetry);
+    }
+    finish_telemetry(&opts.telemetry);
+    finish_tracer(&opts.tracer);
+    finish_recording(&opts.record_dir);
 }
 
 #[cfg(test)]

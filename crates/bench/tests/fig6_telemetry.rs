@@ -5,6 +5,7 @@
 //! frame/byte/reconnect counters) non-empty.
 
 use anor_core::experiments::fig6;
+use anor_core::experiments::hw::HwRunOptions;
 use anor_telemetry::Telemetry;
 use std::path::PathBuf;
 
@@ -85,7 +86,11 @@ fn fig6_telemetry_dir_has_parseable_events_and_core_series() {
     let _ = std::fs::remove_dir_all(&dir);
     let telemetry = Telemetry::to_dir(&dir).expect("telemetry dir");
 
-    fig6::run_with(1, 6, &telemetry).expect("emulated fig6 run");
+    let opts = HwRunOptions {
+        telemetry: telemetry.clone(),
+        ..HwRunOptions::default()
+    };
+    fig6::run(1, 6, &opts).expect("emulated fig6 run");
     let summary = telemetry.write_artifacts().expect("artifacts");
 
     // Every event line parses as a flat JSON object with ts + event keys,

@@ -4,9 +4,9 @@
 //! `fig6 --trace` + `anor-trace` path, in-process.
 
 use anor_bench::analyze::analyze;
-use anor_core::cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
-use anor_core::types::Watts;
+use anor_cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
 use anor_telemetry::{read_trace, Tracer};
+use anor_types::Watts;
 
 #[test]
 fn emulated_run_produces_complete_decision_chains() {

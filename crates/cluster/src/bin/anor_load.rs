@@ -17,21 +17,9 @@
 //! Exits non-zero when any stage stalls, an endpoint fails to hold its
 //! session, or the auditor flags a violation — so CI can gate on it.
 
-use anor_cluster::budgeter::BudgetPolicy;
 use anor_cluster::transport::{TransportKind, TransportOptions};
 use anor_cluster::{run_load, Args, LoadConfig};
 use anor_types::Watts;
-
-fn parse_policy(name: &str) -> Result<BudgetPolicy, String> {
-    match name {
-        "uniform" => Ok(BudgetPolicy::Uniform),
-        "even-power" => Ok(BudgetPolicy::EvenPower),
-        "even-slowdown" => Ok(BudgetPolicy::EvenSlowdown),
-        other => Err(format!(
-            "unknown policy `{other}` (use uniform | even-power | even-slowdown)"
-        )),
-    }
-}
 
 fn main() {
     if let Err(e) = run() {
@@ -48,7 +36,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         storms: args.get_or("storms", 1)?,
         faults: args.fault_plan()?,
         budget: Watts(args.get_or("budget", 0.0)?),
-        policy: parse_policy(args.get("policy").unwrap_or("uniform"))?,
+        policy: args.get("policy").unwrap_or("uniform").parse()?,
         transport: TransportOptions {
             kind,
             shards: args.get_or("shards", 2)?,

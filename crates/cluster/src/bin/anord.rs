@@ -42,17 +42,6 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn parse_policy(name: &str) -> Result<BudgetPolicy, String> {
-    match name {
-        "uniform" => Ok(BudgetPolicy::Uniform),
-        "even-power" => Ok(BudgetPolicy::EvenPower),
-        "even-slowdown" => Ok(BudgetPolicy::EvenSlowdown),
-        other => Err(format!(
-            "unknown policy `{other}` (use uniform | even-power | even-slowdown)"
-        )),
-    }
-}
-
 fn main() {
     if let Err(e) = run() {
         eprintln!("anord: {e}");
@@ -63,7 +52,7 @@ fn main() {
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::from_env()?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:0");
-    let policy = parse_policy(args.get("policy").unwrap_or("even-slowdown"))?;
+    let policy: BudgetPolicy = args.get("policy").unwrap_or("even-slowdown").parse()?;
     let feedback = args.flag("feedback");
     let tick_ms: u64 = args.get_or("tick-ms", 10)?;
     let expect_jobs: usize = args.get_or("expect-jobs", 0)?;

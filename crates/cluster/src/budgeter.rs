@@ -57,12 +57,27 @@ impl BudgetPolicy {
         }
     }
 
-    /// Display name.
+    /// Display name (also the CLI and recording-header spelling).
     pub fn name(&self) -> &'static str {
         match self {
             BudgetPolicy::Uniform => "uniform",
             BudgetPolicy::EvenPower => "even-power",
             BudgetPolicy::EvenSlowdown => "even-slowdown",
+        }
+    }
+}
+
+impl std::str::FromStr for BudgetPolicy {
+    type Err = AnorError;
+
+    fn from_str(s: &str) -> Result<Self> {
+        match s {
+            "uniform" => Ok(BudgetPolicy::Uniform),
+            "even-power" => Ok(BudgetPolicy::EvenPower),
+            "even-slowdown" => Ok(BudgetPolicy::EvenSlowdown),
+            other => Err(AnorError::config(format!(
+                "unknown policy `{other}` (use uniform | even-power | even-slowdown)"
+            ))),
         }
     }
 }
@@ -269,8 +284,7 @@ impl BudgeterMetrics {
     }
 }
 
-/// Builder for [`ClusterBudgeter`] — the one construction path replacing
-/// the old `bind`/`bind_addr`/`bind_with`/`bind_addr_with` quartet.
+/// Builder for [`ClusterBudgeter`] — its one construction path.
 ///
 /// ```no_run
 /// # use anor_cluster::budgeter::{BudgetPolicy, BudgeterConfig, ClusterBudgeter, LeaseConfig};
@@ -516,53 +530,9 @@ impl ClusterBudgeter {
         BudgeterBuilder::new(cfg)
     }
 
-    /// Bind on an ephemeral localhost port.
-    #[deprecated(note = "use ClusterBudgeter::builder(cfg).bind(); removed after one release")]
-    pub fn bind(cfg: BudgeterConfig) -> Result<(Self, SocketAddr)> {
-        ClusterBudgeter::builder(cfg).bind()
-    }
-
-    /// Bind on an explicit address.
-    #[deprecated(
-        note = "use ClusterBudgeter::builder(cfg).addr(addr).bind(); removed after one release"
-    )]
-    pub fn bind_addr(cfg: BudgeterConfig, addr: &str) -> Result<(Self, SocketAddr)> {
-        ClusterBudgeter::builder(cfg).addr(addr).bind()
-    }
-
-    /// Bind on an ephemeral port with shared telemetry.
-    #[deprecated(
-        note = "use ClusterBudgeter::builder(cfg).telemetry(t).bind(); removed after one release"
-    )]
-    pub fn bind_with(cfg: BudgeterConfig, telemetry: Telemetry) -> Result<(Self, SocketAddr)> {
-        ClusterBudgeter::builder(cfg).telemetry(telemetry).bind()
-    }
-
-    /// Explicit address *and* explicit telemetry.
-    #[deprecated(
-        note = "use ClusterBudgeter::builder(cfg).telemetry(t).addr(addr).bind(); \
-                removed after one release"
-    )]
-    pub fn bind_addr_with(
-        cfg: BudgeterConfig,
-        telemetry: Telemetry,
-        addr: &str,
-    ) -> Result<(Self, SocketAddr)> {
-        ClusterBudgeter::builder(cfg)
-            .telemetry(telemetry)
-            .addr(addr)
-            .bind()
-    }
-
     /// The telemetry handle this daemon records into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Trace every rebalance decision, cap send, and inbound sample into
-    /// `tracer`; on peer failures the flight recorder is dumped to disk.
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
     }
 
     /// Tear the daemon down but keep its bound socket: a restarted
@@ -1541,7 +1511,7 @@ mod tests {
 
     /// The default test daemon runs the reactor plane so the whole
     /// session suite exercises it; the blocking plane keeps its own
-    /// coverage via `deprecated_bind_shims_still_work` and the
+    /// coverage via `default_builder_binds_the_blocking_plane` and the
     /// `reactor_equiv` integration tests.
     fn bind(cfg: BudgeterConfig) -> (ClusterBudgeter, SocketAddr) {
         ClusterBudgeter::builder(cfg)
@@ -1979,21 +1949,31 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_bind_shims_still_work() {
+    fn policy_names_round_trip() {
+        for policy in [
+            BudgetPolicy::Uniform,
+            BudgetPolicy::EvenPower,
+            BudgetPolicy::EvenSlowdown,
+        ] {
+            assert_eq!(policy.name().parse::<BudgetPolicy>().unwrap(), policy);
+        }
+        assert!("even-slowdown+qos".parse::<BudgetPolicy>().is_err());
+    }
+
+    #[test]
+    fn default_builder_binds_the_blocking_plane() {
+        let telemetry = Telemetry::new();
         let (mut b, addr) =
-            ClusterBudgeter::bind(BudgeterConfig::new(BudgetPolicy::Uniform, false)).unwrap();
+            ClusterBudgeter::builder(BudgeterConfig::new(BudgetPolicy::Uniform, false))
+                .telemetry(telemetry.clone())
+                .bind()
+                .unwrap();
+        assert_eq!(b.transport_kind(), TransportKind::Blocking);
         let mut client = connect(addr);
         client.send(hello(2, "mg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
-        // bind_with shares the caller's telemetry handle.
-        let telemetry = Telemetry::new();
-        let (b2, _) = ClusterBudgeter::bind_with(
-            BudgeterConfig::new(BudgetPolicy::Uniform, false),
-            telemetry.clone(),
-        )
-        .unwrap();
-        b2.telemetry().counter("shim_probe", &[]).inc();
-        assert_eq!(telemetry.counter("shim_probe", &[]).get(), 1);
+        // The daemon records into the caller's telemetry handle.
+        b.telemetry().counter("shared_probe", &[]).inc();
+        assert_eq!(telemetry.counter("shared_probe", &[]).get(), 1);
     }
 }

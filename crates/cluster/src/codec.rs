@@ -67,8 +67,7 @@ impl TransportMetrics {
 }
 
 /// Construction options for a [`FramedStream`]: optional transport
-/// metrics and an optional chaos [`FaultPlan`]. Replaces the old
-/// `new`/`with_metrics` constructor pair.
+/// metrics and an optional chaos [`FaultPlan`].
 #[derive(Debug, Default, Clone)]
 pub struct StreamOptions {
     metrics: Option<TransportMetrics>,
@@ -122,21 +121,6 @@ impl FramedStream {
             faults: opts.faults,
             delayed: Vec::new(),
         })
-    }
-
-    /// Like [`FramedStream::new`], but counting frames/bytes into the
-    /// given transport series (also counts the connection itself).
-    #[deprecated(
-        note = "use FramedStream::new(stream, StreamOptions::default().metrics(..)); \
-                         removed after one release"
-    )]
-    pub fn with_metrics(stream: TcpStream, metrics: TransportMetrics) -> Result<Self> {
-        FramedStream::new(stream, StreamOptions::default().metrics(metrics))
-    }
-
-    /// Attach transport metrics to an already-wrapped stream.
-    pub fn set_metrics(&mut self, metrics: TransportMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// Queue an encoded frame and try to flush. An attached [`FaultPlan`]
@@ -329,17 +313,20 @@ mod tests {
     // `Telemetry` / `TransportMetrics` come through `super::*`.
 
     fn pair() -> (FramedStream, FramedStream) {
-        pair_with(StreamOptions::default())
+        pair_with(StreamOptions::default(), StreamOptions::default())
     }
 
-    fn pair_with(client_opts: StreamOptions) -> (FramedStream, FramedStream) {
+    fn pair_with(
+        client_opts: StreamOptions,
+        server_opts: StreamOptions,
+    ) -> (FramedStream, FramedStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         (
             FramedStream::new(client, client_opts).unwrap(),
-            FramedStream::new(server, StreamOptions::default()).unwrap(),
+            FramedStream::new(server, server_opts).unwrap(),
         )
     }
 
@@ -431,11 +418,10 @@ mod tests {
     #[test]
     fn metrics_count_frames_and_bytes_both_ways() {
         let t = Telemetry::new();
-        let (client_raw, server_raw) = pair();
-        let mut client = client_raw;
-        client.set_metrics(TransportMetrics::new(&t, "endpoint"));
-        let mut server = server_raw;
-        server.set_metrics(TransportMetrics::new(&t, "budgeter"));
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default().metrics(TransportMetrics::new(&t, "endpoint")),
+            StreamOptions::default().metrics(TransportMetrics::new(&t, "budgeter")),
+        );
         let frame = ClusterToJob::SetPowerCap {
             cap: Watts(190.0),
             cause: 0,
@@ -460,8 +446,10 @@ mod tests {
         use bytes::BufMut;
         let t = Telemetry::new();
         let metrics = TransportMetrics::new(&t, "budgeter");
-        let (mut client, mut server) = pair();
-        server.set_metrics(metrics.clone());
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default(),
+            StreamOptions::default().metrics(metrics.clone()),
+        );
         let mut junk = BytesMut::new();
         junk.put_u32(u32::MAX); // absurd length prefix
         junk.put_slice(&[0u8; 16]);
@@ -510,19 +498,6 @@ mod tests {
         assert_eq!(metrics.reconnects(), 3);
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_metrics_shim_delegates() {
-        let t = Telemetry::new();
-        let metrics = TransportMetrics::new(&t, "endpoint");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stream = TcpStream::connect(addr).unwrap();
-        let _ = listener.accept().unwrap();
-        let _fs = FramedStream::with_metrics(stream, metrics.clone()).unwrap();
-        assert_eq!(metrics.reconnects(), 1);
-    }
-
     // ---- chaos injection ----------------------------------------------
 
     use crate::session::FaultPlan;
@@ -536,7 +511,10 @@ mod tests {
     #[test]
     fn drop_fault_cuts_the_connection_at_the_scheduled_frame() {
         let plan = FaultPlan::parse("drop@2").unwrap();
-        let (mut client, mut server) = pair_with(StreamOptions::default().faults(plan.clone()));
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default().faults(plan.clone()),
+            StreamOptions::default(),
+        );
         client.send(ClusterToJob::RequestSample.encode()).unwrap();
         client.send(ClusterToJob::Shutdown.encode()).unwrap(); // dropped
         assert!(client.is_closed());
@@ -553,7 +531,10 @@ mod tests {
     #[test]
     fn duplicate_fault_repeats_the_frame() {
         let plan = FaultPlan::parse("dup@1").unwrap();
-        let (mut client, mut server) = pair_with(StreamOptions::default().faults(plan));
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default().faults(plan),
+            StreamOptions::default(),
+        );
         client.send(ClusterToJob::Shutdown.encode()).unwrap();
         let mut got = Vec::new();
         pump_until(|| {
@@ -569,7 +550,10 @@ mod tests {
     #[test]
     fn delay_fault_reorders_behind_later_frames() {
         let plan = FaultPlan::parse("delay@1:1").unwrap();
-        let (mut client, mut server) = pair_with(StreamOptions::default().faults(plan));
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default().faults(plan),
+            StreamOptions::default(),
+        );
         client.send(ClusterToJob::Shutdown.encode()).unwrap(); // held back
         client.send(ClusterToJob::RequestSample.encode()).unwrap();
         let mut got = Vec::new();
@@ -587,7 +571,10 @@ mod tests {
     #[test]
     fn corrupt_fault_never_panics_the_receiver() {
         let plan = FaultPlan::parse("corrupt@1").unwrap().seeded(7);
-        let (mut client, mut server) = pair_with(StreamOptions::default().faults(plan));
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default().faults(plan),
+            StreamOptions::default(),
+        );
         client.send(ClusterToJob::Shutdown.encode()).unwrap();
         for _ in 0..10 {
             client.flush_some().unwrap();
@@ -610,7 +597,10 @@ mod tests {
     #[test]
     fn truncate_fault_cuts_mid_frame() {
         let plan = FaultPlan::parse("trunc@1").unwrap();
-        let (mut client, mut server) = pair_with(StreamOptions::default().faults(plan));
+        let (mut client, mut server) = pair_with(
+            StreamOptions::default().faults(plan),
+            StreamOptions::default(),
+        );
         client
             .send(
                 ClusterToJob::SetPowerCap {

@@ -51,9 +51,8 @@ struct SessionConfig {
     faults: Option<FaultPlan>,
 }
 
-/// Builds a [`JobEndpoint`]. Replaces the old `connect`/`connect_with`
-/// constructor pair and is where new session knobs land: retry policy,
-/// chaos fault plan, telemetry and tracing.
+/// Builds a [`JobEndpoint`]: the one place session knobs land — retry
+/// policy, chaos fault plan, telemetry and tracing.
 #[derive(Debug)]
 pub struct EndpointBuilder {
     addr: SocketAddr,
@@ -231,47 +230,6 @@ impl JobEndpoint {
             faults: None,
             recorder: None,
         }
-    }
-
-    /// Connect to the budgeter and introduce the job. `announced_type` is
-    /// the type name the batch system believes (possibly wrong).
-    #[deprecated(note = "use JobEndpoint::builder(..).connect(); removed after one release")]
-    pub fn connect(
-        addr: SocketAddr,
-        job: JobId,
-        announced_type: &str,
-        nodes: u32,
-        endpoint: EndpointModeler,
-        modeler: PowerModeler,
-    ) -> Result<Self> {
-        Self::builder(addr, job, announced_type, nodes, endpoint, modeler).connect()
-    }
-
-    /// Like `connect`, recording transport and round-trip series into a
-    /// shared [`Telemetry`] handle.
-    #[deprecated(
-        note = "use JobEndpoint::builder(..).telemetry(..).connect(); removed after one release"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect_with(
-        addr: SocketAddr,
-        job: JobId,
-        announced_type: &str,
-        nodes: u32,
-        endpoint: EndpointModeler,
-        modeler: PowerModeler,
-        telemetry: Telemetry,
-    ) -> Result<Self> {
-        Self::builder(addr, job, announced_type, nodes, endpoint, modeler)
-            .telemetry(telemetry)
-            .connect()
-    }
-
-    /// Trace cap receipt, policy writes, sample forwarding and retrains
-    /// into `tracer` (also threads it into the owned modeler).
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.modeler.attach_tracer(tracer);
-        self.tracer = Some(tracer.clone());
     }
 
     /// One pass of the endpoint's control loop at virtual time `now`.
@@ -1089,28 +1047,6 @@ mod tests {
             None,
             "a Gone session must not report a live cap"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_connect_shims_still_work() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (modeler_side, _agent) = endpoint_pair();
-        let je = JobEndpoint::connect(addr, JobId(1), "bt.D.81", 2, modeler_side, modeler());
-        assert!(je.is_ok());
-        let _ = listener.accept().unwrap();
-        let (modeler_side, _agent) = endpoint_pair();
-        let je = JobEndpoint::connect_with(
-            addr,
-            JobId(2),
-            "bt.D.81",
-            2,
-            modeler_side,
-            modeler(),
-            Telemetry::new(),
-        );
-        assert!(je.is_ok());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`status`] — the live ops surface: the budgeter publishes a
 //!   [`StatusSnapshot`] each control pass into a [`StatusBoard`] that the
 //!   introspection endpoint serves as `GET /status` JSON;
-//! * [`replay`] — offline reconstruction of a budgeter from a flight
-//!   recording, with byte-exact decision verification
+//! * [`replay`](mod@replay) — offline reconstruction of a budgeter from
+//!   a flight recording, with byte-exact decision verification
 //!   (`anor-replay --verify`) and first-divergence diffing;
 //! * [`emulator`] — a 16-node emulated cluster harness that wires
 //!   simulated nodes, GEOPM runtimes, endpoint processes and the budgeter

@@ -51,14 +51,7 @@ pub fn parse_config(s: &str) -> Option<(BudgeterConfig, LeaseConfig)> {
     for tok in s.split_whitespace() {
         let (key, value) = tok.split_once('=')?;
         match key {
-            "policy" => {
-                cfg.policy = match value {
-                    "uniform" => BudgetPolicy::Uniform,
-                    "even-power" => BudgetPolicy::EvenPower,
-                    "even-slowdown" => BudgetPolicy::EvenSlowdown,
-                    _ => return None,
-                };
-            }
+            "policy" => cfg.policy = value.parse().ok()?,
             "feedback" => cfg.feedback = value.parse().ok()?,
             "unknown_default" => {
                 cfg.unknown_default = match value {

@@ -9,7 +9,7 @@
 //!   path, telemetry sinks) must be panic-free: the paper's feedback
 //!   loop assumes the budgeter survives misclassified jobs and malformed
 //!   peers.
-//! * **`ANOR-CODEC`** — v1/v2 wire tags stay disjoint, every encoded tag
+//! * **`ANOR-CODEC`** — wire tags stay disjoint, every encoded tag
 //!   has a decode arm, payload reads are length-guarded.
 //! * **`ANOR-UNITS`** — watts/joules/seconds identifiers are never mixed
 //!   additively in raw-`f64` arithmetic.

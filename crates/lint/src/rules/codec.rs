@@ -1,6 +1,6 @@
 //! Rule `ANOR-CODEC`: wire-protocol structural invariants.
 //!
-//! The v1/v2 codec carries its version in per-message tags rather than a
+//! The codec carries its version in per-message tags rather than a
 //! connection handshake, so three properties are load-bearing:
 //!
 //! * decode tags are unique within each direction enum (a duplicated tag
@@ -131,7 +131,7 @@ fn check_impl(
                 path,
                 *line,
                 format!("`{enum_name}` encodes tag {tag} but `decode` has no arm for it"),
-                "add a decode arm (old tags must stay decodable across codec versions)",
+                "add a decode arm (every tag an encoder emits must round-trip)",
                 format!("put_u8({tag})"),
             ));
         }

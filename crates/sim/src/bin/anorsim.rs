@@ -27,16 +27,6 @@ use anor_telemetry::{Telemetry, Tracer};
 use anor_types::{QosDegradation, Seconds, Watts};
 use std::io::Write;
 
-fn parse_policy(name: &str) -> Result<SimPowerPolicy, String> {
-    match name {
-        "uniform" => Ok(SimPowerPolicy::Uniform),
-        "even-power" => Ok(SimPowerPolicy::EvenPower),
-        "even-slowdown" => Ok(SimPowerPolicy::EvenSlowdown),
-        "even-slowdown+qos" => Ok(SimPowerPolicy::EvenSlowdownQosAware),
-        other => Err(format!("unknown policy `{other}`")),
-    }
-}
-
 fn main() {
     if let Err(e) = run() {
         eprintln!("anorsim: {e}");
@@ -51,7 +41,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = Seconds(args.get_or("horizon-secs", 7200.0)?);
     let variation_pct: f64 = args.get_or("variation-pct", 0.0)?;
     let seed: u64 = args.get_or("seed", 11)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("uniform"))?;
+    let policy: SimPowerPolicy = args.get("policy").unwrap_or("uniform").parse()?;
     // Scale job footprints with cluster size, like the paper's 25×.
     let scale = (nodes as f64 / 40.0).round().max(1.0) as u32;
     let catalog = anor_types::standard_catalog().scale_nodes(scale);

@@ -7,7 +7,7 @@
 //! of QoS degradation").
 
 use anor_policy::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, JobView, UniformBudgeter};
-use anor_types::Watts;
+use anor_types::{AnorError, Watts};
 
 /// Which capping rule the simulated cluster tier applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub enum SimPowerPolicy {
 }
 
 impl SimPowerPolicy {
-    /// Human-readable name.
+    /// Human-readable name (also the CLI spelling).
     pub fn name(&self) -> &'static str {
         match self {
             SimPowerPolicy::Uniform => "uniform",
@@ -78,6 +78,23 @@ impl SimPowerPolicy {
     }
 }
 
+impl std::str::FromStr for SimPowerPolicy {
+    type Err = AnorError;
+
+    fn from_str(s: &str) -> Result<Self, AnorError> {
+        match s {
+            "uniform" => Ok(SimPowerPolicy::Uniform),
+            "even-power" => Ok(SimPowerPolicy::EvenPower),
+            "even-slowdown" => Ok(SimPowerPolicy::EvenSlowdown),
+            "even-slowdown+qos" => Ok(SimPowerPolicy::EvenSlowdownQosAware),
+            other => Err(AnorError::config(format!(
+                "unknown policy `{other}` \
+                 (use uniform | even-power | even-slowdown | even-slowdown+qos)"
+            ))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,22 +109,29 @@ mod tests {
             .collect()
     }
 
+    const ALL: [SimPowerPolicy; 4] = [
+        SimPowerPolicy::Uniform,
+        SimPowerPolicy::EvenPower,
+        SimPowerPolicy::EvenSlowdown,
+        SimPowerPolicy::EvenSlowdownQosAware,
+    ];
+
     #[test]
     fn names_are_distinct() {
-        let names: Vec<&str> = [
-            SimPowerPolicy::Uniform,
-            SimPowerPolicy::EvenPower,
-            SimPowerPolicy::EvenSlowdown,
-            SimPowerPolicy::EvenSlowdownQosAware,
-        ]
-        .iter()
-        .map(|p| p.name())
-        .collect();
+        let names: Vec<&str> = ALL.iter().map(|p| p.name()).collect();
         // `dedup` only drops adjacent repeats, so sort first.
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for policy in ALL {
+            assert_eq!(policy.name().parse::<SimPowerPolicy>().unwrap(), policy);
+        }
+        assert!("nonsense".parse::<SimPowerPolicy>().is_err());
     }
 
     #[test]

@@ -18,13 +18,11 @@
 //! `Sample` and `Model` carry the `CauseId` of the budgeter rebalance
 //! decision they descend from. Rather than a connection-level version
 //! handshake, the extended messages use **new tags** (`SetPowerCap` v2 =
-//! tag 4, `Sample` v2 = tag 5, `Model` v2 = tag 6); the v1 tags remain
-//! decodable and yield a zero (`unknown`) cause, so a v2 budgeter can
-//! ingest frames from a v1 job endpoint and vice versa.
+//! tag 4, `Sample` v2 = tag 5, `Model` v2 = tag 6). The v1 tags they
+//! replaced no longer decode (see [`ClusterToJob::decode`]).
 //!
 //! The session-resume handshake (`Resume` = job tag 7, `ResumeAck` =
-//! cluster tag 5) rides the same scheme: fresh tags, so v1/v2 peers that
-//! never reconnect are byte-for-byte unaffected.
+//! cluster tag 5) rides the same scheme: fresh tags.
 
 use crate::curve::PowerCurve;
 use crate::error::AnorError;
@@ -37,8 +35,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const MAX_FRAME_LEN: usize = 64 * 1024;
 
 /// Current codec version. Bumped to 2 when cause ids were added to
-/// `SetPowerCap`/`Sample`/`Model`; encoders always emit the current
-/// version, decoders accept every version back to 1.
+/// `SetPowerCap`/`Sample`/`Model`; encoders and decoders speak only the
+/// current version.
 pub const CODEC_VERSION: u8 = 2;
 
 /// One job-progress observation flowing up from the GEOPM agent through
@@ -61,8 +59,7 @@ pub struct EpochSample {
     /// align samples from tiers running control loops at different rates.
     pub timestamp: Seconds,
     /// Causal-trace id of the budgeter decision whose cap was in force
-    /// when the sample was taken (`0` = unknown: pre-cap samples, or a
-    /// peer speaking codec v1).
+    /// when the sample was taken (`0` = unknown: pre-cap samples).
     pub cause: u64,
 }
 
@@ -74,7 +71,7 @@ pub enum ClusterToJob {
         /// Per-node cap in watts.
         cap: Watts,
         /// Causal-trace id of the rebalance decision that produced this
-        /// cap (`0` = untraced / codec-v1 peer).
+        /// cap (`0` = untraced).
         cause: u64,
     },
     /// Ask the endpoint to report its latest sample immediately.
@@ -221,19 +218,14 @@ impl ClusterToJob {
         frame(body)
     }
 
-    /// Decode a frame body (length prefix already stripped). Pre-v2
-    /// tags decode with a zero cause.
+    /// Decode a frame body (length prefix already stripped).
+    ///
+    /// Codec-v1 tags (`ClusterToJob` 1, `JobToCluster` 2 and 3) are
+    /// retired: they fail as unknown tags and must not be reused, so a
+    /// stray v1 frame can never decode as some newer message.
     pub fn decode(mut body: Bytes) -> Result<Self, AnorError> {
         need(&body, 1, "tag")?;
         match body.get_u8() {
-            // v1 SetPowerCap: no cause on the wire.
-            1 => {
-                need(&body, 8, "SetPowerCap")?;
-                Ok(ClusterToJob::SetPowerCap {
-                    cap: Watts(body.get_f64()),
-                    cause: 0,
-                })
-            }
             2 => Ok(ClusterToJob::RequestSample),
             3 => Ok(ClusterToJob::Shutdown),
             4 => {
@@ -315,7 +307,8 @@ impl JobToCluster {
         frame(body)
     }
 
-    /// Decode a frame body (length prefix already stripped).
+    /// Decode a frame body (length prefix already stripped). Tags 2
+    /// and 3 are retired codec-v1 tags; see [`ClusterToJob::decode`].
     pub fn decode(mut body: Bytes) -> Result<Self, AnorError> {
         need(&body, 1, "tag")?;
         match body.get_u8() {
@@ -328,32 +321,6 @@ impl JobToCluster {
                     job,
                     type_name,
                     nodes: body.get_u32(),
-                })
-            }
-            // v1 Sample: no cause on the wire.
-            2 => {
-                need(&body, 8 * 6, "Sample")?;
-                Ok(JobToCluster::Sample(EpochSample {
-                    job: JobId(body.get_u64()),
-                    epoch_count: body.get_u64(),
-                    energy: Joules(body.get_f64()),
-                    avg_power: Watts(body.get_f64()),
-                    avg_cap: Watts(body.get_f64()),
-                    timestamp: Seconds(body.get_f64()),
-                    cause: 0,
-                }))
-            }
-            // v1 Model: no cause on the wire.
-            3 => {
-                need(&body, 8, "Model job id")?;
-                let job = JobId(body.get_u64());
-                let curve = get_curve(&mut body)?;
-                need(&body, 4, "Model samples")?;
-                Ok(JobToCluster::Model {
-                    job,
-                    curve,
-                    samples: body.get_u32(),
-                    cause: 0,
                 })
             }
             4 => {
@@ -557,57 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_bump_set_power_cap_decodes_with_zero_cause() {
-        // Hand-build the v1 frame body: tag 1, cap only, no cause field.
-        let mut body = BytesMut::new();
-        body.put_u8(1);
-        body.put_f64(187.5);
-        assert_eq!(
-            ClusterToJob::decode(body.freeze()).unwrap(),
-            ClusterToJob::SetPowerCap {
-                cap: Watts(187.5),
-                cause: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn pre_bump_sample_decodes_with_zero_cause() {
-        let s = sample();
-        let mut body = BytesMut::new();
-        body.put_u8(2);
-        body.put_u64(s.job.0);
-        body.put_u64(s.epoch_count);
-        body.put_f64(s.energy.value());
-        body.put_f64(s.avg_power.value());
-        body.put_f64(s.avg_cap.value());
-        body.put_f64(s.timestamp.value());
-        let decoded = JobToCluster::decode(body.freeze()).unwrap();
-        assert_eq!(decoded, JobToCluster::Sample(EpochSample { cause: 0, ..s }));
-    }
-
-    #[test]
-    fn pre_bump_model_decodes_with_zero_cause() {
-        let curve = PowerCurve::new(1.25e-5, -0.007, 1.9);
-        let mut body = BytesMut::new();
-        body.put_u8(3);
-        body.put_u64(7);
-        body.put_f64(curve.a);
-        body.put_f64(curve.b);
-        body.put_f64(curve.c);
-        body.put_u32(23);
-        assert_eq!(
-            JobToCluster::decode(body.freeze()).unwrap(),
-            JobToCluster::Model {
-                job: JobId(7),
-                curve,
-                samples: 23,
-                cause: 0,
-            }
-        );
-    }
-
-    #[test]
     fn truncated_v2_bodies_rejected() {
         // A v2 SetPowerCap missing its cause field.
         let mut body = BytesMut::new();
@@ -690,19 +606,27 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        let mut body = BytesMut::new();
-        body.put_u8(99);
-        assert!(ClusterToJob::decode(body.freeze()).is_err());
-        let mut body = BytesMut::new();
-        body.put_u8(99);
-        assert!(JobToCluster::decode(body.freeze()).is_err());
+        // The retired codec-v1 tags are unknown too. The zero padding is
+        // long enough for any message body, so only the tag can fail.
+        let tagged = |tag: u8| {
+            let mut body = BytesMut::new();
+            body.put_u8(tag);
+            body.put_slice(&[0; 64]);
+            body.freeze()
+        };
+        for tag in [1, 99] {
+            assert!(ClusterToJob::decode(tagged(tag)).is_err(), "tag {tag}");
+        }
+        for tag in [2, 3, 99] {
+            assert!(JobToCluster::decode(tagged(tag)).is_err(), "tag {tag}");
+        }
     }
 
     #[test]
     fn truncated_bodies_rejected() {
         // A SetPowerCap tag with no payload.
         let mut body = BytesMut::new();
-        body.put_u8(1);
+        body.put_u8(4);
         assert!(ClusterToJob::decode(body.freeze()).is_err());
         // A Hello with a string length pointing past the end.
         let mut body = BytesMut::new();

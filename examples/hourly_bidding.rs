@@ -8,9 +8,9 @@
 //! ```
 
 use anor::aqa::CostModel;
+use anor::bidding::{choose_hourly_bid, evaluate_bid, BiddingConfig};
 use anor::sim::{SimConfig, SimPowerPolicy};
 use anor::types::{standard_catalog, Seconds, Watts};
-use anor_core::bidding::{choose_hourly_bid, evaluate_bid, BiddingConfig};
 
 fn main() {
     let catalog = standard_catalog();

@@ -10,10 +10,10 @@
 
 use anor::cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor::cluster::{parse_json, BudgetPolicy, FramedStream, Json, StatusBoard, StreamOptions};
+use anor::telemetry::ops::{http_get, OpsServer, StatusProvider};
+use anor::telemetry::Telemetry;
 use anor::types::msg::JobToCluster;
 use anor::types::{JobId, Watts};
-use anor_telemetry::ops::{http_get, OpsServer, StatusProvider};
-use anor_telemetry::Telemetry;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -23,7 +23,10 @@
 //! | [`aqa`] | `anor-aqa` | regulation signals, tracking error, hourly bidding, weighted queues, Poisson schedules |
 //! | [`cluster`] | `anor-cluster` | the TCP budgeter daemon, job endpoints and the emulated 16-node cluster |
 //! | [`sim`] | `anor-sim` | the tabular 1000-node cluster simulator |
+//! | [`telemetry`] | `anor-telemetry` | metrics, causal tracing, flight recording and the live ops endpoint |
 //! | [`experiments`] | `anor-core` | scenario runners regenerating Figs. 3–11 of the paper |
+//! | [`bidding`], [`training`] | `anor-core` | the hourly bid search and AQA queue-weight training, judged on the simulator |
+//! | [`render`] | `anor-core` | the text tables and bar charts the figure binaries print |
 //!
 //! ## Quickstart
 //!
@@ -53,8 +56,10 @@
 //! See `examples/` for demand-response tracking, misclassification
 //! recovery, the 1000-node simulator and the head-node file formats.
 
+pub use anor_core::bidding;
 pub use anor_core::experiments;
 pub use anor_core::render;
+pub use anor_core::training;
 
 pub use anor_aqa as aqa;
 pub use anor_cluster as cluster;
@@ -63,4 +68,5 @@ pub use anor_model as model;
 pub use anor_platform as platform;
 pub use anor_policy as policy;
 pub use anor_sim as sim;
+pub use anor_telemetry as telemetry;
 pub use anor_types as types;

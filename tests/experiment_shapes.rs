@@ -19,7 +19,7 @@ fn fig3_curves_have_paper_shape() {
 
 #[test]
 fn fig4_even_slowdown_beats_even_power_midrange() {
-    let out = fig4::run();
+    let out = fig4::run(0);
     let worst = |series: &[anor::render::Series], budget: f64| {
         series
             .iter()
@@ -49,7 +49,7 @@ fn fig5_misclassification_asymmetry() {
 
 #[test]
 fn fig6_single_trial_ordering() {
-    let bars = fig6::run(1, 99).unwrap();
+    let bars = fig6::run(1, 99, &hw::HwRunOptions::default()).unwrap();
     let bt = |label: &str| hw::job_slowdown(hw::bar(&bars, label), "bt");
     assert!(bt("Performance Aware") < bt("Performance Agnostic"));
     assert!(bt("Under-estimate bt") > bt("Performance Aware"));

@@ -4,9 +4,9 @@
 //! pure functions of grid position and the pool returns results in
 //! submission order, so `--jobs` may only change wall-clock time.
 
+use anor::experiments::hw::HwRunOptions;
 use anor::experiments::{fig11, fig4, fig6};
 use anor::types::Seconds;
-use anor_telemetry::Telemetry;
 
 /// A fig11 configuration small enough for debug-mode test runs but
 /// still exercising the full level × trial grid and the hourly-bid
@@ -40,9 +40,9 @@ fn fig11_output_is_identical_across_worker_counts() {
 
 #[test]
 fn fig4_output_is_identical_across_worker_counts() {
-    let serial = fig4::run_pooled(1);
+    let serial = fig4::run(1);
     for jobs in [4, 8] {
-        let parallel = fig4::run_pooled(jobs);
+        let parallel = fig4::run(jobs);
         assert_eq!(
             serial.even_slowdown, parallel.even_slowdown,
             "fig4 even-slowdown series diverged at --jobs {jobs}"
@@ -59,8 +59,13 @@ fn emulated_trial_grid_is_identical_across_worker_counts() {
     // One emulated-hardware runner trial grid (fig6's six configs), one
     // trial each: full TCP cluster emulations running concurrently must
     // still aggregate to byte-identical bars.
-    let run =
-        |jobs: usize| fig6::run_pooled(1, 6, &Telemetry::new(), None, jobs).expect("emulated run");
+    let run = |jobs: usize| {
+        let opts = HwRunOptions {
+            jobs,
+            ..HwRunOptions::default()
+        };
+        fig6::run(1, 6, &opts).expect("emulated run")
+    };
     let serial = run(1);
     let parallel = run(4);
     assert_eq!(serial.len(), parallel.len());
