@@ -152,7 +152,7 @@ pub fn choose_hourly_bid(cfg: &BiddingConfig) -> Result<Option<Bid>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anor_sim::SimPowerPolicy;
+    use anor_policy::BudgetPolicy;
     use anor_types::standard_catalog;
 
     fn small_sim() -> SimConfig {
@@ -164,7 +164,7 @@ mod tests {
             catalog,
             types,
             tick: Seconds(1.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             qos: Default::default(),
             qos_risk_threshold: 0.8,
         }

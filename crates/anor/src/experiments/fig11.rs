@@ -8,7 +8,8 @@ use crate::render::Series;
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_exec::ExecPool;
 use anor_platform::PerformanceVariation;
-use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor_policy::BudgetPolicy;
+use anor_sim::{SimConfig, TabularSim};
 use anor_types::stats::OnlineStats;
 use anor_types::{QosDegradation, Result, Seconds, Watts};
 
@@ -26,7 +27,7 @@ pub struct Fig11Config {
     /// Arrival horizon per trial.
     pub horizon: Seconds,
     /// Power-capping policy.
-    pub policy: SimPowerPolicy,
+    pub policy: BudgetPolicy,
     /// Determinism seed.
     pub seed: u64,
     /// Worker threads for the level × trial fan-out (0 = resolve from
@@ -44,7 +45,7 @@ impl Default for Fig11Config {
             levels: vec![0.0, 7.5, 15.0, 22.5, 30.0],
             utilization: 0.75,
             horizon: Seconds(7200.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             seed: 11,
             jobs: 0,
         }

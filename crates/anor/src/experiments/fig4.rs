@@ -55,7 +55,7 @@ pub fn run(jobs: usize) -> Fig4Output {
         per_type
     };
     Fig4Output {
-        even_slowdown: sweep(&EvenSlowdownBudgeter::default()),
+        even_slowdown: sweep(&EvenSlowdownBudgeter),
         even_power: sweep(&EvenPowerBudgeter),
     }
 }

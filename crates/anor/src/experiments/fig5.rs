@@ -64,7 +64,7 @@ pub fn quadrant(direction: Direction, size: UnknownSize) -> Quadrant {
     };
     let ideal = MisclassifyScenario::fully_known(&jobs);
     let mischaracterized = MisclassifyScenario::with_unknown(&jobs, 1, assumed);
-    let even_slowdown = EvenSlowdownBudgeter::default();
+    let even_slowdown = EvenSlowdownBudgeter;
     let mut series: Vec<Series> = Vec::new();
     for (label, scenario, budgeter) in [
         ("Ideal", &ideal, &even_slowdown as &dyn Budgeter),

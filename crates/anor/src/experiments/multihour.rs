@@ -120,7 +120,7 @@ pub fn run(cfg: &MultiHourConfig) -> Result<Vec<HourSummary>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anor_sim::SimPowerPolicy;
+    use anor_policy::BudgetPolicy;
     use anor_types::standard_catalog;
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
             catalog,
             types,
             tick: Seconds(1.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             qos: Default::default(),
             qos_risk_threshold: 0.8,
         };
@@ -173,7 +173,7 @@ mod tests {
             catalog,
             types,
             tick: Seconds(1.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             qos: Default::default(),
             qos_risk_threshold: 0.8,
         };

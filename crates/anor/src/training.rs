@@ -129,7 +129,7 @@ pub fn train_weights(cfg: &TrainingConfig) -> Result<(Vec<f64>, bool)> {
 mod tests {
     use super::*;
     use anor_aqa::UnknownJobSampler;
-    use anor_sim::SimPowerPolicy;
+    use anor_policy::BudgetPolicy;
     use anor_types::{standard_catalog, Watts};
 
     fn small_cfg(seed: u64) -> TrainingConfig {
@@ -141,7 +141,7 @@ mod tests {
             catalog,
             types,
             tick: Seconds(1.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             qos: Default::default(),
             qos_risk_threshold: 0.8,
         };
@@ -196,7 +196,7 @@ mod tests {
             catalog,
             types,
             tick: Seconds(1.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             qos: Default::default(),
             qos_risk_threshold: 0.8,
         };

@@ -1,6 +1,7 @@
 //! Runs the design-choice ablations DESIGN.md calls out and prints the
-//! recovery achieved under each knob setting (the criterion benches in
-//! `benches/ablations.rs` measure the *cost* of the same knobs).
+//! recovery achieved under each knob setting (perfsuite's
+//! `model_retrain` row measures the *cost* of a retrain at the paper's
+//! setting).
 
 use anor_bench::header;
 use anor_core::experiments::ablation;

@@ -29,6 +29,20 @@
 //!   riding out a reconnect storm against the sharded reactor. The run
 //!   must finish clean (all sessions re-established, zero invariant
 //!   violations) and its pump p99 is reported against the 10 ms target.
+//! - `policy_assign_<policy>_<n>`: `BudgetPolicy::assign` over `n` = 16,
+//!   1k and 10k jobs for each policy that reads no at-risk flags, at
+//!   210 W per node (inside every job's window, so even-slowdown
+//!   bisects) — the decide phase of every pump and every re-cap.
+//! - `codec_roundtrip`: encode and decode one `Sample` and one
+//!   `SetPowerCap` frame, the two messages of every control round.
+//! - `model_retrain`: a fresh `PowerModeler` at the paper config fed 60
+//!   epochs across two caps: the epoch window and a retrain every 10
+//!   epochs (quadratic fit, anchored fallback).
+//!
+//! A single call of the last three families is below the wall clock's
+//! useful resolution, so each run repeats it a fixed number of times
+//! (printed with the row), sized so one run takes at least about a
+//! millisecond on a 2-vCPU KVM VM.
 //!
 //! Each bench reports the min, median and run-to-run standard deviation
 //! of K runs' wall-clock time (default 5; 3 with `--quick`, which also
@@ -36,7 +50,7 @@
 //! system time of every thread, read from `/proc/self/stat` around the
 //! K-run batch (10 ms resolution over the batch, 0 where unavailable).
 //! When the prior PR's trajectory file exists (`--baseline`, default
-//! `BENCH_PR10.json`), medians that slowed by more than 10% are flagged
+//! `BENCH_PR13.json`), medians that slowed by more than 10% are flagged
 //! as `PERF REGRESSION` lines.
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
@@ -47,12 +61,15 @@ use anor_cluster::{
     TransportOptions,
 };
 use anor_core::experiments::{fig11, fig4};
+use anor_model::{ModelerConfig, PowerModeler};
 use anor_platform::PerformanceVariation;
-use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
-use anor_types::msg::JobToCluster;
+use anor_policy::JobView;
+use anor_sim::{SimConfig, TabularSim};
+use anor_types::msg::{ClusterToJob, EpochSample, JobToCluster};
 use anor_types::stats::std_dev;
-use anor_types::JobId;
+use anor_types::{CapRange, JobId, Joules, PowerCurve};
 use anor_types::{QosConstraint, Seconds, Watts};
+use std::hint::black_box;
 use std::time::Instant;
 
 struct BenchResult {
@@ -153,7 +170,7 @@ fn sim_build(nodes: u32, ticks: usize) -> TabularSim {
         catalog,
         types,
         tick: Seconds(1.0),
-        policy: SimPowerPolicy::EvenSlowdown,
+        policy: BudgetPolicy::EvenSlowdown,
         qos: QosConstraint::default(),
         qos_risk_threshold: 0.8,
     };
@@ -242,6 +259,77 @@ fn snapshot_fixture(sessions: u64) -> (ClusterBudgeter, Vec<FramedStream>) {
     panic!("sessions never registered");
 }
 
+/// `n` job views cycling through the standard catalog, and a busy
+/// budget of 210 W per node.
+fn assign_fixture(n: usize) -> (Vec<JobView>, Watts) {
+    let catalog = anor_types::standard_catalog();
+    let specs: Vec<_> = catalog.iter().collect();
+    let jobs: Vec<JobView> = (0..n)
+        .map(|i| JobView::from_spec(JobId(i as u64), specs[i % specs.len()]))
+        .collect();
+    let nodes: f64 = jobs.iter().map(|j| f64::from(j.nodes)).sum();
+    (jobs, Watts(210.0 * nodes))
+}
+
+/// [`timed_runs`] for a call far below the clock's resolution: each run
+/// repeats `f` `reps` times. Prints the row with its per-call time.
+fn timed_calls(bench: &str, runs: usize, reps: usize, mut f: impl FnMut()) -> BenchResult {
+    let r = timed_runs(bench, 1, runs, || {
+        for _ in 0..reps {
+            f();
+        }
+    });
+    println!(
+        "{bench}: {} per {reps} call(s) ({:.3} µs/call)",
+        r.summary(),
+        r.median_s / reps as f64 * 1e6
+    );
+    r
+}
+
+/// Encode one `Sample` and one `SetPowerCap` frame, strip each length
+/// prefix and decode them back.
+fn codec_roundtrip() {
+    let sample = JobToCluster::Sample(EpochSample {
+        job: JobId(42),
+        epoch_count: 1234,
+        energy: Joules(9999.5),
+        avg_power: Watts(201.0),
+        avg_cap: Watts(210.0),
+        timestamp: Seconds(77.7),
+        cause: 7,
+    });
+    let cap = ClusterToJob::SetPowerCap {
+        cap: Watts(195.5),
+        cause: 7,
+    };
+    let body = |mut frame: bytes::Bytes| {
+        bytes::Buf::advance(&mut frame, 4);
+        black_box(frame)
+    };
+    let back = JobToCluster::decode(body(sample.encode()));
+    assert_eq!(back.ok().as_ref(), Some(&sample));
+    let back = ClusterToJob::decode(body(cap.encode()));
+    assert_eq!(back.ok().as_ref(), Some(&cap));
+}
+
+/// One modeler lifetime: 30 epochs at each of two caps into a fresh
+/// `PowerModeler`, which must end up with a fitted curve.
+fn model_retrain() {
+    let default = PowerCurve::from_anchor(Seconds(2.4), 0.75, CapRange::paper_node());
+    let mut m = PowerModeler::with_default(ModelerConfig::paper(), default);
+    let mut t = 0.0;
+    let mut count = 0;
+    for (cap, tau) in [(Watts(170.0), 3.0), (Watts(250.0), 2.5)] {
+        for _ in 0..30 {
+            t += tau;
+            count += 1;
+            m.observe(count, Seconds(t), cap);
+        }
+    }
+    assert!(black_box(&m).is_fitted());
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -273,12 +361,12 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR13.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR15.json".to_string());
     let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR13.json".to_string());
     let runs = args
         .iter()
         .position(|a| a == "--runs")
@@ -403,6 +491,26 @@ fn main() {
         println!("PERF WARNING: pump p99 {last_p99:.3} ms exceeds the 10 ms reactor target");
     }
     results.push(r);
+
+    // Each assign run evaluates a million job views (62 500 calls at 16
+    // jobs, 100 at 10k), so every size does the same per-view work.
+    for (n, size) in [(16usize, "16"), (1_000, "1k"), (10_000, "10k")] {
+        let (jobs, budget) = assign_fixture(n);
+        for policy in BudgetPolicy::ALL.iter().filter(|p| !p.reads_at_risk()) {
+            let bench = format!("policy_assign_{}_{size}", policy.name().replace('-', "_"));
+            results.push(timed_calls(&bench, runs, 1_000_000 / n, || {
+                let caps = policy.assign(budget, black_box(&jobs), &[]);
+                assert_eq!(black_box(caps).len(), n);
+            }));
+        }
+    }
+    results.push(timed_calls(
+        "codec_roundtrip",
+        runs,
+        10_000,
+        codec_roundtrip,
+    ));
+    results.push(timed_calls("model_retrain", runs, 100, model_retrain));
 
     match write_json(&out_path, &results) {
         Ok(()) => println!("\nwrote {} result(s) to {out_path}", results.len()),

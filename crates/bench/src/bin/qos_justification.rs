@@ -13,7 +13,8 @@
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_bench::{header, scaled};
 use anor_platform::PerformanceVariation;
-use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor_policy::BudgetPolicy;
+use anor_sim::{SimConfig, TabularSim};
 use anor_types::stats::percentile;
 use anor_types::{standard_catalog, Seconds, Watts};
 
@@ -34,7 +35,7 @@ fn main() {
         catalog: catalog.clone(),
         types: types.clone(),
         tick: Seconds(1.0),
-        policy: SimPowerPolicy::Uniform,
+        policy: BudgetPolicy::Uniform,
         qos: Default::default(),
         // Effectively disable QoS-forced starts: a saturated cluster
         // cannot honor them anyway, and the paper's trace has no such

@@ -14,6 +14,10 @@
 //! anor-load --endpoints 64 --transport blocking
 //! ```
 //!
+//! `--policy` is `uniform` (the default), `even-power` or
+//! `even-slowdown`. `even-slowdown+qos` runs only in the simulator
+//! (`anorsim`), so the daemon under load refuses it with a config error.
+//!
 //! Exits non-zero when any stage stalls, an endpoint fails to hold its
 //! session, or the auditor flags a violation — so CI can gate on it.
 

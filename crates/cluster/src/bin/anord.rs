@@ -11,6 +11,11 @@
 //! anord --listen 127.0.0.1:5533 --targets targets.txt --duration-secs 3600
 //! ```
 //!
+//! `--policy` is `uniform`, `even-power` or `even-slowdown` (the default).
+//! `even-slowdown+qos` runs only in the simulator (`anorsim`): it reads
+//! at-risk flags the daemon does not project, so `anord` exits 1 with a
+//! config error on it.
+//!
 //! With `--telemetry <dir>`, events stream to `<dir>/events.jsonl` and a
 //! Prometheus exposition plus summary table are written on exit. With
 //! `--trace <dir>`, each rebalance decision and every cap/sample hop is

@@ -26,7 +26,7 @@ use crate::codec::TransportMetrics;
 use crate::session::{FaultPlan, SessionState};
 use crate::status::{JobStatus, PhaseStat, StatusBoard, StatusSnapshot};
 use crate::transport::{build_transport, ConnId, Transport, TransportKind, TransportOptions};
-use anor_policy::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, JobView, UniformBudgeter};
+use anor_policy::JobView;
 use anor_telemetry::{
     BuildInfo, CauseId, Counter, FlightRecorder, Gauge, Histogram, RecEvent, Telemetry, Timer,
     TraceStage, Tracer,
@@ -37,50 +37,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-/// Which distribution rule the daemon runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetPolicy {
-    /// Same cap on every node (performance-agnostic).
-    Uniform,
-    /// The γ-interpolating performance-unaware balancer.
-    EvenPower,
-    /// The model-driven even-slowdown balancer.
-    EvenSlowdown,
-}
-
-impl BudgetPolicy {
-    fn assign(&self, budget: Watts, jobs: &[JobView]) -> Vec<Watts> {
-        match self {
-            BudgetPolicy::Uniform => UniformBudgeter.assign(budget, jobs),
-            BudgetPolicy::EvenPower => EvenPowerBudgeter.assign(budget, jobs),
-            BudgetPolicy::EvenSlowdown => EvenSlowdownBudgeter::default().assign(budget, jobs),
-        }
-    }
-
-    /// Display name (also the CLI and recording-header spelling).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BudgetPolicy::Uniform => "uniform",
-            BudgetPolicy::EvenPower => "even-power",
-            BudgetPolicy::EvenSlowdown => "even-slowdown",
-        }
-    }
-}
-
-impl std::str::FromStr for BudgetPolicy {
-    type Err = AnorError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "uniform" => Ok(BudgetPolicy::Uniform),
-            "even-power" => Ok(BudgetPolicy::EvenPower),
-            "even-slowdown" => Ok(BudgetPolicy::EvenSlowdown),
-            other => Err(AnorError::config(format!(
-                "unknown policy `{other}` (use uniform | even-power | even-slowdown)"
-            ))),
-        }
-    }
-}
+/// The policy table the daemon selects from. [`BudgeterBuilder::bind`]
+/// refuses a policy that reads at-risk flags: the daemon projects none.
+pub use anor_policy::BudgetPolicy;
 
 /// Default identity assumed for job types the budgeter does not know.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,7 +368,16 @@ impl BudgeterBuilder {
 
     /// Bind (or adopt the supplied listener) and construct the daemon.
     /// Returns the daemon and the address endpoints should connect to.
+    /// Fails with a config error for a policy that reads at-risk flags
+    /// ([`BudgetPolicy::reads_at_risk`]): the daemon projects none.
     pub fn bind(self) -> Result<(ClusterBudgeter, SocketAddr)> {
+        if self.cfg.policy.reads_at_risk() {
+            return Err(AnorError::config(format!(
+                "policy `{}` needs at-risk projections the daemon does not make; \
+                 it runs only in the simulator",
+                self.cfg.policy.name()
+            )));
+        }
         let listener = match self.listener {
             Some(l) => l,
             None => TcpListener::bind(self.addr.as_str())?,
@@ -636,7 +604,10 @@ impl ClusterBudgeter {
             }
         };
         let mut view = JobView::from_spec(job, spec);
-        view.nodes = nodes;
+        // A job announcing zero nodes still holds one: budgeting, the
+        // lease reclaim, sample normalisation and the auditor all read
+        // this count.
+        view.nodes = nodes.max(1);
         Ok(view)
     }
 
@@ -820,7 +791,7 @@ impl ClusterBudgeter {
                 if let Some(e) = self.jobs.get_mut(&s.job) {
                     e.missed_pumps = 0;
                     e.samples_seen += 1;
-                    let per_node = s.avg_power / e.view.nodes.max(1) as f64;
+                    let per_node = s.avg_power / e.view.nodes as f64;
                     e.peak_node_power = e.peak_node_power.max(per_node);
                     if self.cfg.feedback {
                         if per_node.value() > e.view.max_draw.value() + 1.0 {
@@ -992,7 +963,7 @@ impl ClusterBudgeter {
                 attempt: e.missed_pumps,
             };
             if e.missed_pumps >= self.lease.miss_pumps {
-                let watts = e.last_cap.unwrap_or(Watts::ZERO) * f64::from(e.view.nodes.max(1));
+                let watts = e.last_cap.unwrap_or(Watts::ZERO) * f64::from(e.view.nodes);
                 e.state = SessionState::Gone;
                 e.reclaimed = Some(watts);
                 expired.push((id, watts));
@@ -1031,16 +1002,16 @@ impl ClusterBudgeter {
 
     fn redistribute(&mut self, busy_budget: Watts) -> Result<()> {
         let decide_started = Instant::now();
-        // Collect (id, view) pairs in one pass so `views` stays aligned
-        // with the ids even if an entry were to vanish mid-iteration.
-        // Expired leases are excluded: their watts are back in the pool.
-        let mut active: Vec<(JobId, JobView)> = self
+        // Ids and views in one pass over the map, so they stay aligned
+        // and come out in `JobId` order. Expired leases are excluded:
+        // their watts are back in the pool.
+        let (ids, views): (Vec<JobId>, Vec<JobView>) = self
             .jobs
             .iter()
             .filter(|(_, e)| e.holds_lease())
             .map(|(&id, e)| (id, e.view.clone()))
-            .collect();
-        if active.is_empty() {
+            .unzip();
+        if ids.is_empty() {
             self.metrics
                 .phase_decide
                 .observe(decide_started.elapsed().as_secs_f64());
@@ -1050,13 +1021,10 @@ impl ClusterBudgeter {
         // Latency of an actual rebalance; empty passes are not observed
         // so the percentiles describe real redistribution work.
         let _timer = Timer::start(self.metrics.rebalance.clone());
-        active.sort_unstable_by_key(|(id, _)| *id);
-        let views: Vec<JobView> = active.iter().map(|(_, v)| v.clone()).collect();
-        let caps = self.cfg.policy.assign(busy_budget, &views);
+        let caps = self.cfg.policy.assign(busy_budget, &views, &[]);
         // Which caps moved enough to resend?
-        let changed: Vec<(JobId, Watts)> = active
+        let changed: Vec<(JobId, Watts)> = ids
             .iter()
-            .map(|(id, _)| id)
             .zip(caps)
             .filter(|(id, cap)| {
                 self.jobs.get(id).is_some_and(|e| {
@@ -1237,7 +1205,7 @@ impl ClusterBudgeter {
         let mut floor = 0.0;
         let mut nodes_total = 0.0;
         for e in self.jobs.values().filter(|e| e.holds_lease()) {
-            let nodes = f64::from(e.view.nodes.max(1));
+            let nodes = f64::from(e.view.nodes);
             nodes_total += nodes;
             floor += e.view.cap_range.min.value() * nodes;
             if let Some(cap) = e.last_cap {
@@ -1949,15 +1917,29 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_round_trip() {
-        for policy in [
-            BudgetPolicy::Uniform,
-            BudgetPolicy::EvenPower,
-            BudgetPolicy::EvenSlowdown,
-        ] {
-            assert_eq!(policy.name().parse::<BudgetPolicy>().unwrap(), policy);
+    fn bind_refuses_policies_that_read_at_risk_flags() {
+        for policy in BudgetPolicy::ALL {
+            let bound = ClusterBudgeter::builder(BudgeterConfig::new(policy, false)).bind();
+            if policy.reads_at_risk() {
+                let refused = matches!(bound, Err(AnorError::Config(_)));
+                assert!(refused, "the daemon must refuse {}", policy.name());
+            } else {
+                assert!(bound.is_ok(), "{}", policy.name());
+            }
         }
-        assert!("even-slowdown+qos".parse::<BudgetPolicy>().is_err());
+    }
+
+    #[test]
+    fn zero_node_hello_is_budgeted_as_one_node() {
+        let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::Uniform, false));
+        let mut client = connect(addr);
+        client.send(hello(1, "mg.D.32", 0)).unwrap();
+        pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
+        for _ in 0..5 {
+            b.pump(Watts(200.0)).unwrap();
+        }
+        assert_eq!(b.job_caps(), vec![(JobId(1), Some(Watts(200.0)))]);
+        assert_eq!(b.invariant_violations(), 0);
     }
 
     #[test]

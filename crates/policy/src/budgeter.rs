@@ -15,9 +15,6 @@ pub trait Budgeter {
     /// Split `budget` (total CPU watts for all listed jobs' nodes) into a
     /// per-node cap for each job, in input order.
     fn assign(&self, budget: Watts, jobs: &[JobView]) -> Vec<Watts>;
-
-    /// Human-readable policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Total nodes across views.
@@ -47,10 +44,6 @@ impl Budgeter for UniformBudgeter {
         }
         let per_node = budget / total_nodes(jobs);
         jobs.iter().map(|j| j.cap_range.clamp(per_node)).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "uniform"
     }
 }
 
@@ -85,10 +78,6 @@ impl Budgeter for EvenPowerBudgeter {
             .map(|j| j.p_min() + (j.p_max() - j.p_min()) * gamma)
             .collect()
     }
-
-    fn name(&self) -> &'static str {
-        "even-power"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -106,34 +95,25 @@ impl Budgeter for EvenPowerBudgeter {
 ///     JobView::from_spec(JobId(0), cat.find("bt").unwrap()), // sensitive
 ///     JobView::from_spec(JobId(1), cat.find("sp").unwrap()), // insensitive
 /// ];
-/// let caps = EvenSlowdownBudgeter::default().assign(Watts(840.0), &jobs);
+/// let caps = EvenSlowdownBudgeter.assign(Watts(840.0), &jobs);
 /// // Power is steered toward the job that converts it into speed.
 /// assert!(caps[0].value() > caps[1].value());
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct EvenSlowdownBudgeter {
-    /// Bisection convergence tolerance on total watts.
-    pub tolerance: Watts,
-    /// Bisection iteration bound.
-    pub max_iters: u32,
-}
-
-impl Default for EvenSlowdownBudgeter {
-    fn default() -> Self {
-        EvenSlowdownBudgeter {
-            tolerance: Watts(0.5),
-            max_iters: 64,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EvenSlowdownBudgeter;
 
 impl EvenSlowdownBudgeter {
+    /// Bisection convergence tolerance on total watts.
+    const TOLERANCE: Watts = Watts(0.5);
+    /// Bisection iteration bound.
+    const MAX_ITERS: u32 = 64;
+
     fn caps_at(&self, s: f64, jobs: &[JobView]) -> Vec<Watts> {
         jobs.iter().map(|j| j.cap_for_slowdown(s)).collect()
     }
 
     /// [`Self::caps_at`] into an existing buffer: the bisection loop
-    /// re-evaluates caps up to `max_iters` times per assignment and this
+    /// re-evaluates caps up to `MAX_ITERS` times per assignment and this
     /// is the budgeter's per-pump (and the simulator's per-tick) hot
     /// path, so it must not allocate per iteration.
     fn fill_caps(&self, s: f64, jobs: &[JobView], caps: &mut [Watts]) {
@@ -167,11 +147,11 @@ impl Budgeter for EvenSlowdownBudgeter {
         // Bisect: total power is non-increasing in s.
         let (mut lo, mut hi) = (1.0, s_hi);
         let mut caps = at_min;
-        for _ in 0..self.max_iters {
+        for _ in 0..Self::MAX_ITERS {
             let mid = 0.5 * (lo + hi);
             self.fill_caps(mid, jobs, &mut caps);
             let total = total_power(jobs, &caps);
-            if (total - budget).abs().value() <= self.tolerance.value() {
+            if (total - budget).abs().value() <= Self::TOLERANCE.value() {
                 return caps;
             }
             if total.value() > budget.value() {
@@ -195,7 +175,7 @@ impl Budgeter for EvenSlowdownBudgeter {
         // stranded gap performance-agnostically: jobs whose flat spans
         // caused the jump are belief-indifferent across it, so the only
         // defensible split of the leftover watts is uniform per node.
-        if total_power(jobs, &caps).value() > budget.value() + self.tolerance.value() {
+        if total_power(jobs, &caps).value() > budget.value() + Self::TOLERANCE.value() {
             caps = self.caps_at(hi, jobs);
         }
         let mut spare = (budget - total_power(jobs, &caps)).value();
@@ -224,10 +204,6 @@ impl Budgeter for EvenSlowdownBudgeter {
         }
         caps
     }
-
-    fn name(&self) -> &'static str {
-        "even-slowdown"
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +229,7 @@ mod tests {
         for b in [
             &UniformBudgeter as &dyn Budgeter,
             &EvenPowerBudgeter,
-            &EvenSlowdownBudgeter::default(),
+            &EvenSlowdownBudgeter,
         ] {
             assert!(b.assign(Watts(1000.0), &[]).is_empty());
         }
@@ -305,7 +281,7 @@ mod tests {
     fn even_slowdown_meets_budget_and_equalizes() {
         let jobs = views(&["bt.D.81", "ep.D.43"]); // both sensitive
         let budget = Watts(650.0);
-        let caps = EvenSlowdownBudgeter::default().assign(budget, &jobs);
+        let caps = EvenSlowdownBudgeter.assign(budget, &jobs);
         assert!(
             (total(&jobs, &caps) - 650.0).abs() < 1.0,
             "total {}",
@@ -323,7 +299,7 @@ mod tests {
         // BT must receive a higher cap than SP.
         let jobs = views(&["bt.D.81", "sp.D.81"]);
         let budget = Watts(840.0); // 210 W/node average over 4 nodes
-        let caps = EvenSlowdownBudgeter::default().assign(budget, &jobs);
+        let caps = EvenSlowdownBudgeter.assign(budget, &jobs);
         assert!(
             caps[0].value() > caps[1].value() + 10.0,
             "bt {} vs sp {}",
@@ -355,7 +331,7 @@ mod tests {
         // EP keeps more power (Section 6.1.1's "level off").
         let jobs = views(&["is.D.32", "ep.D.43"]);
         let budget = Watts(360.0);
-        let caps = EvenSlowdownBudgeter::default().assign(budget, &jobs);
+        let caps = EvenSlowdownBudgeter.assign(budget, &jobs);
         assert_eq!(caps[0], jobs[0].p_min(), "IS pinned at min cap");
         assert!(caps[1].value() > jobs[1].p_min().value() + 20.0);
     }
@@ -363,10 +339,10 @@ mod tests {
     #[test]
     fn even_slowdown_saturates_at_budget_extremes() {
         let jobs = views(&["bt.D.81", "cg.D.32"]);
-        let caps = EvenSlowdownBudgeter::default().assign(Watts(10_000.0), &jobs);
+        let caps = EvenSlowdownBudgeter.assign(Watts(10_000.0), &jobs);
         assert_eq!(caps[0], jobs[0].p_max());
         assert_eq!(caps[1], jobs[1].p_max());
-        let caps = EvenSlowdownBudgeter::default().assign(Watts(10.0), &jobs);
+        let caps = EvenSlowdownBudgeter.assign(Watts(10.0), &jobs);
         assert_eq!(caps[0], jobs[0].p_min());
         assert_eq!(caps[1], jobs[1].p_min());
     }
@@ -387,20 +363,13 @@ mod tests {
             .map(|j| j.p_min().value() * j.nodes as f64)
             .sum();
         for budget in [600.0, 700.0, 840.0, 900.0, 1000.0] {
-            let caps = EvenSlowdownBudgeter::default().assign(Watts(budget), &jobs);
+            let caps = EvenSlowdownBudgeter.assign(Watts(budget), &jobs);
             let spent = total(&jobs, &caps);
             assert!(
                 spent <= budget.max(floor) + 1.0,
                 "budget {budget}: assigned {spent}"
             );
         }
-    }
-
-    #[test]
-    fn budgeter_names() {
-        assert_eq!(UniformBudgeter.name(), "uniform");
-        assert_eq!(EvenPowerBudgeter.name(), "even-power");
-        assert_eq!(EvenSlowdownBudgeter::default().name(), "even-slowdown");
     }
 
     #[test]

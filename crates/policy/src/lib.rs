@@ -17,6 +17,11 @@
 //!   `p_cap = P_j(s·T_j(p_max))`, with saturation at the platform's
 //!   minimum cap (the "level off" of Section 6.1.1).
 //!
+//! [`BudgetPolicy`] is the one table of these policies, plus the
+//! QoS-feedback variant of Section 6.4 that exempts at-risk jobs: the
+//! daemon, the simulator, the experiments and every CLI select from it,
+//! and [`BudgetPolicy::assign`] dispatches to the [`Budgeter`] impls.
+//!
 //! [`misclassify`] builds the Fig. 5/6 scenarios in which the budgeter's
 //! *believed* model for a job differs from its true behaviour, and
 //! evaluates the resulting slowdowns against ground truth.
@@ -25,10 +30,12 @@ pub mod budgeter;
 pub mod facility;
 pub mod job_view;
 pub mod misclassify;
+pub mod policy;
 pub mod slowdown;
 
 pub use budgeter::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, UniformBudgeter};
 pub use facility::{ClusterView, FacilityBudgeter};
 pub use job_view::JobView;
 pub use misclassify::{MisclassifyScenario, ScenarioOutcome};
+pub use policy::BudgetPolicy;
 pub use slowdown::{slowdown_under_cap, slowdowns_under_caps};

@@ -131,7 +131,7 @@ mod tests {
         let is = cat.find("is").unwrap();
         let jobs = [(ep, 4u32), (ft, 2u32), (is, 4u32)];
         let budget = Watts(2000.0);
-        let budgeter = EvenSlowdownBudgeter::default();
+        let budgeter = EvenSlowdownBudgeter;
         let ideal = MisclassifyScenario::fully_known(&jobs).evaluate(&budgeter, budget);
         let under = MisclassifyScenario::with_unknown(&jobs, 1, is).evaluate(&budgeter, budget);
         assert!(
@@ -152,7 +152,7 @@ mod tests {
         let is = cat.find("is").unwrap();
         let jobs = [(ep, 1u32), (ft, 8u32), (is, 1u32)];
         let budget = Watts(1800.0);
-        let budgeter = EvenSlowdownBudgeter::default();
+        let budgeter = EvenSlowdownBudgeter;
         let ideal = MisclassifyScenario::fully_known(&jobs).evaluate(&budgeter, budget);
         let over = MisclassifyScenario::with_unknown(&jobs, 1, ep).evaluate(&budgeter, budget);
         assert!(
@@ -171,7 +171,7 @@ mod tests {
         let ep = cat.find("ep").unwrap();
         let ft = cat.find("ft").unwrap();
         let is = cat.find("is").unwrap();
-        let budgeter = EvenSlowdownBudgeter::default();
+        let budgeter = EvenSlowdownBudgeter;
         let harm = |ft_nodes: u32, known_nodes: u32, budget: f64| -> f64 {
             let jobs = [(ep, known_nodes), (ft, ft_nodes), (is, known_nodes)];
             let ideal = MisclassifyScenario::fully_known(&jobs).evaluate(&budgeter, Watts(budget));
@@ -195,7 +195,7 @@ mod tests {
         let ft = cat.find("ft").unwrap();
         let is = cat.find("is").unwrap();
         let jobs = [(ep, 4u32), (ft, 2u32), (is, 4u32)];
-        let budgeter = EvenSlowdownBudgeter::default();
+        let budgeter = EvenSlowdownBudgeter;
         let ideal = MisclassifyScenario::fully_known(&jobs).evaluate(&budgeter, Watts(2000.0));
         let fixed = MisclassifyScenario::with_unknown(&jobs, 1, is)
             .with_feedback(1)

@@ -1,17 +1,18 @@
-//! Power capping inside the simulated cluster tier.
+//! The one table of cluster-tier budgeting policies.
 //!
-//! Given the instantaneous power target and the set of running jobs, pick
-//! per-job node caps. Two policies from Section 4.4.3 plus the
-//! QoS-feedback variant Section 6.4 discusses ("we are able to avoid
-//! capping power on jobs that application feedback indicates are at risk
-//! of QoS degradation").
+//! The head-node daemon, the tabular simulator, the experiments and every
+//! CLI select from [`BudgetPolicy`]: the three budgeters of Section 4.4.3
+//! plus the QoS-feedback variant Section 6.4 discusses ("we are able to
+//! avoid capping power on jobs that application feedback indicates are at
+//! risk of QoS degradation").
 
-use anor_policy::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, JobView, UniformBudgeter};
+use crate::budgeter::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, UniformBudgeter};
+use crate::job_view::JobView;
 use anor_types::{AnorError, Watts};
 
-/// Which capping rule the simulated cluster tier applies.
+/// Which capping rule the cluster tier applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimPowerPolicy {
+pub enum BudgetPolicy {
     /// AQA's rule: caps applied uniformly across active nodes.
     Uniform,
     /// The performance-unaware even-power balancer.
@@ -24,35 +25,43 @@ pub enum SimPowerPolicy {
     EvenSlowdownQosAware,
 }
 
-impl SimPowerPolicy {
-    /// Human-readable name (also the CLI spelling).
+impl BudgetPolicy {
+    /// Every policy, in table order.
+    pub const ALL: [BudgetPolicy; 4] = [
+        BudgetPolicy::Uniform,
+        BudgetPolicy::EvenPower,
+        BudgetPolicy::EvenSlowdown,
+        BudgetPolicy::EvenSlowdownQosAware,
+    ];
+
+    /// Human-readable name (also the CLI and recording-header spelling).
     pub fn name(&self) -> &'static str {
         match self {
-            SimPowerPolicy::Uniform => "uniform",
-            SimPowerPolicy::EvenPower => "even-power",
-            SimPowerPolicy::EvenSlowdown => "even-slowdown",
-            SimPowerPolicy::EvenSlowdownQosAware => "even-slowdown+qos",
+            BudgetPolicy::Uniform => "uniform",
+            BudgetPolicy::EvenPower => "even-power",
+            BudgetPolicy::EvenSlowdown => "even-slowdown",
+            BudgetPolicy::EvenSlowdownQosAware => "even-slowdown+qos",
         }
     }
 
-    /// Does this policy consume per-tick inputs (the at-risk
-    /// projections, which drift with simulated time itself)? When true
-    /// the engine re-runs the capping stage every tick instead of
-    /// memoizing it between events.
-    pub fn per_tick_recompute(&self) -> bool {
-        matches!(self, SimPowerPolicy::EvenSlowdownQosAware)
+    /// Does [`Self::assign`] read its `at_risk` flags? Only a caller that
+    /// projects them can run such a policy, and since the projections
+    /// drift with time itself, the simulator re-caps every tick for it.
+    pub fn reads_at_risk(&self) -> bool {
+        matches!(self, BudgetPolicy::EvenSlowdownQosAware)
     }
 
     /// Assign per-job node caps given the busy-node power budget.
-    /// `at_risk[i]` marks jobs the feedback path flagged (ignored except
-    /// by the QoS-aware variant). Returns caps in job order.
+    /// `at_risk[i]` marks jobs the feedback path flagged; only a policy
+    /// whose [`Self::reads_at_risk`] is true reads it, and the others
+    /// accept `&[]`. Returns caps in job order.
     pub fn assign(&self, budget: Watts, jobs: &[JobView], at_risk: &[bool]) -> Vec<Watts> {
-        debug_assert_eq!(jobs.len(), at_risk.len());
         match self {
-            SimPowerPolicy::Uniform => UniformBudgeter.assign(budget, jobs),
-            SimPowerPolicy::EvenPower => EvenPowerBudgeter.assign(budget, jobs),
-            SimPowerPolicy::EvenSlowdown => EvenSlowdownBudgeter::default().assign(budget, jobs),
-            SimPowerPolicy::EvenSlowdownQosAware => {
+            BudgetPolicy::Uniform => UniformBudgeter.assign(budget, jobs),
+            BudgetPolicy::EvenPower => EvenPowerBudgeter.assign(budget, jobs),
+            BudgetPolicy::EvenSlowdown => EvenSlowdownBudgeter.assign(budget, jobs),
+            BudgetPolicy::EvenSlowdownQosAware => {
+                debug_assert_eq!(jobs.len(), at_risk.len());
                 // Exempt at-risk jobs at full power, balance the rest.
                 let mut caps = vec![Watts::ZERO; jobs.len()];
                 let mut exempt_power = Watts::ZERO;
@@ -68,7 +77,7 @@ impl SimPowerPolicy {
                     }
                 }
                 let rest_budget = (budget - exempt_power).max(Watts::ZERO);
-                let rest_caps = EvenSlowdownBudgeter::default().assign(rest_budget, &rest);
+                let rest_caps = EvenSlowdownBudgeter.assign(rest_budget, &rest);
                 for (slot, cap) in rest_idx.into_iter().zip(rest_caps) {
                     caps[slot] = cap;
                 }
@@ -78,20 +87,17 @@ impl SimPowerPolicy {
     }
 }
 
-impl std::str::FromStr for SimPowerPolicy {
+impl std::str::FromStr for BudgetPolicy {
     type Err = AnorError;
 
     fn from_str(s: &str) -> Result<Self, AnorError> {
-        match s {
-            "uniform" => Ok(SimPowerPolicy::Uniform),
-            "even-power" => Ok(SimPowerPolicy::EvenPower),
-            "even-slowdown" => Ok(SimPowerPolicy::EvenSlowdown),
-            "even-slowdown+qos" => Ok(SimPowerPolicy::EvenSlowdownQosAware),
-            other => Err(AnorError::config(format!(
-                "unknown policy `{other}` \
-                 (use uniform | even-power | even-slowdown | even-slowdown+qos)"
-            ))),
-        }
+        BudgetPolicy::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names = BudgetPolicy::ALL.map(|p| p.name()).join(" | ");
+                AnorError::config(format!("unknown policy `{s}` (use {names})"))
+            })
     }
 }
 
@@ -109,16 +115,9 @@ mod tests {
             .collect()
     }
 
-    const ALL: [SimPowerPolicy; 4] = [
-        SimPowerPolicy::Uniform,
-        SimPowerPolicy::EvenPower,
-        SimPowerPolicy::EvenSlowdown,
-        SimPowerPolicy::EvenSlowdownQosAware,
-    ];
-
     #[test]
     fn names_are_distinct() {
-        let names: Vec<&str> = ALL.iter().map(|p| p.name()).collect();
+        let names: Vec<&str> = BudgetPolicy::ALL.iter().map(|p| p.name()).collect();
         // `dedup` only drops adjacent repeats, so sort first.
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -128,10 +127,11 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for policy in ALL {
-            assert_eq!(policy.name().parse::<SimPowerPolicy>().unwrap(), policy);
+        for policy in BudgetPolicy::ALL {
+            assert_eq!(policy.name().parse::<BudgetPolicy>().unwrap(), policy);
         }
-        assert!("nonsense".parse::<SimPowerPolicy>().is_err());
+        let err = "nonsense".parse::<BudgetPolicy>().unwrap_err();
+        assert!(err.to_string().contains("unknown policy"), "{err}");
     }
 
     #[test]
@@ -139,11 +139,11 @@ mod tests {
         let jobs = views(&["bt.D.81", "sp.D.81"]);
         let at_risk = [false, true];
         let budget = Watts(700.0);
-        let caps = SimPowerPolicy::EvenSlowdownQosAware.assign(budget, &jobs, &at_risk);
+        let caps = BudgetPolicy::EvenSlowdownQosAware.assign(budget, &jobs, &at_risk);
         // SP (flagged) runs at its full useful power.
         assert_eq!(caps[1], jobs[1].p_max());
         // BT absorbs the squeeze: compare against the unexempt variant.
-        let plain = SimPowerPolicy::EvenSlowdown.assign(budget, &jobs, &[false, false]);
+        let plain = BudgetPolicy::EvenSlowdown.assign(budget, &jobs, &[]);
         assert!(caps[0].value() <= plain[0].value() + 1e-9);
     }
 
@@ -151,8 +151,8 @@ mod tests {
     fn qos_aware_with_no_flags_matches_even_slowdown() {
         let jobs = views(&["bt.D.81", "ft.D.64", "cg.D.32"]);
         let flags = [false, false, false];
-        let a = SimPowerPolicy::EvenSlowdownQosAware.assign(Watts(1200.0), &jobs, &flags);
-        let b = SimPowerPolicy::EvenSlowdown.assign(Watts(1200.0), &jobs, &flags);
+        let a = BudgetPolicy::EvenSlowdownQosAware.assign(Watts(1200.0), &jobs, &flags);
+        let b = BudgetPolicy::EvenSlowdown.assign(Watts(1200.0), &jobs, &flags);
         for (x, y) in a.iter().zip(&b) {
             assert!((x.value() - y.value()).abs() < 1e-6);
         }
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn all_flagged_means_everyone_uncapped() {
         let jobs = views(&["bt.D.81", "sp.D.81"]);
-        let caps = SimPowerPolicy::EvenSlowdownQosAware.assign(Watts(100.0), &jobs, &[true, true]);
+        let caps = BudgetPolicy::EvenSlowdownQosAware.assign(Watts(100.0), &jobs, &[true, true]);
         assert_eq!(caps[0], jobs[0].p_max());
         assert_eq!(caps[1], jobs[1].p_max());
     }
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn uniform_policy_delegates() {
         let jobs = views(&["bt.D.81", "sp.D.81"]);
-        let caps = SimPowerPolicy::Uniform.assign(Watts(840.0), &jobs, &[false, false]);
+        let caps = BudgetPolicy::Uniform.assign(Watts(840.0), &jobs, &[]);
         assert_eq!(caps[0], caps[1]);
     }
 }

@@ -11,6 +11,11 @@
 //!         --horizon-secs 7200 --history run.csv --tables tables.txt
 //! ```
 //!
+//! `--policy` is `uniform` (the default), `even-power`, `even-slowdown`
+//! or `even-slowdown+qos`. The last exempts jobs projected to miss their
+//! QoS bound from capping and runs only here: the daemon projects no
+//! at-risk flags.
+//!
 //! With `--telemetry <dir>`, per-tick timing and table-size metrics
 //! stream to JSONL/Prometheus/summary artifacts in the directory. With
 //! `--trace <dir>`, capping decisions and their first observed effect
@@ -22,7 +27,8 @@
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_cluster::Args;
 use anor_platform::PerformanceVariation;
-use anor_sim::{dump_tables, write_history_csv, SimConfig, SimPowerPolicy, TabularSim};
+use anor_policy::BudgetPolicy;
+use anor_sim::{dump_tables, write_history_csv, SimConfig, TabularSim};
 use anor_telemetry::{Telemetry, Tracer};
 use anor_types::{QosDegradation, Seconds, Watts};
 use std::io::Write;
@@ -41,7 +47,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = Seconds(args.get_or("horizon-secs", 7200.0)?);
     let variation_pct: f64 = args.get_or("variation-pct", 0.0)?;
     let seed: u64 = args.get_or("seed", 11)?;
-    let policy: SimPowerPolicy = args.get("policy").unwrap_or("uniform").parse()?;
+    let policy: BudgetPolicy = args.get("policy").unwrap_or("uniform").parse()?;
     // Scale job footprints with cluster size, like the paper's 25×.
     let scale = (nodes as f64 / 40.0).round().max(1.0) as u32;
     let catalog = anor_types::standard_catalog().scale_nodes(scale);

@@ -14,24 +14,27 @@
 //!
 //! * [`table`] — the node table (idle/job, power, cap, progress) and job
 //!   table (queue/start/end timestamps);
-//! * [`policy`] — the power-capping side of the simulated cluster tier:
-//!   uniform AQA capping or the even-slowdown balancer, with an optional
-//!   QoS-feedback exemption;
 //! * [`sim`] — the event-driven engine behind the per-second update
 //!   loop: node update → cluster view → schedule + cap → history append,
 //!   with each stage memoized between events;
 //! * [`event`] — the typed discrete-event queue (completions, arrivals,
 //!   re-cap boundaries, admission retries) that paces the engine;
 //! * [`history`] — the end-of-tick table appender.
+//!
+//! Power capping selects from [`anor_policy::BudgetPolicy`], the policy
+//! table the head-node daemon shares; the simulator alone projects the
+//! at-risk flags its `even-slowdown+qos` variant reads.
 
 pub mod event;
 pub mod history;
-pub mod policy;
 pub mod sim;
 pub mod table;
 
 pub use event::{Event, EventQueue};
 pub use history::{dump_tables, write_history_csv, HistoryRow};
-pub use policy::SimPowerPolicy;
 pub use sim::{SimConfig, SimOutcome, TabularSim};
 pub use table::{crossing_ticks, progress_at, state_hash, JobRow, JobTable, NodeRow, NodeTable};
+
+/// The name this table had before it moved into `anor-policy`, kept
+/// while the benchmark under `repobench/` still compiles against it.
+pub use anor_policy::BudgetPolicy as SimPowerPolicy;

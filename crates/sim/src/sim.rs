@@ -32,14 +32,13 @@
 
 use crate::event::{Event, EventQueue};
 use crate::history::HistoryRow;
-use crate::policy::SimPowerPolicy;
 use crate::table::{
     crossing_ticks, node_power, nominal_rate, progress_rate, state_hash, JobRow, JobTable, NodeRow,
     NodeTable,
 };
 use anor_aqa::{JobSubmission, PendingView, PowerTarget, QueueScheduler, TrackingRecorder};
 use anor_platform::PerformanceVariation;
-use anor_policy::JobView;
+use anor_policy::{BudgetPolicy, JobView};
 use anor_telemetry::{CauseId, Gauge, Histogram, Telemetry, TraceStage, Tracer};
 use anor_types::{
     Catalog, JobId, JobTypeId, Joules, QosConstraint, QosDegradation, Seconds, Watts,
@@ -61,7 +60,7 @@ pub struct SimConfig {
     /// Simulation tick (paper: one second).
     pub tick: Seconds,
     /// Power-capping policy.
-    pub policy: SimPowerPolicy,
+    pub policy: BudgetPolicy,
     /// The QoS constraint all types share.
     pub qos: QosConstraint,
     /// Fraction of the QoS limit at which a job is considered at risk
@@ -72,7 +71,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's 1000-node scenario: the 25×-scaled catalog, 6
     /// long-running types, 1 s ticks, Q ≤ 5 at 90%.
-    pub fn paper_1000(policy: SimPowerPolicy) -> Self {
+    pub fn paper_1000(policy: BudgetPolicy) -> Self {
         let catalog = anor_types::standard_catalog().scale_nodes(25);
         let types = catalog.long_running();
         SimConfig {
@@ -606,7 +605,7 @@ impl TabularSim {
             self.sched_dirty = false;
             self.schedule_jobs(target_now);
         }
-        if self.caps_dirty || self.cfg.policy.per_tick_recompute() {
+        if self.caps_dirty || self.cfg.policy.reads_at_risk() {
             self.caps_dirty = false;
             self.cap_power(target_now);
         }
@@ -705,7 +704,7 @@ impl TabularSim {
             && !self.sched_dirty
             && !self.caps_dirty
             && !self.tick_oracle
-            && !self.cfg.policy.per_tick_recompute()
+            && !self.cfg.policy.reads_at_risk()
     }
 
     /// Queue wake-ups bounding the next fast-forward jump: one for the
@@ -951,7 +950,7 @@ impl TabularSim {
         if self.running.is_empty() {
             return;
         }
-        let qos_aware = self.cfg.policy.per_tick_recompute();
+        let qos_aware = self.cfg.policy.reads_at_risk();
         let mut job_views = Vec::with_capacity(self.running.len());
         let mut at_risk = Vec::with_capacity(self.running.len());
         for &job_id in &self.running {
@@ -1079,7 +1078,7 @@ mod tests {
     use anor_types::standard_catalog;
 
     /// A small 16-node cluster config for fast tests.
-    fn small_cfg(policy: SimPowerPolicy) -> SimConfig {
+    fn small_cfg(policy: BudgetPolicy) -> SimConfig {
         let catalog = standard_catalog();
         let types = catalog.long_running();
         SimConfig {
@@ -1120,7 +1119,7 @@ mod tests {
 
     #[test]
     fn idle_cluster_draws_idle_power() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mut sim = TabularSim::new(
             cfg,
             flat_target(4000.0),
@@ -1135,7 +1134,7 @@ mod tests {
 
     #[test]
     fn jobs_get_scheduled_run_and_complete() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let sched = vec![
             JobSubmission {
                 time: Seconds(0.0),
@@ -1167,7 +1166,7 @@ mod tests {
 
     #[test]
     fn completion_time_matches_linear_model() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mg = cfg.catalog.find("mg").unwrap().id;
         let sched = vec![JobSubmission {
             time: Seconds(0.0),
@@ -1191,7 +1190,7 @@ mod tests {
 
     #[test]
     fn tight_target_defers_scheduling() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let bt = cfg.catalog.find("bt").unwrap().id;
         let sched = vec![
             JobSubmission {
@@ -1228,7 +1227,7 @@ mod tests {
 
     #[test]
     fn starved_jobs_eventually_force_start() {
-        let mut cfg = small_cfg(SimPowerPolicy::Uniform);
+        let mut cfg = small_cfg(BudgetPolicy::Uniform);
         cfg.qos_risk_threshold = 0.01; // force-start almost immediately
         let mg = cfg.catalog.find("mg").unwrap().id;
         let sched = vec![JobSubmission {
@@ -1250,7 +1249,7 @@ mod tests {
     #[test]
     fn performance_variation_degrades_qos() {
         let run = |sigma: f64, seed: u64| -> f64 {
-            let cfg = small_cfg(SimPowerPolicy::Uniform);
+            let cfg = small_cfg(BudgetPolicy::Uniform);
             let sched = quick_schedule(&cfg, 0.75, 2400.0, seed);
             let variation = PerformanceVariation::with_sigma(16, sigma, seed ^ 0xfeed);
             let mut sim =
@@ -1275,7 +1274,7 @@ mod tests {
 
     #[test]
     fn tracking_error_recorded_every_tick() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mut sim = TabularSim::new(
             cfg,
             flat_target(2000.0),
@@ -1294,7 +1293,7 @@ mod tests {
 
     #[test]
     fn history_recording_is_optional_and_complete() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mut sim = TabularSim::new(
             cfg,
             flat_target(2000.0),
@@ -1316,7 +1315,7 @@ mod tests {
 
     #[test]
     fn multi_node_job_waits_for_slowest_node() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let ft = cfg.catalog.find("ft").unwrap().id; // 2 nodes, 180 s
         let sched = vec![JobSubmission {
             time: Seconds(0.0),
@@ -1334,7 +1333,7 @@ mod tests {
         coeffs = PerformanceVariation::with_sigma(16, 0.3, 99);
         let worst = coeffs.iter().take(2).fold(1.0f64, f64::max);
         let mut sim2 = TabularSim::new(
-            small_cfg(SimPowerPolicy::Uniform),
+            small_cfg(BudgetPolicy::Uniform),
             flat_target(4500.0),
             &coeffs,
             sched,
@@ -1350,7 +1349,7 @@ mod tests {
 
     #[test]
     fn attached_telemetry_times_ticks_and_tracks_table_sizes() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mg = cfg.catalog.find("mg").unwrap().id;
         let sched = vec![JobSubmission {
             time: Seconds(0.0),
@@ -1383,7 +1382,7 @@ mod tests {
     fn completed_rows_of_unlisted_types_are_counted_not_lost() {
         // A type present in the schedule but absent from cfg.types has
         // no qos_by_type slot; it must surface in `dropped`, not vanish.
-        let mut cfg = small_cfg(SimPowerPolicy::Uniform);
+        let mut cfg = small_cfg(BudgetPolicy::Uniform);
         let mg = cfg.catalog.find("mg").unwrap().id;
         let cg = cfg.catalog.find("cg").unwrap().id;
         cfg.types = vec![cg]; // mg completes but has no slot
@@ -1421,7 +1420,7 @@ mod tests {
 
     #[test]
     fn capped_history_is_a_chronological_ring() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mut sim = TabularSim::new(
             cfg,
             flat_target(2000.0),
@@ -1440,7 +1439,7 @@ mod tests {
 
     #[test]
     fn zero_history_cap_disables_retention_entirely() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mut sim = TabularSim::new(
             cfg,
             flat_target(2000.0),
@@ -1466,7 +1465,7 @@ mod tests {
 
     #[test]
     fn incremental_counters_match_recounts_through_a_full_run() {
-        let cfg = small_cfg(SimPowerPolicy::EvenSlowdown);
+        let cfg = small_cfg(BudgetPolicy::EvenSlowdown);
         let sched = quick_schedule(&cfg, 0.8, 600.0, 23);
         let mut sim = TabularSim::new(
             cfg.clone(),
@@ -1489,7 +1488,7 @@ mod tests {
 
     #[test]
     fn qos_aware_policy_runs_end_to_end() {
-        let cfg = small_cfg(SimPowerPolicy::EvenSlowdownQosAware);
+        let cfg = small_cfg(BudgetPolicy::EvenSlowdownQosAware);
         let sched = quick_schedule(&cfg, 0.5, 1200.0, 17);
         let n = sched.len();
         let mut sim = TabularSim::new(
@@ -1511,7 +1510,7 @@ mod tests {
         // same hash, same energy, same outcome — including across an
         // arrival, a trace-signal boundary and completions.
         let build = || {
-            let cfg = small_cfg(SimPowerPolicy::EvenSlowdown);
+            let cfg = small_cfg(BudgetPolicy::EvenSlowdown);
             let sched = quick_schedule(&cfg, 0.6, 900.0, 41);
             let target = PowerTarget {
                 avg: Watts(3600.0),
@@ -1543,7 +1542,7 @@ mod tests {
 
     #[test]
     fn energy_integrates_measured_power() {
-        let cfg = small_cfg(SimPowerPolicy::Uniform);
+        let cfg = small_cfg(BudgetPolicy::Uniform);
         let mut sim = TabularSim::new(
             cfg,
             flat_target(2000.0),

@@ -10,18 +10,12 @@
 
 use anor_aqa::{JobSubmission, PowerTarget, RegulationSignal};
 use anor_platform::PerformanceVariation;
-use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor_policy::BudgetPolicy;
+use anor_sim::{SimConfig, TabularSim};
 use anor_types::{QosConstraint, Seconds, Watts};
 use proptest::prelude::*;
 
-const POLICIES: [SimPowerPolicy; 4] = [
-    SimPowerPolicy::Uniform,
-    SimPowerPolicy::EvenPower,
-    SimPowerPolicy::EvenSlowdown,
-    SimPowerPolicy::EvenSlowdownQosAware,
-];
-
-fn config(nodes: u32, policy: SimPowerPolicy) -> SimConfig {
+fn config(nodes: u32, policy: BudgetPolicy) -> SimConfig {
     // Scale job footprints with cluster size so mid-size clusters still
     // fit several jobs, like the figure experiments do.
     let scale = (nodes as f64 / 40.0).round().max(1.0) as u32;
@@ -42,7 +36,7 @@ fn config(nodes: u32, policy: SimPowerPolicy) -> SimConfig {
 #[allow(clippy::too_many_arguments)]
 fn build_pair(
     nodes: u32,
-    policy: SimPowerPolicy,
+    policy: BudgetPolicy,
     arrivals: &[(u32, usize)],
     sigma: f64,
     avg_w: f64,
@@ -110,7 +104,7 @@ proptest! {
         steps in 50usize..360,
         walk_seed in 0u64..1000,
     ) {
-        let policy = POLICIES[policy_index];
+        let policy = BudgetPolicy::ALL[policy_index];
         let avg_w = avg_per_node * nodes as f64;
         let (mut event, mut oracle) =
             build_pair(nodes, policy, &arrivals, sigma, avg_w, walk_seed);
@@ -145,7 +139,7 @@ proptest! {
         steps_after in 30usize..200,
         walk_seed in 0u64..1000,
     ) {
-        let policy = POLICIES[policy_index];
+        let policy = BudgetPolicy::ALL[policy_index];
         let avg_w = 200.0 * nodes as f64;
         let (mut event, mut oracle) =
             build_pair(nodes, policy, &arrivals, 0.1, avg_w, walk_seed);

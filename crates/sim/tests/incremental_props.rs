@@ -6,18 +6,12 @@
 
 use anor_aqa::{JobSubmission, PowerTarget, RegulationSignal};
 use anor_platform::PerformanceVariation;
-use anor_sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor_policy::BudgetPolicy;
+use anor_sim::{SimConfig, TabularSim};
 use anor_types::{QosConstraint, Seconds, Watts};
 use proptest::prelude::*;
 
-const POLICIES: [SimPowerPolicy; 4] = [
-    SimPowerPolicy::Uniform,
-    SimPowerPolicy::EvenPower,
-    SimPowerPolicy::EvenSlowdown,
-    SimPowerPolicy::EvenSlowdownQosAware,
-];
-
-fn config(policy: SimPowerPolicy) -> SimConfig {
+fn config(policy: BudgetPolicy) -> SimConfig {
     let catalog = anor_types::standard_catalog();
     let types = catalog.long_running();
     SimConfig {
@@ -69,7 +63,7 @@ proptest! {
         steps in 1usize..400,
         seed in 0u64..1000,
     ) {
-        let cfg = config(POLICIES[policy_index]);
+        let cfg = config(BudgetPolicy::ALL[policy_index]);
         let schedule: Vec<JobSubmission> = {
             let mut subs: Vec<JobSubmission> = arrivals
                 .iter()

@@ -9,8 +9,8 @@
 
 use anor::aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor::platform::PerformanceVariation;
-use anor::policy::{ClusterView, FacilityBudgeter};
-use anor::sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor::policy::{BudgetPolicy, ClusterView, FacilityBudgeter};
+use anor::sim::{SimConfig, TabularSim};
 use anor::types::{standard_catalog, Seconds, Watts};
 
 fn cluster(nodes: u32, utilization: f64, horizon: f64, seed: u64) -> TabularSim {
@@ -23,7 +23,7 @@ fn cluster(nodes: u32, utilization: f64, horizon: f64, seed: u64) -> TabularSim 
         catalog: catalog.clone(),
         types: types.clone(),
         tick: Seconds(1.0),
-        policy: SimPowerPolicy::EvenSlowdown,
+        policy: BudgetPolicy::EvenSlowdown,
         qos: Default::default(),
         qos_risk_threshold: 0.8,
     };

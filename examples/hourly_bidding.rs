@@ -9,7 +9,8 @@
 
 use anor::aqa::CostModel;
 use anor::bidding::{choose_hourly_bid, evaluate_bid, BiddingConfig};
-use anor::sim::{SimConfig, SimPowerPolicy};
+use anor::policy::BudgetPolicy;
+use anor::sim::SimConfig;
 use anor::types::{standard_catalog, Seconds, Watts};
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
         catalog,
         types,
         tick: Seconds(1.0),
-        policy: SimPowerPolicy::Uniform,
+        policy: BudgetPolicy::Uniform,
         qos: Default::default(),
         qos_risk_threshold: 0.8,
     };

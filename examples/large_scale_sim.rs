@@ -8,7 +8,8 @@
 
 use anor::aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor::platform::PerformanceVariation;
-use anor::sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor::policy::BudgetPolicy;
+use anor::sim::{SimConfig, TabularSim};
 use anor::types::{standard_catalog, QosDegradation, Seconds, Watts};
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
             catalog: catalog.clone(),
             types: types.clone(),
             tick: Seconds(1.0),
-            policy: SimPowerPolicy::Uniform,
+            policy: BudgetPolicy::Uniform,
             qos: Default::default(),
             qos_risk_threshold: 0.8,
         };

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use anor::model::{fit_anchored, fit_quadratic};
-use anor::policy::{Budgeter, EvenPowerBudgeter, EvenSlowdownBudgeter, JobView, UniformBudgeter};
+use anor::policy::{BudgetPolicy, Budgeter, EvenSlowdownBudgeter, JobView};
 use anor::types::msg::{take_frame, ClusterToJob, EpochSample, JobToCluster};
 use anor::types::stats::OnlineStats;
 use anor::types::{CapRange, JobId, Joules, PowerCurve, Seconds, Watts};
@@ -134,29 +134,26 @@ proptest! {
             .enumerate()
             .map(|(i, &k)| JobView::from_spec(JobId(i as u64), specs[k]))
             .collect();
-        for budgeter in [
-            &UniformBudgeter as &dyn Budgeter,
-            &EvenPowerBudgeter,
-            &EvenSlowdownBudgeter::default(),
-        ] {
-            let caps = budgeter.assign(Watts(budget), &jobs);
+        let no_flags = vec![false; jobs.len()];
+        for policy in BudgetPolicy::ALL {
+            let caps = policy.assign(Watts(budget), &jobs, &no_flags);
             prop_assert_eq!(caps.len(), jobs.len());
             for (cap, job) in caps.iter().zip(&jobs) {
                 prop_assert!(job.cap_range.contains(*cap),
-                    "{}: cap {cap} outside platform range", budgeter.name());
+                    "{}: cap {cap} outside platform range", policy.name());
             }
             // Feasibility: if the budget lies strictly inside the
             // aggregate achievable window, it must be (nearly) spent.
             let min: f64 = jobs.iter().map(|j| j.p_min().value() * j.nodes as f64).sum();
             let max: f64 = jobs.iter().map(|j| j.p_max().value() * j.nodes as f64).sum();
-            if budgeter.name() != "uniform" && budget > min + 1.0 && budget < max - 1.0 {
+            if policy != BudgetPolicy::Uniform && budget > min + 1.0 && budget < max - 1.0 {
                 let total: f64 = caps
                     .iter()
                     .zip(&jobs)
                     .map(|(c, j)| c.value() * j.nodes as f64)
                     .sum();
                 prop_assert!((total - budget).abs() < 2.0,
-                    "{}: spent {total} of {budget}", budgeter.name());
+                    "{}: spent {total} of {budget}", policy.name());
             }
         }
     }
@@ -174,7 +171,7 @@ proptest! {
             .enumerate()
             .map(|(i, s)| JobView::from_spec(JobId(i as u64), s))
             .collect();
-        let budgeter = EvenSlowdownBudgeter::default();
+        let budgeter = EvenSlowdownBudgeter;
         let small = budgeter.assign(Watts(b1), &jobs);
         let large = budgeter.assign(Watts(b1 + extra), &jobs);
         for (job, (s, l)) in jobs.iter().zip(small.iter().zip(&large)) {

@@ -4,10 +4,11 @@
 
 use anor::aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor::platform::PerformanceVariation;
-use anor::sim::{SimConfig, SimPowerPolicy, TabularSim};
+use anor::policy::BudgetPolicy;
+use anor::sim::{SimConfig, TabularSim};
 use anor::types::{standard_catalog, QosConstraint, Seconds, Watts};
 
-fn config(nodes: u32, policy: SimPowerPolicy) -> SimConfig {
+fn config(nodes: u32, policy: BudgetPolicy) -> SimConfig {
     let catalog = standard_catalog();
     let types = catalog.long_running();
     SimConfig {
@@ -30,7 +31,7 @@ fn target(nodes: u32) -> PowerTarget {
     }
 }
 
-fn run_sim(nodes: u32, policy: SimPowerPolicy, sigma: f64, seed: u64) -> TabularSim {
+fn run_sim(nodes: u32, policy: BudgetPolicy, sigma: f64, seed: u64) -> TabularSim {
     let cfg = config(nodes, policy);
     let schedule = poisson_schedule(&cfg.catalog, &cfg.types, 0.75, nodes, Seconds(1500.0), seed);
     let variation = PerformanceVariation::with_sigma(nodes as usize, sigma, seed ^ 0xabc);
@@ -42,12 +43,7 @@ fn run_sim(nodes: u32, policy: SimPowerPolicy, sigma: f64, seed: u64) -> Tabular
 
 #[test]
 fn every_policy_preserves_job_and_node_accounting() {
-    for policy in [
-        SimPowerPolicy::Uniform,
-        SimPowerPolicy::EvenPower,
-        SimPowerPolicy::EvenSlowdown,
-        SimPowerPolicy::EvenSlowdownQosAware,
-    ] {
+    for policy in BudgetPolicy::ALL {
         let sim = run_sim(24, policy, 0.1, 7);
         // Every node is either idle or assigned to exactly one running job.
         let mut node_refs = vec![0u32; sim.nodes().len()];
@@ -83,7 +79,7 @@ fn every_policy_preserves_job_and_node_accounting() {
 
 #[test]
 fn power_never_below_idle_floor_or_above_tdp_ceiling() {
-    let sim = run_sim(24, SimPowerPolicy::Uniform, 0.1, 3);
+    let sim = run_sim(24, BudgetPolicy::Uniform, 0.1, 3);
     let n = sim.nodes().len() as f64;
     for row in sim.history() {
         assert!(
@@ -101,7 +97,7 @@ fn power_never_below_idle_floor_or_above_tdp_ceiling() {
 
 #[test]
 fn history_counters_are_consistent() {
-    let sim = run_sim(24, SimPowerPolicy::EvenSlowdown, 0.0, 11);
+    let sim = run_sim(24, BudgetPolicy::EvenSlowdown, 0.0, 11);
     let mut prev_completed = 0;
     for row in sim.history() {
         // Completed never decreases.
@@ -120,7 +116,7 @@ fn history_counters_are_consistent() {
 
 #[test]
 fn drain_completes_all_jobs_without_variation() {
-    let sim = run_sim(24, SimPowerPolicy::Uniform, 0.0, 13);
+    let sim = run_sim(24, BudgetPolicy::Uniform, 0.0, 13);
     let out = sim.outcome();
     assert_eq!(
         out.unfinished, 0,
@@ -147,8 +143,8 @@ fn qos_aware_policy_is_no_worse_for_at_risk_jobs() {
             .percentile_degradation(&all)
             .unwrap_or(0.0)
     };
-    let plain = q90(SimPowerPolicy::EvenSlowdown);
-    let aware = q90(SimPowerPolicy::EvenSlowdownQosAware);
+    let plain = q90(BudgetPolicy::EvenSlowdown);
+    let aware = q90(BudgetPolicy::EvenSlowdownQosAware);
     assert!(
         aware <= plain * 1.5 + 0.5,
         "qos-aware {aware} much worse than plain {plain}"
@@ -169,7 +165,7 @@ fn recap_trajectory_is_pinned_on_an_8192_node_cluster() {
         catalog,
         types,
         tick: Seconds(1.0),
-        policy: SimPowerPolicy::EvenSlowdown,
+        policy: BudgetPolicy::EvenSlowdown,
         qos: QosConstraint::default(),
         qos_risk_threshold: 0.8,
     };
@@ -204,7 +200,7 @@ fn recap_trajectory_is_pinned_on_an_8192_node_cluster() {
 
 #[test]
 fn tracking_error_definition_matches_recorder() {
-    let sim = run_sim(24, SimPowerPolicy::Uniform, 0.05, 19);
+    let sim = run_sim(24, BudgetPolicy::Uniform, 0.05, 19);
     // Recompute the mean error from history and compare against the
     // recorder-backed outcome path.
     let reserve = 24.0 * 25.0;
