@@ -61,7 +61,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "==> perf smoke: perfsuite --quick"
 PERF_JSON="$SMOKE_DIR/bench.json"
 PERF_OUT="$(./target/release/perfsuite --quick --runs 1 --out "$PERF_JSON" \
-    --baseline BENCH_PR15.json)"
+    --baseline BENCH_PR16.json)"
 grep -q '"bench"' "$PERF_JSON" && grep -q '"median_s"' "$PERF_JSON" \
     || { echo "perf smoke: $PERF_JSON is missing bench results"; cat "$PERF_JSON"; exit 1; }
 # Advisory regression table: perfsuite compares the quick run against the

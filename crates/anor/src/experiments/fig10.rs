@@ -10,7 +10,7 @@
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal, TrackingRecorder};
 use anor_cluster::{
     recorder_meta, BudgetPolicy, BudgeterConfig, EmulatedCluster, EmulatorConfig, FaultPlan,
-    JobSetup, TransportKind,
+    JobSetup,
 };
 use anor_exec::ExecPool;
 use anor_telemetry::{FlightRecorder, Telemetry, Tracer};
@@ -87,9 +87,6 @@ pub struct Fig10Config {
     /// each policy's budgeter records into `<dir>/fig10-<policy>.rec`
     /// for `anor-replay`.
     pub record: Option<std::path::PathBuf>,
-    /// Budgeter connection plane for the four policies' runs (the
-    /// `--transport` path). Decisions are byte-identical across kinds.
-    pub transport: TransportKind,
 }
 
 impl Default for Fig10Config {
@@ -106,7 +103,6 @@ impl Default for Fig10Config {
             jobs: 0,
             faults: None,
             record: None,
-            transport: TransportKind::default(),
         }
     }
 }
@@ -166,9 +162,8 @@ fn run_policy(
         Fig10Policy::Misclassified => (BudgetPolicy::EvenSlowdown, false, true),
         Fig10Policy::Adjusted => (BudgetPolicy::EvenSlowdown, true, true),
     };
-    let mut ecfg = EmulatorConfig::paper(budget_policy, feedback)
-        .with_telemetry(cfg.telemetry.clone())
-        .with_transport(cfg.transport);
+    let mut ecfg =
+        EmulatorConfig::paper(budget_policy, feedback).with_telemetry(cfg.telemetry.clone());
     if let Some(t) = &cfg.tracer {
         ecfg = ecfg.with_tracer(t.clone());
     }

@@ -7,7 +7,7 @@
 
 use anor_cluster::{
     recorder_meta, BudgetPolicy, BudgeterConfig, EmulatedCluster, EmulatorConfig, FaultPlan,
-    JobSetup, TransportKind,
+    JobSetup,
 };
 use anor_exec::ExecPool;
 use anor_telemetry::{FlightRecorder, Telemetry, Tracer};
@@ -69,11 +69,6 @@ pub struct HwRunOptions {
     pub faults: Option<FaultPlan>,
     /// Optional flight-recording directory (`--record <dir>`).
     pub record_dir: Option<PathBuf>,
-    /// Budgeter connection plane for every trial (`--transport`).
-    /// Decisions are byte-identical across kinds, so figures keep their
-    /// shape; this exists to soak the reactor under real experiment
-    /// traffic.
-    pub transport: TransportKind,
 }
 
 impl Default for HwRunOptions {
@@ -84,7 +79,6 @@ impl Default for HwRunOptions {
             jobs: 0,
             faults: None,
             record_dir: None,
-            transport: TransportKind::default(),
         }
     }
 }
@@ -108,8 +102,8 @@ fn label_slug(label: &str) -> String {
 /// optional knob in `opts`.
 ///
 /// Every (configuration, trial) cell is an independent emulated-cluster
-/// run — each binds its own ephemeral loopback ports and seeds from the
-/// trial index alone — so the grid fans out over [`ExecPool`]. Results
+/// run — each owns its own in-process listener and seeds from the trial
+/// index alone — so the grid fans out over [`ExecPool`]. Results
 /// return in submission order and the per-configuration aggregation
 /// below runs serially over them, so the bars are identical for every
 /// worker count.
@@ -133,9 +127,8 @@ pub fn run_configs(
     let pool = ExecPool::new(opts.jobs).with_telemetry(telemetry);
     let trial_results = pool.map(&grid, |&(ci, trial)| -> Result<Vec<f64>> {
         let cfg = &configs[ci];
-        let mut ecfg = EmulatorConfig::paper(cfg.policy, cfg.feedback)
-            .with_telemetry(telemetry.clone())
-            .with_transport(opts.transport);
+        let mut ecfg =
+            EmulatorConfig::paper(cfg.policy, cfg.feedback).with_telemetry(telemetry.clone());
         if let Some(t) = &opts.tracer {
             ecfg = ecfg.with_tracer(t.clone());
         }

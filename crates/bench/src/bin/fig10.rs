@@ -6,7 +6,6 @@
 use anor_bench::{
     chaos_summary, faults_from_args, finish_recording, finish_telemetry, finish_tracer, header,
     jobs_from_args, record_dir_from_args, scaled, telemetry_from_args, tracer_from_args,
-    transport_from_args,
 };
 use anor_core::experiments::fig10::{self, Fig10Config, Fig10Policy};
 use anor_types::Seconds;
@@ -27,7 +26,6 @@ fn main() {
         jobs: jobs_from_args(),
         faults: faults.clone(),
         record: record.clone(),
-        transport: transport_from_args(),
         ..Fig10Config::default()
     };
     let out = fig10::run(&cfg).expect("demand-response run failed");

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 6: BT + SP co-scheduled under a shared 840 W budget
 //! (75% of TDP over 4 nodes), six budgeter configurations, measured on
-//! the emulated cluster over TCP.
+//! the emulated cluster.
 
 use anor_bench::{run_hw_figure, scaled};
 use anor_core::experiments::fig6;

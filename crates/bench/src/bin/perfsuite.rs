@@ -29,6 +29,11 @@
 //!   riding out a reconnect storm against the sharded reactor. The run
 //!   must finish clean (all sessions re-established, zero invariant
 //!   violations) and its pump p99 is reported against the 10 ms target.
+//! - `emulator_dr_600s`: one `EmulatedCluster::run_demand_response` over
+//!   the first 600 s of Fig. 10's seed-10 schedule (95% utilization) and
+//!   regulation signal, as its Adjusted cell runs it: even-slowdown with
+//!   job-tier feedback, BT announced as IS. The whole emulated control
+//!   loop: job tier, GEOPM runtimes, retrains and the in-process links.
 //! - `policy_assign_<policy>_<n>`: `BudgetPolicy::assign` over `n` = 16,
 //!   1k and 10k jobs for each policy that reads no at-risk flags, at
 //!   210 W per node (inside every job's window, so even-slowdown
@@ -50,15 +55,15 @@
 //! system time of every thread, read from `/proc/self/stat` around the
 //! K-run batch (10 ms resolution over the batch, 0 where unavailable).
 //! When the prior PR's trajectory file exists (`--baseline`, default
-//! `BENCH_PR13.json`), medians that slowed by more than 10% are flagged
+//! `BENCH_PR15.json`), medians that slowed by more than 10% are flagged
 //! as `PERF REGRESSION` lines.
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_bench::analyze::{flag_regressions, parse_bench_file, BenchRow};
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor_cluster::{
-    run_load, BudgetPolicy, FramedStream, LoadConfig, StreamOptions, TransportKind,
-    TransportOptions,
+    run_load, BudgetPolicy, EmulatedCluster, EmulatorConfig, FramedStream, JobSetup, LoadConfig,
+    StreamOptions, TransportKind, TransportOptions,
 };
 use anor_core::experiments::{fig11, fig4};
 use anor_model::{ModelerConfig, PowerModeler};
@@ -232,11 +237,7 @@ fn snapshot_fixture(sessions: u64) -> (ClusterBudgeter, Vec<FramedStream>) {
         .expect("bind budgeter");
     let mut streams = Vec::new();
     for job in 1..=sessions {
-        let mut s = FramedStream::new(
-            std::net::TcpStream::connect(addr).expect("connect"),
-            StreamOptions::default(),
-        )
-        .expect("framed stream");
+        let mut s = addr.dial(StreamOptions::default()).expect("dial budgeter");
         s.send(
             JobToCluster::Hello {
                 job: JobId(job),
@@ -313,6 +314,40 @@ fn codec_roundtrip() {
     assert_eq!(back.ok().as_ref(), Some(&cap));
 }
 
+/// The `emulator_dr_600s` scenario: Fig. 10's Adjusted configuration,
+/// and its seed-10 schedule and target over a 600 s horizon with BT
+/// announced as IS.
+fn emulator_dr_fixture() -> (EmulatorConfig, Vec<JobSetup>, PowerTarget) {
+    const SEED: u64 = 10;
+    let horizon = Seconds(600.0);
+    let mut cfg = EmulatorConfig::paper(BudgetPolicy::EvenSlowdown, true);
+    cfg.seed = SEED;
+    let types = cfg.catalog.long_running();
+    let jobs = poisson_schedule(&cfg.catalog, &types, 0.95, cfg.nodes, horizon, SEED)
+        .iter()
+        .map(|s| {
+            let name = &cfg.catalog[s.type_id].name;
+            let announced = if name.starts_with("bt") {
+                "is.D.32"
+            } else {
+                name
+            };
+            JobSetup::misclassified(name, announced).at(s.time)
+        })
+        .collect();
+    let target = PowerTarget {
+        avg: Watts(3200.0),
+        reserve: Watts(900.0),
+        signal: RegulationSignal::random_walk(
+            Seconds(4.0),
+            0.35,
+            horizon + Seconds(3600.0),
+            SEED ^ 0x515,
+        ),
+    };
+    (cfg, jobs, target)
+}
+
 /// One modeler lifetime: 30 epochs at each of two caps into a fresh
 /// `PowerModeler`, which must end up with a fitted curve.
 fn model_retrain() {
@@ -361,12 +396,12 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR15.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR16.json".to_string());
     let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR13.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR15.json".to_string());
     let runs = args
         .iter()
         .position(|a| a == "--runs")
@@ -511,6 +546,20 @@ fn main() {
         codec_roundtrip,
     ));
     results.push(timed_calls("model_retrain", runs, 100, model_retrain));
+
+    let (cfg, jobs, target) = emulator_dr_fixture();
+    let r = timed_runs("emulator_dr_600s", 1, runs, || {
+        let report = EmulatedCluster::new(cfg.clone())
+            .run_demand_response(&jobs, target.clone(), false)
+            .expect("emulated run failed");
+        assert_eq!(report.jobs.len(), jobs.len());
+    });
+    println!(
+        "emulator_dr_600s: {} for {} job(s) over 600 virtual s",
+        r.summary(),
+        jobs.len()
+    );
+    results.push(r);
 
     match write_json(&out_path, &results) {
         Ok(()) => println!("\nwrote {} result(s) to {out_path}", results.len()),

@@ -2,9 +2,9 @@
 //! # anor-bench
 //!
 //! The benchmark harness: one `fig*` binary per figure of the paper's
-//! evaluation (regenerating the figure's rows/series as text tables) and
-//! a set of Criterion benches covering component performance and the
-//! design-choice ablations DESIGN.md calls out.
+//! evaluation (regenerating the figure's rows/series as text tables), the
+//! ablation binaries DESIGN.md calls out, and `perfsuite`, the
+//! performance trajectory harness.
 //!
 //! Run a figure:
 //!
@@ -15,9 +15,9 @@
 //! Set `ANOR_QUICK=1` to shrink trial counts / horizons for smoke runs.
 //!
 //! The `*_from_args` helpers parse the flags the figure binaries share
-//! (`--telemetry`, `--trace`, `--jobs`, `--faults`, `--record`,
-//! `--transport`), and [`run_hw_figure`] is the whole `main` of the
-//! emulated-hardware figures (Figs. 6–8). The harness imports the
+//! (`--telemetry`, `--trace`, `--jobs`, `--faults`, `--record`), and
+//! [`run_hw_figure`] is the whole `main` of the emulated-hardware
+//! figures (Figs. 6–8). The harness imports the
 //! workspace crates it uses directly; the root `anor` crate is the
 //! facade for everyone else.
 
@@ -203,30 +203,6 @@ pub fn record_dir_from_args() -> Option<std::path::PathBuf> {
     None
 }
 
-/// Parse a `--transport blocking|reactor` command-line option for the
-/// emulated budgeter's connection plane. Defaults to blocking when
-/// absent; a malformed value is an operator error and aborts the run.
-/// Decisions are byte-identical across kinds, so figure output is
-/// unchanged — the flag exists to soak the sharded reactor under real
-/// experiment traffic.
-pub fn transport_from_args() -> anor_cluster::TransportKind {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--transport" {
-            if let Some(name) = args.next() {
-                match name.parse() {
-                    Ok(kind) => return kind,
-                    Err(e) => {
-                        eprintln!("--transport {name}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-    }
-    anor_cluster::TransportKind::default()
-}
-
 /// Print where a `--record` run's flight recordings went and how to
 /// verify them.
 pub fn finish_recording(record_dir: &Option<std::path::PathBuf>) {
@@ -280,8 +256,8 @@ pub fn finish_tracer(tracer: &Option<anor_telemetry::Tracer>) {
 }
 
 /// The whole `main` of the emulated-hardware figure binaries (Figs. 6–8):
-/// print the header, parse the six shared flags (`--telemetry`,
-/// `--trace`, `--faults`, `--record`, `--jobs`, `--transport`) into one
+/// print the header, parse the five shared flags (`--telemetry`,
+/// `--trace`, `--faults`, `--record`, `--jobs`) into one
 /// [`HwRunOptions`], run the figure for `trials` trials from `seed`,
 /// render each bar and the paper `anchors`, then close the sinks.
 pub fn run_hw_figure(
@@ -299,7 +275,6 @@ pub fn run_hw_figure(
         faults: faults_from_args(),
         record_dir: record_dir_from_args(),
         jobs: jobs_from_args(),
-        transport: transport_from_args(),
     };
     let bars = run(trials, seed, &opts).expect("emulated run failed");
     for bar in &bars {

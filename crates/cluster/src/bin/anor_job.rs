@@ -75,7 +75,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         None => None,
     };
     let mut builder = JobEndpoint::builder(
-        connect,
+        connect.into(),
         job,
         &announced,
         nodes_wanted,

@@ -5,12 +5,13 @@
 //! to distribute available power to jobs, and sends messages to inform
 //! each job-tier endpoint of the job's new power cap."
 //!
-//! The daemon listens on TCP; each job's endpoint process connects and
-//! introduces itself with `Hello { job, type_name, nodes }`. The budgeter
-//! builds its *believed* [`JobView`] from the announced type name — which
-//! may be wrong (misclassification) or unknown (then a configurable
-//! default assumption applies, Section 6.1.2). With feedback enabled,
-//! incoming `Model` messages replace the believed curve.
+//! The daemon listens on TCP, or on an in-process accept queue when the
+//! emulated cluster runs both tiers in one process; each job's endpoint
+//! connects and introduces itself with `Hello { job, type_name, nodes }`.
+//! The budgeter builds its *believed* [`JobView`] from the announced type
+//! name — which may be wrong (misclassification) or unknown (then a
+//! configurable default assumption applies, Section 6.1.2). With feedback
+//! enabled, incoming `Model` messages replace the believed curve.
 //!
 //! ## Leases
 //!
@@ -25,7 +26,9 @@
 use crate::codec::TransportMetrics;
 use crate::session::{FaultPlan, SessionState};
 use crate::status::{JobStatus, PhaseStat, StatusBoard, StatusSnapshot};
-use crate::transport::{build_transport, ConnId, Transport, TransportKind, TransportOptions};
+use crate::transport::{
+    build_transport, Addr, ConnId, Listener, Transport, TransportKind, TransportOptions,
+};
 use anor_policy::JobView;
 use anor_telemetry::{
     BuildInfo, CauseId, Counter, FlightRecorder, Gauge, Histogram, RecEvent, Telemetry, Timer,
@@ -34,7 +37,7 @@ use anor_telemetry::{
 use anor_types::msg::{ClusterToJob, JobToCluster};
 use anor_types::{AnorError, Catalog, JobId, Result, Seconds, Watts};
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 /// The policy table the daemon selects from. [`BudgeterBuilder::bind`]
@@ -124,6 +127,8 @@ struct JobEntry {
     last_cap: Option<Watts>,
     samples_seen: u64,
     models_seen: u64,
+    /// `job_retrains{job}`, registered by the job's first `Model` frame.
+    retrains: Option<Gauge>,
     /// Highest per-node power ever observed for the job. With feedback
     /// enabled this corrects a misclassified believed power window: a job
     /// labelled as a low-power type that is seen drawing more clearly can
@@ -149,6 +154,7 @@ impl JobEntry {
             last_cap: None,
             samples_seen: 0,
             models_seen: 0,
+            retrains: None,
             peak_node_power: Watts::ZERO,
             under_draw_streak: 0,
             done: None,
@@ -258,7 +264,7 @@ impl BudgeterMetrics {
 pub struct BudgeterBuilder {
     cfg: BudgeterConfig,
     addr: String,
-    listener: Option<TcpListener>,
+    listener: Option<Listener>,
     telemetry: Option<Telemetry>,
     tracer: Option<Tracer>,
     lease: LeaseConfig,
@@ -290,11 +296,12 @@ impl BudgeterBuilder {
         self
     }
 
-    /// Adopt an already-bound listener instead of binding `addr`. This is
-    /// how a restarted daemon keeps its port (and how tests kill and
-    /// revive a budgeter without racing `TIME_WAIT`).
-    pub fn listener(mut self, listener: TcpListener) -> Self {
-        self.listener = Some(listener);
+    /// Adopt a listener instead of binding `addr`: an already-bound
+    /// `TcpListener`, which is how a restarted daemon keeps its port (and
+    /// how tests kill and revive a budgeter without racing `TIME_WAIT`),
+    /// or [`Listener::in_process`], which binds no port at all.
+    pub fn listener(mut self, listener: impl Into<Listener>) -> Self {
+        self.listener = Some(listener.into());
         self
     }
 
@@ -367,10 +374,10 @@ impl BudgeterBuilder {
     }
 
     /// Bind (or adopt the supplied listener) and construct the daemon.
-    /// Returns the daemon and the address endpoints should connect to.
+    /// Returns the daemon and the address endpoints should dial.
     /// Fails with a config error for a policy that reads at-risk flags
     /// ([`BudgetPolicy::reads_at_risk`]): the daemon projects none.
-    pub fn bind(self) -> Result<(ClusterBudgeter, SocketAddr)> {
+    pub fn bind(self) -> Result<(ClusterBudgeter, Addr)> {
         if self.cfg.policy.reads_at_risk() {
             return Err(AnorError::config(format!(
                 "policy `{}` needs at-risk projections the daemon does not make; \
@@ -380,9 +387,9 @@ impl BudgeterBuilder {
         }
         let listener = match self.listener {
             Some(l) => l,
-            None => TcpListener::bind(self.addr.as_str())?,
+            None => TcpListener::bind(self.addr.as_str())?.into(),
         };
-        let addr = listener.local_addr()?;
+        let addr = listener.addr()?;
         let telemetry = self.telemetry.unwrap_or_default();
         let transport_metrics = TransportMetrics::new(&telemetry, "budgeter");
         let metrics = BudgeterMetrics::new(&telemetry);
@@ -503,13 +510,13 @@ impl ClusterBudgeter {
         &self.telemetry
     }
 
-    /// Tear the daemon down but keep its bound socket: a restarted
-    /// budgeter built with [`BudgeterBuilder::listener`] keeps the same
-    /// address, so endpoints' reconnect loops find it again. All session
-    /// state (jobs, leases, caps) dies with the daemon — resuming
-    /// endpoints re-register via `Resume`. Reactor shard threads are
-    /// stopped and joined before the listener is handed back.
-    pub fn into_listener(self) -> TcpListener {
+    /// Tear the daemon down but keep its listener: a restarted budgeter
+    /// built with [`BudgeterBuilder::listener`] keeps the same address,
+    /// so endpoints' reconnect loops find it again. All session state
+    /// (jobs, leases, caps) dies with the daemon — resuming endpoints
+    /// re-register via `Resume`. Reactor shard threads are stopped and
+    /// joined before the listener is handed back.
+    pub fn into_listener(self) -> Listener {
         self.transport.into_listener()
     }
 
@@ -838,8 +845,11 @@ impl ClusterBudgeter {
                     // The "per-job retrain count" the summary
                     // table reports: every Model push is one
                     // retrain at the job tier.
-                    self.telemetry
-                        .gauge("job_retrains", &[("job", &job.0.to_string())])
+                    let telemetry = &self.telemetry;
+                    e.retrains
+                        .get_or_insert_with(|| {
+                            telemetry.gauge("job_retrains", &[("job", &job.0.to_string())])
+                        })
                         .set(e.models_seen as f64);
                     if self.cfg.feedback {
                         e.view = e.view.clone().with_curve(curve);
@@ -1471,17 +1481,16 @@ mod tests {
     use crate::codec::{FramedStream, StreamOptions};
     use anor_types::msg::EpochSample;
     use anor_types::{Joules, PowerCurve};
-    use std::net::TcpStream;
 
-    fn connect(addr: SocketAddr) -> FramedStream {
-        FramedStream::new(TcpStream::connect(addr).unwrap(), StreamOptions::default()).unwrap()
+    fn connect(addr: &Addr) -> FramedStream {
+        addr.dial(StreamOptions::default()).unwrap()
     }
 
     /// The default test daemon runs the reactor plane so the whole
     /// session suite exercises it; the blocking plane keeps its own
     /// coverage via `default_builder_binds_the_blocking_plane` and the
     /// `reactor_equiv` integration tests.
-    fn bind(cfg: BudgeterConfig) -> (ClusterBudgeter, SocketAddr) {
+    fn bind(cfg: BudgeterConfig) -> (ClusterBudgeter, Addr) {
         ClusterBudgeter::builder(cfg)
             .transport(TransportKind::Reactor)
             .shards(2)
@@ -1519,7 +1528,7 @@ mod tests {
     #[test]
     fn hello_registers_job_and_cap_is_sent() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::EvenSlowdown, false));
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(1, "bt.D.81", 2)).unwrap();
         pump_until(&mut b, Watts(400.0), |b| b.active_jobs() == 1);
         // The endpoint should receive a SetPowerCap.
@@ -1541,8 +1550,8 @@ mod tests {
     #[test]
     fn two_jobs_split_budget_by_policy() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::EvenSlowdown, false));
-        let mut bt = connect(addr);
-        let mut sp = connect(addr);
+        let mut bt = connect(&addr);
+        let mut sp = connect(&addr);
         bt.send(hello(1, "bt.D.81", 2)).unwrap();
         sp.send(hello(2, "sp.D.81", 2)).unwrap();
         pump_until(&mut b, Watts(840.0), |b| b.active_jobs() == 2);
@@ -1570,7 +1579,7 @@ mod tests {
             let mut cfg = BudgeterConfig::new(BudgetPolicy::EvenSlowdown, false);
             cfg.unknown_default = default;
             let (mut b, addr) = bind(cfg);
-            let mut client = connect(addr);
+            let mut client = connect(&addr);
             client.send(hello(9, "mystery.X.1", 1)).unwrap();
             pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
             let view = b.believed_view(JobId(9)).unwrap();
@@ -1589,7 +1598,7 @@ mod tests {
     fn feedback_updates_view_only_when_enabled() {
         for feedback in [false, true] {
             let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::EvenSlowdown, feedback));
-            let mut client = connect(addr);
+            let mut client = connect(&addr);
             client.send(hello(3, "is.D.32", 1)).unwrap();
             pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
             let original = b.believed_view(JobId(3)).unwrap().curve;
@@ -1620,7 +1629,7 @@ mod tests {
     #[test]
     fn done_and_disconnect_deactivate_job() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::Uniform, false));
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(5, "mg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         client
@@ -1646,7 +1655,7 @@ mod tests {
                 .lease(LeaseConfig::after_misses(10))
                 .bind()
                 .unwrap();
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(6, "cg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         pump_until(&mut b, Watts(200.0), |b| b.job_caps()[0].1.is_some());
@@ -1673,7 +1682,7 @@ mod tests {
                 .lease(LeaseConfig::disabled())
                 .bind()
                 .unwrap();
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(6, "cg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         drop(client);
@@ -1688,7 +1697,7 @@ mod tests {
                 .lease(LeaseConfig::after_misses(5))
                 .bind()
                 .unwrap();
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(4, "mg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         pump_until(&mut b, Watts(200.0), |b| b.job_caps()[0].1.is_some());
@@ -1700,7 +1709,7 @@ mod tests {
         });
         assert!(b.reclaimed_watts().value() > 0.0);
         // A new connection resumes the same job id.
-        let mut revived = connect(addr);
+        let mut revived = connect(&addr);
         revived
             .send(
                 JobToCluster::Resume {
@@ -1741,7 +1750,7 @@ mod tests {
         // A restarted budgeter has no record: the Resume re-registers the
         // job and the ack's negative cap says "nothing on file".
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::Uniform, false));
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client
             .send(
                 JobToCluster::Resume {
@@ -1774,7 +1783,7 @@ mod tests {
     #[test]
     fn samples_are_counted() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::Uniform, false));
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(7, "lu.D.42", 1)).unwrap();
         for i in 0..5u64 {
             client
@@ -1801,12 +1810,12 @@ mod tests {
     fn malformed_peer_is_quarantined_without_killing_the_daemon() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::EvenSlowdown, false));
         // A healthy job...
-        let mut good = connect(addr);
+        let mut good = connect(&addr);
         good.send(hello(1, "bt.D.81", 2)).unwrap();
         pump_until(&mut b, Watts(500.0), |b| b.active_jobs() == 1);
         // ...and a hostile peer sending garbage: a plausible length
         // prefix followed by junk, then an oversized length prefix.
-        let mut evil = connect(addr);
+        let mut evil = connect(&addr);
         let mut junk = bytes::BytesMut::new();
         bytes::BufMut::put_u32(&mut junk, 3);
         bytes::BufMut::put_slice(&mut junk, &[0xde, 0xad, 0xbe]);
@@ -1839,7 +1848,7 @@ mod tests {
                 .telemetry(telemetry.clone())
                 .bind()
                 .unwrap();
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(11, "bt.D.81", 2)).unwrap();
         pump_until(&mut b, Watts(400.0), |b| b.active_jobs() == 1);
         client
@@ -1885,7 +1894,7 @@ mod tests {
     #[test]
     fn caps_resent_only_on_material_change() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::Uniform, false));
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(8, "mg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         let mut frames = Vec::new();
@@ -1932,7 +1941,7 @@ mod tests {
     #[test]
     fn zero_node_hello_is_budgeted_as_one_node() {
         let (mut b, addr) = bind(BudgeterConfig::new(BudgetPolicy::Uniform, false));
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(1, "mg.D.32", 0)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         for _ in 0..5 {
@@ -1951,7 +1960,7 @@ mod tests {
                 .bind()
                 .unwrap();
         assert_eq!(b.transport_kind(), TransportKind::Blocking);
-        let mut client = connect(addr);
+        let mut client = connect(&addr);
         client.send(hello(2, "mg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);
         // The daemon records into the caller's telemetry handle.

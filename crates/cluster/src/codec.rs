@@ -1,19 +1,145 @@
-//! Non-blocking framed TCP streams.
+//! Non-blocking framed byte links.
 //!
 //! The cluster daemon and the job endpoints are *pumped* state machines
-//! driven by the experiment harness's virtual clock, so their sockets are
-//! non-blocking: reads drain whatever the kernel has, writes queue into
-//! an outbound buffer that is flushed opportunistically. This exercises a
-//! real sockets code path (localhost TCP) without tying experiment time
-//! to wall-clock time.
+//! driven by the experiment harness's virtual clock, so their links are
+//! non-blocking: reads drain whatever has arrived, writes queue into an
+//! outbound buffer that is flushed opportunistically, and time never
+//! waits on the wire.
+//!
+//! A link is either a TCP stream (the `anord`/`anor-job` daemons, the
+//! load harness, the socket tests) or one end of an in-process pipe pair
+//! with TCP's non-blocking semantics. The emulated cluster and replay run
+//! both ends on one thread, where loopback TCP models no latency and no
+//! loss but costs a syscall per read. Framing, the length-prefix check,
+//! fault injection and the transport counters all sit above the link, so
+//! every frame takes the same encode → bytes → `take_frame` → decode
+//! path over either.
 
 use crate::session::{corrupt_byte, FaultKind, FaultPlan};
 use anor_telemetry::{Counter, Telemetry};
 use anor_types::msg::{take_frame, MAX_FRAME_LEN};
 use anor_types::{AnorError, Result};
 use bytes::{Bytes, BytesMut};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// One direction of an in-process link.
+#[derive(Debug, Default)]
+struct Pipe {
+    /// Written and not yet read.
+    bytes: Vec<u8>,
+    /// Set once either end shut the link down or dropped it.
+    closed: bool,
+}
+
+/// A pipe shared by its writing and its reading end. A mutex rather than
+/// a cell: the workspace denies `unsafe_code`, and a link must be `Send`
+/// (reactor shards own their streams on their own threads). Every update
+/// leaves the pipe valid, so a poisoned lock is safe to recover.
+type SharedPipe = Arc<Mutex<Pipe>>;
+
+/// One end of an in-process pipe pair, with TCP's non-blocking
+/// semantics: reading an empty, open pipe is `WouldBlock`; once the peer
+/// has shut down or dropped its end, reads drain what is left and then
+/// return `Ok(0)`; writing towards a closed end is `BrokenPipe`.
+/// Shutting down or dropping either end closes both directions. The
+/// pipes are unbounded, so a write never blocks and a slow reader never
+/// pushes back on its peer.
+#[derive(Debug)]
+pub(crate) struct MemLink {
+    rx: SharedPipe,
+    tx: SharedPipe,
+}
+
+impl MemLink {
+    /// Two connected ends.
+    pub(crate) fn pair() -> (MemLink, MemLink) {
+        let (a, b) = (SharedPipe::default(), SharedPipe::default());
+        (
+            MemLink {
+                rx: Arc::clone(&a),
+                tx: Arc::clone(&b),
+            },
+            MemLink { rx: b, tx: a },
+        )
+    }
+
+    /// Move everything waiting in the pipe onto `inbuf`.
+    fn read_into(&self, inbuf: &mut BytesMut) -> io::Result<usize> {
+        let mut pipe = self.rx.lock().unwrap_or_else(PoisonError::into_inner);
+        if pipe.bytes.is_empty() && !pipe.closed {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        inbuf.extend_from_slice(&pipe.bytes);
+        let n = pipe.bytes.len();
+        pipe.bytes.clear();
+        Ok(n)
+    }
+
+    fn write(&self, data: &[u8]) -> io::Result<usize> {
+        let mut pipe = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
+        if pipe.closed {
+            return Err(ErrorKind::BrokenPipe.into());
+        }
+        pipe.bytes.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn shutdown(&self) {
+        for pipe in [&self.rx, &self.tx] {
+            pipe.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        }
+    }
+}
+
+impl Drop for MemLink {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// The byte link under a [`FramedStream`].
+#[derive(Debug)]
+pub(crate) enum Link {
+    /// A connected TCP stream.
+    Tcp(TcpStream),
+    /// One end of an in-process pipe pair.
+    Mem(MemLink),
+}
+
+impl Link {
+    /// Append what has arrived to `inbuf` and return its length: `Ok(0)`
+    /// at end of stream, `WouldBlock` when nothing is waiting.
+    fn read_into(&mut self, inbuf: &mut BytesMut) -> io::Result<usize> {
+        match self {
+            Link::Tcp(stream) => {
+                let mut scratch = [0u8; 4096];
+                let n = stream.read(&mut scratch)?;
+                inbuf.extend_from_slice(&scratch[..n]);
+                Ok(n)
+            }
+            Link::Mem(link) => link.read_into(inbuf),
+        }
+    }
+
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        match self {
+            Link::Tcp(stream) => stream.write(data),
+            Link::Mem(link) => link.write(data),
+        }
+    }
+
+    /// Close both directions; the peer sees EOF once it has drained.
+    fn shutdown(&self) {
+        match self {
+            Link::Tcp(stream) => {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            Link::Mem(link) => link.shutdown(),
+        }
+    }
+}
 
 /// Cached counter handles for one side of the wire protocol. Cloning is
 /// cheap (each counter is an `Arc`'d atomic); every [`FramedStream`] on
@@ -88,10 +214,11 @@ impl StreamOptions {
     }
 }
 
-/// A length-prefix-framed, non-blocking TCP stream.
+/// A length-prefix-framed, non-blocking stream over a TCP or in-process
+/// link.
 #[derive(Debug)]
 pub struct FramedStream {
-    stream: TcpStream,
+    link: Link,
     inbuf: BytesMut,
     outbuf: BytesMut,
     closed: bool,
@@ -103,17 +230,24 @@ pub struct FramedStream {
 }
 
 impl FramedStream {
-    /// Wrap a connected stream: switches it to non-blocking mode and
+    /// Wrap a connected TCP stream: switches it to non-blocking mode and
     /// disables Nagle (control messages are tiny and latency-sensitive).
     /// When `opts` carries metrics, the connection itself is counted.
     pub fn new(stream: TcpStream, opts: StreamOptions) -> Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
+        Self::from_link(Link::Tcp(stream), opts)
+    }
+
+    /// Wrap a connected link of either kind (see [`FramedStream::new`]).
+    pub(crate) fn from_link(link: Link, opts: StreamOptions) -> Result<Self> {
+        if let Link::Tcp(stream) = &link {
+            stream.set_nonblocking(true)?;
+            stream.set_nodelay(true)?;
+        }
         if let Some(m) = &opts.metrics {
             m.connection_opened();
         }
         Ok(FramedStream {
-            stream,
+            link,
             inbuf: BytesMut::with_capacity(4096),
             outbuf: BytesMut::with_capacity(4096),
             closed: false,
@@ -152,7 +286,7 @@ impl FramedStream {
             FaultKind::Drop => {
                 // The frame is lost and the connection dies with it.
                 self.closed = true;
-                let _ = self.stream.shutdown(Shutdown::Both);
+                self.link.shutdown();
             }
             FaultKind::Delay(holdback) => {
                 self.delayed.push((holdback.max(1), frame));
@@ -167,7 +301,7 @@ impl FramedStream {
                 self.outbuf.extend_from_slice(&frame[..frame.len() / 2]);
                 let _ = self.flush_some();
                 self.closed = true;
-                let _ = self.stream.shutdown(Shutdown::Both);
+                self.link.shutdown();
             }
             FaultKind::Corrupt => {
                 let bad = corrupt_byte(&frame, seed);
@@ -195,10 +329,10 @@ impl FramedStream {
         }
     }
 
-    /// Write as much buffered output as the socket accepts right now.
+    /// Write as much buffered output as the link accepts right now.
     pub fn flush_some(&mut self) -> Result<()> {
         while !self.outbuf.is_empty() {
-            match self.stream.write(&self.outbuf) {
+            match self.link.write(&self.outbuf) {
                 Ok(0) => {
                     self.closed = true;
                     return Ok(());
@@ -224,11 +358,10 @@ impl FramedStream {
         Ok(())
     }
 
-    /// Drain the socket and return every complete frame body received.
+    /// Drain the link and return every complete frame body received.
     pub fn recv_frames(&mut self) -> Result<Vec<Bytes>> {
-        let mut scratch = [0u8; 4096];
         loop {
-            match self.stream.read(&mut scratch) {
+            match self.link.read_into(&mut self.inbuf) {
                 Ok(0) => {
                     self.closed = true;
                     break;
@@ -237,7 +370,6 @@ impl FramedStream {
                     if let Some(m) = &self.metrics {
                         m.bytes_rx.add(n as u64);
                     }
-                    self.inbuf.extend_from_slice(&scratch[..n]);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -294,12 +426,12 @@ impl FramedStream {
     }
 
     /// Cut the connection now: mark the stream closed and shut the
-    /// socket down both ways so the peer sees EOF immediately. The
+    /// link down both ways so the peer sees EOF immediately. The
     /// budgeter uses this to quarantine a misbehaving peer instead of
     /// letting a reject-storm spin the pump loop.
     pub fn shutdown_now(&mut self) {
         self.closed = true;
-        let _ = self.stream.shutdown(Shutdown::Both);
+        self.link.shutdown();
     }
 }
 
@@ -312,190 +444,260 @@ mod tests {
 
     // `Telemetry` / `TransportMetrics` come through `super::*`.
 
-    fn pair() -> (FramedStream, FramedStream) {
-        pair_with(StreamOptions::default(), StreamOptions::default())
+    /// The two links every test runs over.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        Tcp,
+        Mem,
     }
 
+    const KINDS: [Kind; 2] = [Kind::Tcp, Kind::Mem];
+
+    /// A connected `(client, server)` pair over `kind`.
     fn pair_with(
+        kind: Kind,
         client_opts: StreamOptions,
         server_opts: StreamOptions,
     ) -> (FramedStream, FramedStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
+        let (client, server) = match kind {
+            Kind::Tcp => {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (server, _) = listener.accept().unwrap();
+                (Link::Tcp(client), Link::Tcp(server))
+            }
+            Kind::Mem => {
+                let (client, server) = MemLink::pair();
+                (Link::Mem(client), Link::Mem(server))
+            }
+        };
         (
-            FramedStream::new(client, client_opts).unwrap(),
-            FramedStream::new(server, server_opts).unwrap(),
+            FramedStream::from_link(client, client_opts).unwrap(),
+            FramedStream::from_link(server, server_opts).unwrap(),
         )
     }
 
-    fn pump_until<F: FnMut() -> bool>(mut done: F) {
+    fn pair(kind: Kind) -> (FramedStream, FramedStream) {
+        pair_with(kind, StreamOptions::default(), StreamOptions::default())
+    }
+
+    /// Poll `done` until it holds. Loopback TCP may need the kernel a
+    /// moment; the in-process link delivers within the call that writes,
+    /// so there `done` must hold on the first poll.
+    fn pump_until<F: FnMut() -> bool>(kind: Kind, mut done: F) {
+        if let Kind::Mem = kind {
+            assert!(done(), "the in-process link must deliver synchronously");
+            return;
+        }
         for _ in 0..1000 {
             if done() {
                 return;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        panic!("pump_until timed out");
+        panic!("pump_until timed out over TCP");
     }
 
     #[test]
-    fn messages_round_trip_over_tcp() {
-        let (mut client, mut server) = pair();
-        client
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(205.0),
-                    cause: 0,
-                }
-                .encode(),
-            )
-            .unwrap();
-        let mut got = Vec::new();
-        pump_until(|| {
-            client.flush_some().unwrap();
-            got.extend(server.recv_frames().unwrap());
-            !got.is_empty()
-        });
-        let msg = ClusterToJob::decode(got.remove(0)).unwrap();
-        assert_eq!(
-            msg,
-            ClusterToJob::SetPowerCap {
-                cap: Watts(205.0),
-                cause: 0
-            }
-        );
-    }
-
-    #[test]
-    fn many_frames_in_one_burst() {
-        let (mut client, mut server) = pair();
-        for i in 0..100u64 {
+    fn messages_round_trip() {
+        for kind in KINDS {
+            let (mut client, mut server) = pair(kind);
             client
                 .send(
-                    JobToCluster::Done {
-                        job: JobId(i),
-                        elapsed: Seconds(i as f64),
+                    ClusterToJob::SetPowerCap {
+                        cap: Watts(205.0),
+                        cause: 0,
                     }
                     .encode(),
                 )
                 .unwrap();
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                got.extend(server.recv_frames().unwrap());
+                !got.is_empty()
+            });
+            let msg = ClusterToJob::decode(got.remove(0)).unwrap();
+            assert_eq!(
+                msg,
+                ClusterToJob::SetPowerCap {
+                    cap: Watts(205.0),
+                    cause: 0
+                },
+                "{kind:?}"
+            );
         }
-        let mut got = Vec::new();
-        pump_until(|| {
-            client.flush_some().unwrap();
-            got.extend(server.recv_frames().unwrap());
-            got.len() == 100
-        });
-        for (i, body) in got.into_iter().enumerate() {
-            let JobToCluster::Done { job, .. } = JobToCluster::decode(body).unwrap() else {
-                panic!("wrong message kind");
-            };
-            assert_eq!(job, JobId(i as u64));
+    }
+
+    #[test]
+    fn many_frames_in_one_burst() {
+        for kind in KINDS {
+            let (mut client, mut server) = pair(kind);
+            for i in 0..100u64 {
+                client
+                    .send(
+                        JobToCluster::Done {
+                            job: JobId(i),
+                            elapsed: Seconds(i as f64),
+                        }
+                        .encode(),
+                    )
+                    .unwrap();
+            }
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                got.extend(server.recv_frames().unwrap());
+                got.len() == 100
+            });
+            for (i, body) in got.into_iter().enumerate() {
+                let JobToCluster::Done { job, .. } = JobToCluster::decode(body).unwrap() else {
+                    panic!("wrong message kind over {kind:?}");
+                };
+                assert_eq!(job, JobId(i as u64), "{kind:?}");
+            }
         }
     }
 
     #[test]
     fn closed_peer_detected() {
-        let (client, mut server) = pair();
-        drop(client);
-        pump_until(|| {
-            server.recv_frames().unwrap();
-            server.is_closed()
-        });
+        for kind in KINDS {
+            let (client, mut server) = pair(kind);
+            drop(client);
+            pump_until(kind, || {
+                server.recv_frames().unwrap();
+                server.is_closed()
+            });
+        }
     }
 
     #[test]
-    fn recv_on_quiet_socket_is_empty_not_blocking() {
-        let (_client, mut server) = pair();
-        let start = std::time::Instant::now();
-        let frames = server.recv_frames().unwrap();
-        assert!(frames.is_empty());
-        assert!(start.elapsed().as_millis() < 100, "recv must not block");
+    fn reset_and_shutdown_close_the_peer() {
+        for kind in KINDS {
+            // Reset: the server goes away with the client's frame unread.
+            let (mut client, server) = pair(kind);
+            client.send(ClusterToJob::RequestSample.encode()).unwrap();
+            drop(server);
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                client.recv_frames().unwrap();
+                client.is_closed()
+            });
+            // Shutdown: a frame sent before the cut still arrives, then
+            // end of stream.
+            let (mut client, mut server) = pair(kind);
+            server.send(ClusterToJob::Shutdown.encode()).unwrap();
+            server.shutdown_now();
+            assert!(server.is_closed(), "{kind:?}");
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                got.extend(client.recv_frames().unwrap());
+                client.is_closed()
+            });
+            assert_eq!(got.len(), 1, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn recv_on_quiet_link_is_empty_not_blocking() {
+        for kind in KINDS {
+            let (_client, mut server) = pair(kind);
+            let start = std::time::Instant::now();
+            let frames = server.recv_frames().unwrap();
+            assert!(frames.is_empty(), "{kind:?}");
+            assert!(!server.is_closed(), "{kind:?}");
+            assert!(start.elapsed().as_millis() < 100, "recv must not block");
+        }
     }
 
     #[test]
     fn metrics_count_frames_and_bytes_both_ways() {
-        let t = Telemetry::new();
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default().metrics(TransportMetrics::new(&t, "endpoint")),
-            StreamOptions::default().metrics(TransportMetrics::new(&t, "budgeter")),
-        );
-        let frame = ClusterToJob::SetPowerCap {
-            cap: Watts(190.0),
-            cause: 0,
+        for kind in KINDS {
+            let t = Telemetry::new();
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default().metrics(TransportMetrics::new(&t, "endpoint")),
+                StreamOptions::default().metrics(TransportMetrics::new(&t, "budgeter")),
+            );
+            let frame = ClusterToJob::SetPowerCap {
+                cap: Watts(190.0),
+                cause: 0,
+            }
+            .encode();
+            let frame_len = frame.len() as u64;
+            client.send(frame).unwrap();
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                !server.recv_frames().unwrap().is_empty()
+            });
+            let ep = &[("role", "endpoint")];
+            let bd = &[("role", "budgeter")];
+            assert_eq!(t.counter("transport_frames_tx_total", ep).get(), 1);
+            assert_eq!(t.counter("transport_bytes_tx_total", ep).get(), frame_len);
+            assert_eq!(t.counter("transport_frames_rx_total", bd).get(), 1);
+            assert_eq!(t.counter("transport_bytes_rx_total", bd).get(), frame_len);
         }
-        .encode();
-        let frame_len = frame.len() as u64;
-        client.send(frame).unwrap();
-        pump_until(|| {
-            client.flush_some().unwrap();
-            !server.recv_frames().unwrap().is_empty()
-        });
-        let ep = &[("role", "endpoint")];
-        let bd = &[("role", "budgeter")];
-        assert_eq!(t.counter("transport_frames_tx_total", ep).get(), 1);
-        assert_eq!(t.counter("transport_bytes_tx_total", ep).get(), frame_len);
-        assert_eq!(t.counter("transport_frames_rx_total", bd).get(), 1);
-        assert_eq!(t.counter("transport_bytes_rx_total", bd).get(), frame_len);
     }
 
     #[test]
     fn oversized_prefix_is_typed_error_and_counted() {
         use bytes::BufMut;
-        let t = Telemetry::new();
-        let metrics = TransportMetrics::new(&t, "budgeter");
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default(),
-            StreamOptions::default().metrics(metrics.clone()),
-        );
-        let mut junk = BytesMut::new();
-        junk.put_u32(u32::MAX); // absurd length prefix
-        junk.put_slice(&[0u8; 16]);
-        client.send(junk.freeze()).unwrap();
-        let mut err = None;
-        pump_until(|| {
-            client.flush_some().unwrap();
-            match server.recv_frames() {
-                Ok(_) => false,
-                Err(e) => {
-                    err = Some(e);
-                    true
+        for kind in KINDS {
+            let t = Telemetry::new();
+            let metrics = TransportMetrics::new(&t, "budgeter");
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default(),
+                StreamOptions::default().metrics(metrics.clone()),
+            );
+            let mut junk = BytesMut::new();
+            junk.put_u32(u32::MAX); // absurd length prefix
+            junk.put_slice(&[0u8; 16]);
+            client.send(junk.freeze()).unwrap();
+            let mut err = None;
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                match server.recv_frames() {
+                    Ok(_) => false,
+                    Err(e) => {
+                        err = Some(e);
+                        true
+                    }
                 }
-            }
-        });
-        assert!(
-            matches!(err, Some(anor_types::AnorError::Protocol(_))),
-            "want a typed protocol error, got {err:?}"
-        );
-        assert!(server.is_closed(), "a corrupt peer drops the connection");
-        assert_eq!(metrics.oversize_rejected(), 1);
-        assert_eq!(
-            t.counter("transport_oversize_rejected_total", &[("role", "budgeter")])
-                .get(),
-            1
-        );
+            });
+            assert!(
+                matches!(err, Some(anor_types::AnorError::Protocol(_))),
+                "want a typed protocol error over {kind:?}, got {err:?}"
+            );
+            assert!(server.is_closed(), "a corrupt peer drops the connection");
+            assert_eq!(metrics.oversize_rejected(), 1);
+            assert_eq!(
+                t.counter("transport_oversize_rejected_total", &[("role", "budgeter")])
+                    .get(),
+                1
+            );
+        }
     }
 
     #[test]
     fn metrics_option_counts_the_connection() {
-        let t = Telemetry::new();
-        let metrics = TransportMetrics::new(&t, "endpoint");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        for _ in 0..3 {
-            let stream = TcpStream::connect(addr).unwrap();
-            let _ = listener.accept().unwrap();
-            let _fs = FramedStream::new(stream, StreamOptions::default().metrics(metrics.clone()))
-                .unwrap();
+        for kind in KINDS {
+            let t = Telemetry::new();
+            let metrics = TransportMetrics::new(&t, "endpoint");
+            for _ in 0..3 {
+                let _pair = pair_with(
+                    kind,
+                    StreamOptions::default().metrics(metrics.clone()),
+                    StreamOptions::default(),
+                );
+            }
+            assert_eq!(
+                t.counter("transport_reconnects_total", &[("role", "endpoint")])
+                    .get(),
+                3
+            );
+            assert_eq!(metrics.reconnects(), 3);
         }
-        assert_eq!(
-            t.counter("transport_reconnects_total", &[("role", "endpoint")])
-                .get(),
-            3
-        );
-        assert_eq!(metrics.reconnects(), 3);
     }
 
     // ---- chaos injection ----------------------------------------------
@@ -510,123 +712,138 @@ mod tests {
 
     #[test]
     fn drop_fault_cuts_the_connection_at_the_scheduled_frame() {
-        let plan = FaultPlan::parse("drop@2").unwrap();
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default().faults(plan.clone()),
-            StreamOptions::default(),
-        );
-        client.send(ClusterToJob::RequestSample.encode()).unwrap();
-        client.send(ClusterToJob::Shutdown.encode()).unwrap(); // dropped
-        assert!(client.is_closed());
-        assert_eq!(plan.injected(), 1);
-        let mut got = Vec::new();
-        pump_until(|| {
-            got.extend(drain_ok(&mut server));
-            server.is_closed()
-        });
-        // Only the first frame ever arrived.
-        assert_eq!(got.len(), 1);
+        for kind in KINDS {
+            let plan = FaultPlan::parse("drop@2").unwrap();
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default().faults(plan.clone()),
+                StreamOptions::default(),
+            );
+            client.send(ClusterToJob::RequestSample.encode()).unwrap();
+            client.send(ClusterToJob::Shutdown.encode()).unwrap(); // dropped
+            assert!(client.is_closed());
+            assert_eq!(plan.injected(), 1);
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                got.extend(drain_ok(&mut server));
+                server.is_closed()
+            });
+            // Only the first frame ever arrived.
+            assert_eq!(got.len(), 1, "{kind:?}");
+        }
     }
 
     #[test]
     fn duplicate_fault_repeats_the_frame() {
-        let plan = FaultPlan::parse("dup@1").unwrap();
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default().faults(plan),
-            StreamOptions::default(),
-        );
-        client.send(ClusterToJob::Shutdown.encode()).unwrap();
-        let mut got = Vec::new();
-        pump_until(|| {
-            client.flush_some().unwrap();
-            got.extend(drain_ok(&mut server));
-            got.len() == 2
-        });
-        for body in got {
-            assert_eq!(ClusterToJob::decode(body).unwrap(), ClusterToJob::Shutdown);
+        for kind in KINDS {
+            let plan = FaultPlan::parse("dup@1").unwrap();
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default().faults(plan),
+                StreamOptions::default(),
+            );
+            client.send(ClusterToJob::Shutdown.encode()).unwrap();
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                got.extend(drain_ok(&mut server));
+                got.len() == 2
+            });
+            for body in got {
+                assert_eq!(ClusterToJob::decode(body).unwrap(), ClusterToJob::Shutdown);
+            }
         }
     }
 
     #[test]
     fn delay_fault_reorders_behind_later_frames() {
-        let plan = FaultPlan::parse("delay@1:1").unwrap();
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default().faults(plan),
-            StreamOptions::default(),
-        );
-        client.send(ClusterToJob::Shutdown.encode()).unwrap(); // held back
-        client.send(ClusterToJob::RequestSample.encode()).unwrap();
-        let mut got = Vec::new();
-        pump_until(|| {
-            client.flush_some().unwrap();
-            got.extend(drain_ok(&mut server));
-            got.len() == 2
-        });
-        let first = ClusterToJob::decode(got.remove(0)).unwrap();
-        let second = ClusterToJob::decode(got.remove(0)).unwrap();
-        assert_eq!(first, ClusterToJob::RequestSample);
-        assert_eq!(second, ClusterToJob::Shutdown);
+        for kind in KINDS {
+            let plan = FaultPlan::parse("delay@1:1").unwrap();
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default().faults(plan),
+                StreamOptions::default(),
+            );
+            client.send(ClusterToJob::Shutdown.encode()).unwrap(); // held back
+            client.send(ClusterToJob::RequestSample.encode()).unwrap();
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                got.extend(drain_ok(&mut server));
+                got.len() == 2
+            });
+            let first = ClusterToJob::decode(got.remove(0)).unwrap();
+            let second = ClusterToJob::decode(got.remove(0)).unwrap();
+            assert_eq!(first, ClusterToJob::RequestSample, "{kind:?}");
+            assert_eq!(second, ClusterToJob::Shutdown, "{kind:?}");
+        }
     }
 
     #[test]
     fn corrupt_fault_never_panics_the_receiver() {
-        let plan = FaultPlan::parse("corrupt@1").unwrap().seeded(7);
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default().faults(plan),
-            StreamOptions::default(),
-        );
-        client.send(ClusterToJob::Shutdown.encode()).unwrap();
-        for _ in 0..10 {
+        for kind in KINDS {
+            let plan = FaultPlan::parse("corrupt@1").unwrap().seeded(7);
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default().faults(plan),
+                StreamOptions::default(),
+            );
+            client.send(ClusterToJob::Shutdown.encode()).unwrap();
             client.flush_some().unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        drop(client);
-        // Whatever the flipped byte did (desync, oversize, bad tag), the
-        // receiver must surface it as data/err, never a panic.
-        pump_until(|| match server.recv_frames() {
-            Ok(frames) => {
-                for b in frames {
-                    let _ = ClusterToJob::decode(b);
+            assert_eq!(client.pending_out(), 0, "{kind:?}");
+            drop(client);
+            // Whatever the flipped byte did (desync, oversize, bad tag),
+            // the receiver must surface it as data/err, never a panic.
+            pump_until(kind, || match server.recv_frames() {
+                Ok(frames) => {
+                    for b in frames {
+                        let _ = ClusterToJob::decode(b);
+                    }
+                    server.is_closed()
                 }
-                server.is_closed()
-            }
-            Err(_) => true,
-        });
+                Err(_) => true,
+            });
+        }
     }
 
     #[test]
     fn truncate_fault_cuts_mid_frame() {
-        let plan = FaultPlan::parse("trunc@1").unwrap();
-        let (mut client, mut server) = pair_with(
-            StreamOptions::default().faults(plan),
-            StreamOptions::default(),
-        );
-        client
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(200.0),
-                    cause: 9,
-                }
-                .encode(),
-            )
-            .unwrap();
-        assert!(client.is_closed());
-        let mut got = Vec::new();
-        pump_until(|| {
-            got.extend(drain_ok(&mut server));
-            server.is_closed()
-        });
-        assert!(got.is_empty(), "a half frame must never decode");
+        for kind in KINDS {
+            let plan = FaultPlan::parse("trunc@1").unwrap();
+            let (mut client, mut server) = pair_with(
+                kind,
+                StreamOptions::default().faults(plan),
+                StreamOptions::default(),
+            );
+            client
+                .send(
+                    ClusterToJob::SetPowerCap {
+                        cap: Watts(200.0),
+                        cause: 9,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            assert!(client.is_closed());
+            let mut got = Vec::new();
+            pump_until(kind, || {
+                got.extend(drain_ok(&mut server));
+                server.is_closed()
+            });
+            assert!(got.is_empty(), "a half frame must never decode ({kind:?})");
+        }
     }
 
     #[test]
     fn pending_out_drains() {
-        let (mut client, mut server) = pair();
-        client.send(ClusterToJob::RequestSample.encode()).unwrap();
-        pump_until(|| {
-            client.flush_some().unwrap();
-            !server.recv_frames().unwrap().is_empty() || client.pending_out() == 0
-        });
-        assert_eq!(client.pending_out(), 0);
+        for kind in KINDS {
+            let (mut client, mut server) = pair(kind);
+            client.send(ClusterToJob::RequestSample.encode()).unwrap();
+            pump_until(kind, || {
+                client.flush_some().unwrap();
+                !server.recv_frames().unwrap().is_empty() || client.pending_out() == 0
+            });
+            assert_eq!(client.pending_out(), 0, "{kind:?}");
+        }
     }
 }

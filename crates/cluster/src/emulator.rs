@@ -2,15 +2,22 @@
 //!
 //! Substitutes for the paper's real 16-node Xeon cluster (DESIGN.md):
 //! simulated nodes run synthetic NPB-shaped workloads under a GEOPM
-//! runtime per job, one job-tier endpoint process per job talks real
-//! localhost TCP to the cluster budgeter daemon, and everything is pumped
-//! under a single virtual clock so an hour-long schedule replays in
-//! seconds while exercising the same code paths end to end.
+//! runtime per job, one job-tier endpoint per job talks to the cluster
+//! budgeter daemon, and everything is pumped under a single virtual clock
+//! so an hour-long schedule replays in seconds while exercising the same
+//! code paths end to end.
+//!
+//! The endpoints reach the budgeter over in-process links: both tiers
+//! run on one thread, so loopback TCP would model no latency and no loss
+//! while costing a syscall per read. The frames still go encode → bytes
+//! → framing → decode, with fault injection, transport counters and the
+//! flight recorder above the link; `anord` and `anor-job` run the same
+//! code over real TCP.
 
 use crate::budgeter::{BudgeterConfig, ClusterBudgeter, LeaseConfig};
 use crate::endpoint::JobEndpoint;
 use crate::session::{FaultPlan, RetryPolicy};
-use crate::transport::{TransportKind, TransportOptions};
+use crate::transport::{Addr, Listener};
 use anor_aqa::{PowerTarget, TrackingRecorder};
 use anor_geopm::{JobReport, JobRuntime};
 use anor_model::{DriftDetector, ModelerConfig, PowerModeler};
@@ -72,10 +79,6 @@ pub struct EmulatorConfig {
     /// connection/lease transition and emitted cap decision is logged
     /// for `anor-replay`. `None` disables recording.
     pub recorder: Option<FlightRecorder>,
-    /// Budgeter connection plane: blocking (default) or the sharded
-    /// reactor. Decisions are byte-identical either way; the reactor
-    /// trades one pump thread for per-shard socket sweeps.
-    pub transport: TransportOptions,
 }
 
 impl EmulatorConfig {
@@ -100,7 +103,6 @@ impl EmulatorConfig {
             retry: RetryPolicy::default(),
             lease: LeaseConfig::default(),
             recorder: None,
-            transport: TransportOptions::default(),
         }
     }
 
@@ -141,14 +143,6 @@ impl EmulatorConfig {
     /// exact budgeter configuration from the recording header.
     pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Select the budgeter's connection plane (builder style). The
-    /// blocking default sweeps sockets inline on the pump thread; the
-    /// reactor fans socket I/O out across shard threads.
-    pub fn with_transport(mut self, kind: TransportKind) -> Self {
-        self.transport.kind = kind;
         self
     }
 }
@@ -338,7 +332,7 @@ impl EmulatedCluster {
     #[allow(clippy::too_many_arguments)]
     fn connect_endpoint(
         &self,
-        addr: std::net::SocketAddr,
+        addr: &Addr,
         job_id: JobId,
         announced: &str,
         nodes: u32,
@@ -348,7 +342,7 @@ impl EmulatedCluster {
     ) -> Result<JobEndpoint> {
         let cfg = &self.cfg;
         let mut b = JobEndpoint::builder(
-            addr,
+            addr.clone(),
             job_id,
             announced,
             nodes,
@@ -394,7 +388,9 @@ impl EmulatedCluster {
                 )
             })
             .collect();
-        // Budgeter daemon.
+        // Budgeter daemon on an in-process listener. It stays on the
+        // blocking plane: reactor shards read on their own schedule, not
+        // the virtual clock's, so a frame could land a pass late.
         let telemetry = cfg.telemetry.clone();
         let tick_hist = telemetry.histogram("emulator_tick_seconds", &[]);
         let active_gauge = telemetry.gauge("emulator_active_jobs", &[]);
@@ -403,11 +399,9 @@ impl EmulatedCluster {
         let mut bcfg = BudgeterConfig::new(cfg.policy, cfg.feedback);
         bcfg.catalog = cfg.catalog.clone();
         let mut builder = ClusterBudgeter::builder(bcfg)
+            .listener(Listener::in_process())
             .telemetry(telemetry.clone())
-            .lease(cfg.lease)
-            .transport(cfg.transport.kind)
-            .shards(cfg.transport.shards)
-            .conn_queue_depth(cfg.transport.conn_queue_depth);
+            .lease(cfg.lease);
         if let Some(t) = &cfg.tracer {
             builder = builder.tracer(t);
         }
@@ -525,7 +519,7 @@ impl EmulatedCluster {
                     runtime.attach_telemetry(&telemetry);
                     let believed = cfg.catalog.find(&setup.announced).unwrap_or(&spec).clone();
                     let endpoint = self.connect_endpoint(
-                        addr,
+                        &addr,
                         job_id,
                         &setup.announced,
                         spec.nodes,
@@ -585,7 +579,7 @@ impl EmulatedCluster {
                 runtime.attach_telemetry(&telemetry);
                 let believed = cfg.catalog.find(&setup.announced).unwrap_or(&spec).clone();
                 let endpoint = self.connect_endpoint(
-                    addr,
+                    &addr,
                     job_id,
                     &setup.announced,
                     spec.nodes,

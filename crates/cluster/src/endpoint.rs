@@ -2,19 +2,22 @@
 //!
 //! Fig. 2's middle box: one of these runs per job, bridging the GEOPM
 //! endpoint (shared memory to the agent root) to the cluster budgeter
-//! (TCP). It owns the job's [`PowerModeler`]: endpoint samples feed the
-//! model; re-trains push `Model` messages up; `SetPowerCap` messages from
-//! the budgeter become agent policies — optionally dithered while the
-//! model is under-identified.
+//! (TCP, or an in-process link inside the emulated cluster). It owns the
+//! job's [`PowerModeler`]: endpoint samples feed the model; re-trains
+//! push `Model` messages up; `SetPowerCap` messages from the budgeter
+//! become agent policies — optionally dithered while the model is
+//! under-identified.
 
 use crate::codec::{FramedStream, StreamOptions, TransportMetrics};
 use crate::session::{FaultPlan, RetryPolicy, SessionState};
+use crate::transport::Addr;
 use anor_geopm::{AgentPolicy, EndpointModeler};
 use anor_model::{ModelSource, PowerModeler};
-use anor_telemetry::{CauseId, Counter, FlightRecorder, RecEvent, Telemetry, TraceStage, Tracer};
+use anor_telemetry::{
+    CauseId, Counter, FlightRecorder, Gauge, RecEvent, Telemetry, TraceStage, Tracer,
+};
 use anor_types::msg::{ClusterToJob, EpochSample, JobToCluster};
 use anor_types::{AnorError, JobId, Result, Seconds, Watts};
-use std::net::{SocketAddr, TcpStream};
 
 /// Cached counters for one endpoint's budgeter round-trips.
 #[derive(Debug)]
@@ -25,6 +28,9 @@ struct EndpointMetrics {
     models_pushed: Counter,
     session_reconnects: Counter,
     sessions_gone: Counter,
+    /// `endpoint_node_cap_watts{job}`, registered by the first policy
+    /// write.
+    node_cap: Option<Gauge>,
 }
 
 impl EndpointMetrics {
@@ -35,6 +41,7 @@ impl EndpointMetrics {
             models_pushed: telemetry.counter("endpoint_models_pushed_total", &[]),
             session_reconnects: telemetry.counter("endpoint_session_reconnects_total", &[]),
             sessions_gone: telemetry.counter("endpoint_sessions_gone_total", &[]),
+            node_cap: None,
             telemetry,
         }
     }
@@ -45,7 +52,7 @@ impl EndpointMetrics {
 /// registration without help from the caller.
 #[derive(Debug, Clone)]
 struct SessionConfig {
-    addr: SocketAddr,
+    addr: Addr,
     announced_type: String,
     retry: RetryPolicy,
     faults: Option<FaultPlan>,
@@ -55,7 +62,7 @@ struct SessionConfig {
 /// policy, chaos fault plan, telemetry and tracing.
 #[derive(Debug)]
 pub struct EndpointBuilder {
-    addr: SocketAddr,
+    addr: Addr,
     job: JobId,
     announced_type: String,
     nodes: u32,
@@ -121,7 +128,7 @@ impl EndpointBuilder {
         if let Some(p) = &session.faults {
             opts = opts.faults(p.clone());
         }
-        let mut stream = FramedStream::new(TcpStream::connect(session.addr)?, opts)?;
+        let mut stream = session.addr.dial(opts)?;
         let hello = JobToCluster::Hello {
             job: self.job,
             type_name: self.announced_type,
@@ -207,10 +214,11 @@ pub struct JobEndpoint {
 }
 
 impl JobEndpoint {
-    /// Start building an endpoint for `job`. `announced_type` is the
-    /// type name the batch system believes (possibly wrong).
+    /// Start building an endpoint for `job` that dials the budgeter at
+    /// `addr`. `announced_type` is the type name the batch system
+    /// believes (possibly wrong).
     pub fn builder(
-        addr: SocketAddr,
+        addr: Addr,
         job: JobId,
         announced_type: &str,
         nodes: u32,
@@ -466,7 +474,7 @@ impl JobEndpoint {
         if let Some(p) = &self.session.faults {
             opts = opts.faults(p.clone());
         }
-        let mut stream = FramedStream::new(TcpStream::connect(self.session.addr)?, opts)?;
+        let mut stream = self.session.addr.dial(opts)?;
         if let Some(rec) = &self.recorder {
             rec.record(&RecEvent::ConnOpen { conn: 0 });
         }
@@ -503,12 +511,12 @@ impl JobEndpoint {
                 );
             }
             self.metrics.policies_applied.inc();
+            let (job, telemetry) = (self.job, &self.metrics.telemetry);
             self.metrics
-                .telemetry
-                .gauge(
-                    "endpoint_node_cap_watts",
-                    &[("job", &self.job.0.to_string())],
-                )
+                .node_cap
+                .get_or_insert_with(|| {
+                    telemetry.gauge("endpoint_node_cap_watts", &[("job", &job.0.to_string())])
+                })
                 .set(cap.value());
         }
     }
@@ -605,12 +613,19 @@ impl JobEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Listener;
     use anor_geopm::{endpoint_pair, AgentSample};
     use anor_model::ModelerConfig;
     use anor_types::msg::take_frame;
     use anor_types::{CapRange, Joules, PowerCurve};
     use bytes::BytesMut;
     use std::net::TcpListener;
+
+    /// The budgeter's side of the next connection dialled to `listener`.
+    fn accept(listener: &Listener) -> FramedStream {
+        let link = listener.accept().unwrap().expect("a dialled connection");
+        FramedStream::from_link(link, StreamOptions::default()).unwrap()
+    }
 
     struct Harness {
         endpoint: JobEndpoint,
@@ -619,8 +634,7 @@ mod tests {
     }
 
     fn harness(dither: bool) -> Harness {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let listener = Listener::in_process();
         let (modeler_side, agent_side) = endpoint_pair();
         let mut cfg = ModelerConfig::paper();
         if !dither {
@@ -630,29 +644,33 @@ mod tests {
         cfg.dither_hold_epochs = 0;
         let default = PowerCurve::from_anchor(Seconds(0.5), 0.1, CapRange::paper_node());
         let pm = PowerModeler::with_default(cfg, default);
+        let addr = listener.addr().unwrap();
         let je = JobEndpoint::builder(addr, JobId(1), "bt.D.81", 2, modeler_side, pm)
             .connect()
             .unwrap();
-        let (stream, _) = listener.accept().unwrap();
         Harness {
             endpoint: je,
-            server: FramedStream::new(stream, StreamOptions::default()).unwrap(),
+            server: accept(&listener),
             agent: agent_side,
         }
     }
 
+    /// Every frame the endpoint has sent so far: the in-process link
+    /// delivers within the call that writes, so one read drains it.
     fn drain(server: &mut FramedStream) -> Vec<JobToCluster> {
-        let mut out = Vec::new();
-        for _ in 0..200 {
-            for body in server.recv_frames().unwrap() {
-                out.push(JobToCluster::decode(body).unwrap());
-            }
-            if !out.is_empty() {
-                return out;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let frames = server.recv_frames().unwrap();
+        frames
+            .into_iter()
+            .map(|body| JobToCluster::decode(body).unwrap())
+            .collect()
+    }
+
+    fn cap(cap: f64, cause: u64) -> bytes::Bytes {
+        ClusterToJob::SetPowerCap {
+            cap: Watts(cap),
+            cause,
         }
-        out
+        .encode()
     }
 
     #[test]
@@ -673,24 +691,8 @@ mod tests {
     #[test]
     fn cap_from_budgeter_reaches_agent_policy() {
         let mut h = harness(false);
-        h.server
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(190.0),
-                    cause: 0,
-                }
-                .encode(),
-            )
-            .unwrap();
-        // Give TCP a moment, then pump.
-        for i in 0..100 {
-            h.server.flush_some().unwrap();
-            h.endpoint.pump(Seconds(i as f64 * 0.1)).unwrap();
-            if h.endpoint.budget_cap() == Some(Watts(190.0)) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        h.server.send(cap(190.0, 0)).unwrap();
+        h.endpoint.pump(Seconds(0.0)).unwrap();
         assert_eq!(h.endpoint.budget_cap(), Some(Watts(190.0)));
         let (policy, _) = h.agent.read_policy().expect("policy written");
         assert_eq!(policy.node_cap, Watts(190.0), "no dither when disabled");
@@ -699,19 +701,10 @@ mod tests {
     #[test]
     fn dither_alternates_around_budget() {
         let mut h = harness(true);
-        h.server
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(200.0),
-                    cause: 0,
-                }
-                .encode(),
-            )
-            .unwrap();
+        h.server.send(cap(200.0, 0)).unwrap();
         let mut caps = Vec::new();
         let mut t = 0.0;
         for _ in 0..200 {
-            h.server.flush_some().unwrap();
             h.endpoint.pump(Seconds(t)).unwrap();
             t += 2.5; // beyond the control interval so the dither flips
             if let Some((p, seq)) = h.agent.read_policy() {
@@ -722,7 +715,6 @@ mod tests {
             if caps.len() >= 4 {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(caps.len() >= 4, "policies: {caps:?}");
         let values: Vec<f64> = caps.iter().map(|(c, _)| c.value()).collect();
@@ -807,42 +799,26 @@ mod tests {
     fn shutdown_request_latches() {
         let mut h = harness(false);
         h.server.send(ClusterToJob::Shutdown.encode()).unwrap();
-        for i in 0..100 {
-            h.server.flush_some().unwrap();
-            h.endpoint.pump(Seconds(i as f64)).unwrap();
-            if h.endpoint.shutdown_requested() {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        panic!("shutdown never observed");
+        h.endpoint.pump(Seconds(0.0)).unwrap();
+        assert!(h.endpoint.shutdown_requested(), "shutdown never observed");
     }
 
     #[test]
     fn telemetry_counts_policies_samples_and_transport() {
         let telemetry = Telemetry::new();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let listener = Listener::in_process();
         let (modeler_side, agent) = endpoint_pair();
         let mut cfg = ModelerConfig::paper();
         cfg.dither_fraction = 0.0;
         let default = PowerCurve::from_anchor(Seconds(0.5), 0.1, CapRange::paper_node());
         let pm = PowerModeler::with_default(cfg, default);
+        let addr = listener.addr().unwrap();
         let mut je = JobEndpoint::builder(addr, JobId(4), "bt.D.81", 2, modeler_side, pm)
             .telemetry(telemetry.clone())
             .connect()
             .unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        let mut server = FramedStream::new(stream, StreamOptions::default()).unwrap();
-        server
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(190.0),
-                    cause: 0,
-                }
-                .encode(),
-            )
-            .unwrap();
+        let mut server = accept(&listener);
+        server.send(cap(190.0, 0)).unwrap();
         agent.write_sample(AgentSample {
             epoch_count: 1,
             energy: Joules(100.0),
@@ -851,14 +827,8 @@ mod tests {
             timestamp: Seconds(1.0),
             cause: 0,
         });
-        for i in 0..100 {
-            server.flush_some().unwrap();
-            je.pump(Seconds(i as f64 * 0.1)).unwrap();
-            if je.budget_cap().is_some() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        je.pump(Seconds(0.0)).unwrap();
+        assert!(je.budget_cap().is_some());
         assert!(
             telemetry
                 .counter("endpoint_policies_applied_total", &[])
@@ -902,145 +872,120 @@ mod tests {
     #[test]
     fn reconnects_and_resumes_with_identical_cap() {
         use crate::session::{RetryPolicy, SessionState};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (modeler_side, _agent) = endpoint_pair();
-        let retry = RetryPolicy {
-            base_delay: Seconds(0.5),
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let mut je = JobEndpoint::builder(addr, JobId(9), "bt.D.81", 2, modeler_side, modeler())
-            .retry(retry)
-            .connect()
-            .unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        let mut server = FramedStream::new(stream, StreamOptions::default()).unwrap();
-        server
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(205.0),
-                    cause: 11,
+        let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+        for (listener, polled) in [(Listener::in_process(), false), (tcp.into(), true)] {
+            // Loopback TCP may need the kernel a moment between a write
+            // and the peer's read; the in-process link never does.
+            let settle = || {
+                if polled {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
-                .encode(),
-            )
-            .unwrap();
-        for i in 0..100 {
-            server.flush_some().unwrap();
-            je.pump(Seconds(i as f64 * 0.01)).unwrap();
-            if je.budget_cap() == Some(Watts(205.0)) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(je.budget_cap(), Some(Watts(205.0)));
-        // Kill the budgeter side of the link.
-        drop(server);
-        let mut t = 1.0;
-        for _ in 0..100 {
-            je.pump(Seconds(t)).unwrap();
-            if !je.session_state().is_connected() {
-                break;
-            }
-            t += 0.1;
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(
-            matches!(je.session_state(), SessionState::Reconnecting { .. }),
-            "{:?}",
-            je.session_state()
-        );
-        // The believed cap stays in force while reconnecting.
-        assert_eq!(je.budget_cap(), Some(Watts(205.0)));
-        // Advance virtual time past the backoff; the endpoint redials.
-        t += 1.0;
-        je.pump(Seconds(t)).unwrap();
-        assert!(je.session_state().is_connected(), "redial should succeed");
-        let (stream, _) = listener.accept().unwrap();
-        let mut server = FramedStream::new(stream, StreamOptions::default()).unwrap();
-        // The first frame on the new connection is the Resume, carrying
-        // the cap the endpoint still believes.
-        let mut msgs = Vec::new();
-        for _ in 0..200 {
-            for body in server.recv_frames().unwrap() {
-                msgs.push(JobToCluster::decode(body).unwrap());
-            }
-            if !msgs.is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let JobToCluster::Resume {
-            job,
-            believed_cap,
-            cause,
-            ..
-        } = &msgs[0]
-        else {
-            panic!("expected Resume first, got {msgs:?}");
-        };
-        assert_eq!(*job, JobId(9));
-        assert_eq!(*believed_cap, Watts(205.0));
-        assert_eq!(*cause, 11);
-        // Ack with the cap on record; the endpoint keeps an identical cap.
-        server
-            .send(
-                ClusterToJob::ResumeAck {
-                    cap: Watts(205.0),
-                    cause: 11,
+            };
+            let (modeler_side, _agent) = endpoint_pair();
+            let retry = RetryPolicy {
+                base_delay: Seconds(0.5),
+                jitter: 0.0,
+                ..RetryPolicy::default()
+            };
+            let addr = listener.addr().unwrap();
+            let mut je =
+                JobEndpoint::builder(addr, JobId(9), "bt.D.81", 2, modeler_side, modeler())
+                    .retry(retry)
+                    .connect()
+                    .unwrap();
+            let mut server = accept(&listener);
+            server.send(cap(205.0, 11)).unwrap();
+            for i in 0..100 {
+                je.pump(Seconds(i as f64 * 0.01)).unwrap();
+                if je.budget_cap() == Some(Watts(205.0)) {
+                    break;
                 }
-                .encode(),
-            )
-            .unwrap();
-        for _ in 0..100 {
-            server.flush_some().unwrap();
-            t += 0.1;
+                settle();
+            }
+            assert_eq!(je.budget_cap(), Some(Watts(205.0)));
+            // Kill the budgeter side of the link.
+            drop(server);
+            let mut t = 1.0;
+            for _ in 0..100 {
+                je.pump(Seconds(t)).unwrap();
+                if !je.session_state().is_connected() {
+                    break;
+                }
+                t += 0.1;
+                settle();
+            }
+            assert!(
+                matches!(je.session_state(), SessionState::Reconnecting { .. }),
+                "{:?}",
+                je.session_state()
+            );
+            // The believed cap stays in force while reconnecting.
+            assert_eq!(je.budget_cap(), Some(Watts(205.0)));
+            // Advance virtual time past the backoff; the endpoint redials.
+            t += 1.0;
             je.pump(Seconds(t)).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            assert!(je.session_state().is_connected(), "redial should succeed");
+            let mut server = accept(&listener);
+            // The first frame on the new connection is the Resume,
+            // carrying the cap the endpoint still believes.
+            let mut msgs = Vec::new();
+            for _ in 0..200 {
+                msgs.extend(drain(&mut server));
+                if !msgs.is_empty() {
+                    break;
+                }
+                settle();
+            }
+            let JobToCluster::Resume {
+                job,
+                believed_cap,
+                cause,
+                ..
+            } = &msgs[0]
+            else {
+                panic!("expected Resume first, got {msgs:?}");
+            };
+            assert_eq!(*job, JobId(9));
+            assert_eq!(*believed_cap, Watts(205.0));
+            assert_eq!(*cause, 11);
+            // Ack with the cap on record; the endpoint keeps an identical
+            // cap.
+            server
+                .send(
+                    ClusterToJob::ResumeAck {
+                        cap: Watts(205.0),
+                        cause: 11,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            for _ in 0..100 {
+                t += 0.1;
+                je.pump(Seconds(t)).unwrap();
+                settle();
+            }
+            assert_eq!(je.budget_cap(), Some(Watts(205.0)));
+            assert!(je.session_state().is_connected());
         }
-        assert_eq!(je.budget_cap(), Some(Watts(205.0)));
-        assert!(je.session_state().is_connected());
     }
 
     #[test]
     fn retry_disabled_goes_gone_and_stops_reporting_a_live_cap() {
         use crate::session::RetryPolicy;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let listener = Listener::in_process();
         let (modeler_side, _agent) = endpoint_pair();
+        let addr = listener.addr().unwrap();
         let mut je = JobEndpoint::builder(addr, JobId(2), "sp.D.64", 1, modeler_side, modeler())
             .retry(RetryPolicy::disabled())
             .connect()
             .unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        let mut server = FramedStream::new(stream, StreamOptions::default()).unwrap();
-        server
-            .send(
-                ClusterToJob::SetPowerCap {
-                    cap: Watts(190.0),
-                    cause: 0,
-                }
-                .encode(),
-            )
-            .unwrap();
-        for i in 0..100 {
-            server.flush_some().unwrap();
-            je.pump(Seconds(i as f64 * 0.01)).unwrap();
-            if je.budget_cap().is_some() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        let mut server = accept(&listener);
+        server.send(cap(190.0, 0)).unwrap();
+        je.pump(Seconds(0.0)).unwrap();
         assert_eq!(je.budget_cap(), Some(Watts(190.0)));
         drop(server);
         drop(listener);
-        for i in 0..100 {
-            je.pump(Seconds(1.0 + i as f64 * 0.1)).unwrap();
-            if je.session_state().is_gone() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        je.pump(Seconds(1.0)).unwrap();
         assert!(je.session_state().is_gone());
         assert_eq!(
             je.budget_cap(),

@@ -11,14 +11,15 @@
 //! sends power budgets to one GEOPM agent instance per job, over shared
 //! memory, and receives performance metrics back from the agent."
 //!
-//! * [`codec`] — non-blocking framed TCP streams over the
-//!   `anor-types::msg` wire protocol;
+//! * [`codec`] — non-blocking framed streams over the
+//!   `anor-types::msg` wire protocol, on a TCP or an in-process link;
 //! * [`budgeter`] — the head-node cluster power budgeter daemon: accepts
 //!   job connections, tracks believed job views, redistributes the busy
 //!   power budget on every control pass, and (when feedback is enabled)
 //!   folds received `Model` messages back into its views;
 //! * [`endpoint`] — the per-job job-tier process bridging the GEOPM
-//!   endpoint to the budgeter over TCP, running the power modeler;
+//!   endpoint to the budgeter over TCP (in-process inside the emulator),
+//!   running the power modeler;
 //! * [`session`] — the fault-tolerance layer: deterministic reconnect
 //!   backoff ([`RetryPolicy`]), session state ([`SessionState`]), and
 //!   the seeded chaos-injection schedule ([`FaultPlan`]);
@@ -30,13 +31,14 @@
 //!   (`anor-replay --verify`) and first-divergence diffing;
 //! * [`emulator`] — a 16-node emulated cluster harness that wires
 //!   simulated nodes, GEOPM runtimes, endpoint processes and the budgeter
-//!   daemon together under a virtual clock (the real-hardware
-//!   substitution documented in DESIGN.md);
+//!   daemon together over in-process links under a virtual clock (the
+//!   real-hardware substitution documented in DESIGN.md);
 //! * [`transport`] — the connection plane behind the budgeter: a
 //!   [`Transport`] seam with the original blocking sweep
 //!   ([`BlockingTransport`]) and a sharded non-blocking reactor
 //!   ([`ReactorTransport`]) whose recorded decision streams are
-//!   byte-identical at any shard count;
+//!   byte-identical at any shard count, accepting from a TCP or an
+//!   in-process [`Listener`] that endpoints reach through an [`Addr`];
 //! * [`load`] — the `anor-load` synthetic-endpoint harness: N endpoints
 //!   × reconnect storms × fault specs against a live budgeter.
 
@@ -64,6 +66,6 @@ pub use replay::{
 pub use session::{FaultKind, FaultPlan, FaultSpec, RetryPolicy, SessionState};
 pub use status::{parse_json, JobStatus, Json, PhaseStat, StatusBoard, StatusSnapshot};
 pub use transport::{
-    BlockingTransport, ConnId, ConnSlab, ReactorTransport, Transport, TransportKind,
-    TransportOptions,
+    Addr, BlockingTransport, ConnId, ConnSlab, Listener, ReactorTransport, Transport,
+    TransportKind, TransportOptions,
 };

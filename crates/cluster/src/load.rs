@@ -18,11 +18,10 @@
 use crate::budgeter::{BudgetPolicy, BudgeterConfig, ClusterBudgeter, LeaseConfig};
 use crate::codec::{FramedStream, StreamOptions, TransportMetrics};
 use crate::session::{FaultPlan, SessionState};
-use crate::transport::{TransportKind, TransportOptions};
+use crate::transport::{Addr, TransportKind, TransportOptions};
 use anor_telemetry::Telemetry;
 use anor_types::msg::{ClusterToJob, EpochSample, JobToCluster};
 use anor_types::{AnorError, JobId, Joules, Result, Seconds, Watts};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -190,7 +189,7 @@ impl Endpoint {
     /// a moment to drain.
     fn ensure_connected(
         &mut self,
-        addr: SocketAddr,
+        addr: &Addr,
         metrics: &TransportMetrics,
         reconnects: &AtomicU64,
     ) {
@@ -198,11 +197,8 @@ impl Endpoint {
             return;
         }
         self.stream = None;
-        let Ok(tcp) = TcpStream::connect(addr) else {
-            return;
-        };
         let opts = StreamOptions::default().metrics(metrics.clone());
-        let Ok(mut stream) = FramedStream::new(tcp, opts) else {
+        let Ok(mut stream) = addr.dial(opts) else {
             return;
         };
         let intro = if self.registered {
@@ -289,7 +285,7 @@ struct DriverCtl {
 
 fn run_driver(
     ctl: &DriverCtl,
-    addr: SocketAddr,
+    addr: &Addr,
     metrics: &TransportMetrics,
     mut endpoints: Vec<Endpoint>,
 ) {
@@ -389,10 +385,11 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
             .collect();
         let ctl = Arc::clone(&ctl);
         let metrics = client_metrics.clone();
+        let addr = addr.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("anor-load-driver{d}"))
-                .spawn(move || run_driver(&ctl, addr, &metrics, endpoints))?,
+                .spawn(move || run_driver(&ctl, &addr, &metrics, endpoints))?,
         );
     }
     let started = Instant::now();

@@ -6,8 +6,10 @@
 //! [`replay`] reconstructs a [`ClusterBudgeter`] from the recorded
 //! header's config string and drives it through the *real* decode,
 //! session and budget code paths, with recorded events standing in for
-//! sockets and the recorded timestamps standing in for the wall clock
-//! (no sleeps: virtual time only orders events, it never waits).
+//! the links and the recorded timestamps standing in for the wall clock
+//! (no sleeps: virtual time only orders events, it never waits). The
+//! replayed budgeter sits on an in-process listener, so a replay binds
+//! no port.
 //!
 //! In `--verify` mode every re-emitted decision frame is compared
 //! byte-for-byte against the recorded one — the same guarantee as the
@@ -18,6 +20,7 @@
 
 use crate::budgeter::{BudgetPolicy, BudgeterConfig, ClusterBudgeter, LeaseConfig, UnknownDefault};
 use crate::status::StatusSnapshot;
+use crate::transport::Listener;
 use anor_telemetry::{RecEvent, Recording, RecordingMeta};
 use anor_types::msg::ClusterToJob;
 use anor_types::{AnorError, Result, Watts};
@@ -169,7 +172,10 @@ pub fn replay(rec: &Recording, opts: &ReplayOptions) -> Result<ReplayOutcome> {
             rec.header.config, rec.header.build_version, rec.header.git_hash
         )));
     };
-    let (mut budgeter, _addr) = ClusterBudgeter::builder(cfg).lease(lease).bind()?;
+    let (mut budgeter, _addr) = ClusterBudgeter::builder(cfg)
+        .lease(lease)
+        .listener(Listener::in_process())
+        .bind()?;
     budgeter.replay_begin();
 
     let mut outcome = ReplayOutcome {
@@ -420,11 +426,10 @@ fn hex_prefix(body: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{FramedStream, StreamOptions};
+    use crate::codec::StreamOptions;
     use anor_telemetry::{read_recording, FlightRecorder, RecordedEvent, RecordingHeader};
     use anor_types::msg::JobToCluster;
     use anor_types::JobId;
-    use std::net::TcpStream;
 
     #[test]
     fn config_string_round_trips() {
@@ -485,11 +490,11 @@ mod tests {
         let recorder = FlightRecorder::create(&path, recorder_meta(&cfg, &lease, 42)).unwrap();
         let (mut b, addr) = ClusterBudgeter::builder(cfg)
             .lease(lease)
+            .listener(Listener::in_process())
             .recorder(recorder.clone())
             .bind()
             .unwrap();
-        let mut client =
-            FramedStream::new(TcpStream::connect(addr).unwrap(), StreamOptions::default()).unwrap();
+        let mut client = addr.dial(StreamOptions::default()).unwrap();
         client
             .send(
                 JobToCluster::Hello {
@@ -500,13 +505,8 @@ mod tests {
                 .encode(),
             )
             .unwrap();
-        for _ in 0..200 {
-            b.pump(Watts(400.0)).unwrap();
-            if b.job_caps().iter().any(|(_, c)| c.is_some()) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        // The in-process link delivers the Hello to the very next pump.
+        b.pump(Watts(400.0)).unwrap();
         assert!(b.job_caps().iter().any(|(_, c)| c.is_some()));
         // Drop the client mid-run so the recording carries a disconnect
         // and a full lease expiry as well.

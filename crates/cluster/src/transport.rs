@@ -1,5 +1,5 @@
 //! The connection plane: a [`Transport`] seam between the budgeter's
-//! session logic and its sockets.
+//! session logic and its links.
 //!
 //! Everything above this seam — [`crate::session::SessionState`],
 //! [`crate::session::RetryPolicy`], [`crate::session::FaultPlan`], the
@@ -17,6 +17,14 @@
 //!   in ascending [`ConnId`] order — the same order the blocking plane
 //!   sweeps its slots — so the recorded decision stream is byte-identical
 //!   at any shard count.
+//!
+//! Either plane accepts from a [`Listener`]: a bound TCP socket (the
+//! daemons, the load harness) or an in-process accept queue (the
+//! emulated cluster and replay). Endpoints reach it through the [`Addr`]
+//! that [`crate::budgeter::BudgeterBuilder::bind`] returns. Connection
+//! ids are allocated in accept order on either, and everything above the
+//! byte link (framing, fault injection, transport counters, the flight
+//! recorder) is the same.
 //!
 //! The workspace denies `unsafe_code`, so the reactor is a *poll loop*,
 //! not epoll: each shard thread sweeps its nonblocking sockets and parks
@@ -41,14 +49,15 @@
 //! and the decision that produced the frame is still recorded, because
 //! delivery is the transport's problem, not the policy's.
 
-use crate::codec::{FramedStream, StreamOptions, TransportMetrics};
+use crate::codec::{FramedStream, Link, MemLink, StreamOptions, TransportMetrics};
 use crate::session::FaultPlan;
 use crate::status::PhaseStat;
 use anor_telemetry::{Counter, Histogram, Telemetry};
 use anor_types::{AnorError, Result};
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{SocketAddr, TcpListener};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -213,6 +222,178 @@ impl<T> ConnSlab<T> {
     }
 }
 
+/// In-process connections dialled but not yet accepted.
+#[derive(Debug)]
+struct MemQueue {
+    /// The accept side of each dialled pipe pair, in dial order.
+    pending: VecDeque<MemLink>,
+    /// False once the listener is gone: later dials are refused.
+    open: bool,
+}
+
+type SharedQueue = Arc<Mutex<MemQueue>>;
+
+/// The budgeter's accept side: a bound TCP listener, or an in-process
+/// accept queue that [`Addr::dial`] feeds. A TCP listener converts into
+/// one, so a restarted daemon can adopt its predecessor's socket.
+#[derive(Debug)]
+pub struct Listener(ListenerKind);
+
+#[derive(Debug)]
+enum ListenerKind {
+    Tcp(TcpListener),
+    Mem(SharedQueue),
+}
+
+impl Listener {
+    /// A new in-process accept queue. It binds no port: endpoints reach
+    /// it only through the [`Addr`] its budgeter's bind returns.
+    pub fn in_process() -> Self {
+        Listener(ListenerKind::Mem(Arc::new(Mutex::new(MemQueue {
+            pending: VecDeque::new(),
+            open: true,
+        }))))
+    }
+
+    /// The address endpoints dial to reach this listener.
+    pub(crate) fn addr(&self) -> Result<Addr> {
+        Ok(Addr(match &self.0 {
+            ListenerKind::Tcp(listener) => AddrKind::Tcp(listener.local_addr()?),
+            ListenerKind::Mem(queue) => AddrKind::Mem(Arc::clone(queue)),
+        }))
+    }
+
+    /// The next dialled connection, if one is waiting. A TCP listener in
+    /// blocking mode waits for one.
+    pub(crate) fn accept(&self) -> Result<Option<Link>> {
+        match &self.0 {
+            ListenerKind::Tcp(listener) => match listener.accept() {
+                Ok((stream, _)) => Ok(Some(Link::Tcp(stream))),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+                Err(e) => Err(e.into()),
+            },
+            ListenerKind::Mem(queue) => {
+                let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                Ok(q.pending.pop_front().map(Link::Mem))
+            }
+        }
+    }
+}
+
+impl From<TcpListener> for Listener {
+    fn from(listener: TcpListener) -> Self {
+        Listener(ListenerKind::Tcp(listener))
+    }
+}
+
+impl Drop for Listener {
+    /// An in-process listener refuses later dials and hangs up on the
+    /// connections still queued, as a closed TCP port would.
+    fn drop(&mut self) {
+        if let ListenerKind::Mem(queue) = &self.0 {
+            let orphans = {
+                let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                q.open = false;
+                std::mem::take(&mut q.pending)
+            };
+            drop(orphans);
+        }
+    }
+}
+
+/// Where endpoints reach a budgeter: a TCP socket address, or the accept
+/// queue of an in-process [`Listener`]. Displays as the socket address,
+/// or `in-process`.
+#[derive(Debug, Clone)]
+pub struct Addr(AddrKind);
+
+#[derive(Debug, Clone)]
+enum AddrKind {
+    Tcp(SocketAddr),
+    Mem(SharedQueue),
+}
+
+impl Addr {
+    /// Open a framed connection to the budgeter. A TCP address connects
+    /// a socket; an in-process one queues the far end of a new pipe pair
+    /// for the listener's next accept, and is refused once that listener
+    /// is gone.
+    pub fn dial(&self, opts: StreamOptions) -> Result<FramedStream> {
+        let link = match &self.0 {
+            AddrKind::Tcp(addr) => Link::Tcp(TcpStream::connect(addr)?),
+            AddrKind::Mem(queue) => {
+                let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                if !q.open {
+                    return Err(std::io::Error::from(ErrorKind::ConnectionRefused).into());
+                }
+                let (near, far) = MemLink::pair();
+                q.pending.push_back(far);
+                Link::Mem(near)
+            }
+        };
+        FramedStream::from_link(link, opts)
+    }
+}
+
+impl From<SocketAddr> for Addr {
+    fn from(addr: SocketAddr) -> Self {
+        Addr(AddrKind::Tcp(addr))
+    }
+}
+
+impl std::fmt::Display for Addr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            AddrKind::Tcp(addr) => write!(f, "{addr}"),
+            AddrKind::Mem(_) => f.write_str("in-process"),
+        }
+    }
+}
+
+/// The accept loop both planes share: frames each new connection with
+/// the plane's transport metrics and its own [`FaultPlan::fork`], salted
+/// by accept order.
+#[derive(Debug)]
+struct Acceptor {
+    listener: Listener,
+    metrics: TransportMetrics,
+    faults: Option<FaultPlan>,
+    accepted: u64,
+}
+
+impl Acceptor {
+    /// Take over `listener`, switching a TCP one to non-blocking accepts.
+    fn new(
+        listener: Listener,
+        metrics: TransportMetrics,
+        faults: Option<FaultPlan>,
+    ) -> Result<Self> {
+        if let ListenerKind::Tcp(l) = &listener.0 {
+            l.set_nonblocking(true)?;
+        }
+        Ok(Acceptor {
+            listener,
+            metrics,
+            faults,
+            accepted: 0,
+        })
+    }
+
+    /// Every connection dialled since the last call, in accept order.
+    fn accept(&mut self) -> Result<Vec<FramedStream>> {
+        let mut out = Vec::new();
+        while let Some(link) = self.listener.accept()? {
+            self.accepted += 1;
+            let mut opts = StreamOptions::default().metrics(self.metrics.clone());
+            if let Some(plan) = &self.faults {
+                opts = opts.faults(plan.fork(self.accepted));
+            }
+            out.push(FramedStream::from_link(link, opts)?);
+        }
+        Ok(out)
+    }
+}
+
 /// The connection plane the budgeter drives. One sweep of the pump is:
 /// [`Transport::accept`] for new ids, [`Transport::poll_readable`] for
 /// ids with pending input (ascending — the deterministic drain order),
@@ -254,9 +435,6 @@ pub trait Transport: std::fmt::Debug + Send {
     /// Currently open connections.
     fn open_conns(&self) -> usize;
 
-    /// Local listener address.
-    fn local_addr(&self) -> Result<SocketAddr>;
-
     /// Park until input is plausibly available or `timeout` elapses;
     /// `true` means "something arrived". The reactor parks on a condvar
     /// its shards signal; the blocking plane can only sleep (bounded at
@@ -273,15 +451,15 @@ pub trait Transport: std::fmt::Debug + Send {
     /// Which plane this is.
     fn kind(&self) -> TransportKind;
 
-    /// Tear the plane down but keep the bound socket (daemon restarts
-    /// keep their port). Reactor shard threads are stopped and joined.
-    fn into_listener(self: Box<Self>) -> TcpListener;
+    /// Tear the plane down but keep the listener (daemon restarts keep
+    /// their port). Reactor shard threads are stopped and joined.
+    fn into_listener(self: Box<Self>) -> Listener;
 }
 
 /// Build the configured connection plane over `listener`.
 pub fn build_transport(
     opts: &TransportOptions,
-    listener: TcpListener,
+    listener: Listener,
     telemetry: &Telemetry,
     metrics: TransportMetrics,
     faults: Option<FaultPlan>,
@@ -303,52 +481,32 @@ pub fn build_transport(
 // Blocking plane
 // ---------------------------------------------------------------------
 
-/// The original connection plane: every socket polled inline on the
+/// The original connection plane: every link polled inline on the
 /// pump thread, one sweep per control pass.
 #[derive(Debug)]
 pub struct BlockingTransport {
-    listener: TcpListener,
+    acceptor: Acceptor,
     conns: ConnSlab<FramedStream>,
-    metrics: TransportMetrics,
-    faults: Option<FaultPlan>,
-    accepted: u64,
 }
 
 impl BlockingTransport {
-    /// Wrap a bound listener (switched to non-blocking mode).
+    /// Take over a listener (a TCP one is switched to non-blocking mode).
     pub fn new(
-        listener: TcpListener,
+        listener: impl Into<Listener>,
         metrics: TransportMetrics,
         faults: Option<FaultPlan>,
     ) -> Result<Self> {
-        listener.set_nonblocking(true)?;
         Ok(BlockingTransport {
-            listener,
+            acceptor: Acceptor::new(listener.into(), metrics, faults)?,
             conns: ConnSlab::new(),
-            metrics,
-            faults,
-            accepted: 0,
         })
     }
 }
 
 impl Transport for BlockingTransport {
     fn accept(&mut self) -> Result<Vec<ConnId>> {
-        let mut out = Vec::new();
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.accepted += 1;
-                    let mut opts = StreamOptions::default().metrics(self.metrics.clone());
-                    if let Some(plan) = &self.faults {
-                        opts = opts.faults(plan.fork(self.accepted));
-                    }
-                    out.push(self.conns.insert(FramedStream::new(stream, opts)?));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(out),
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let streams = self.acceptor.accept()?;
+        Ok(streams.into_iter().map(|s| self.conns.insert(s)).collect())
     }
 
     fn poll_readable(&mut self) -> Vec<ConnId> {
@@ -393,10 +551,6 @@ impl Transport for BlockingTransport {
         self.conns.open()
     }
 
-    fn local_addr(&self) -> Result<SocketAddr> {
-        Ok(self.listener.local_addr()?)
-    }
-
     fn wait_readable(&self, timeout: Duration) -> bool {
         // Without an event source the best this plane can do is yield
         // the CPU briefly; the next sweep discovers whatever arrived.
@@ -416,8 +570,8 @@ impl Transport for BlockingTransport {
         TransportKind::Blocking
     }
 
-    fn into_listener(self: Box<Self>) -> TcpListener {
-        self.listener
+    fn into_listener(self: Box<Self>) -> Listener {
+        self.acceptor.listener
     }
 }
 
@@ -553,29 +707,26 @@ struct ShardConn {
 /// inboxes in ascending id order.
 #[derive(Debug)]
 pub struct ReactorTransport {
-    listener: TcpListener,
+    acceptor: Acceptor,
     slab: ConnSlab<Arc<ConnShared>>,
     pool: ShardPool,
     ready: Arc<ReadySignal>,
     depth: usize,
-    metrics: TransportMetrics,
-    faults: Option<FaultPlan>,
-    accepted: u64,
     drops: Counter,
 }
 
 impl ReactorTransport {
-    /// Wrap a bound listener with `shards` reactor shards and the given
+    /// Take over a listener with `shards` reactor shards and the given
     /// per-connection queue depth.
     pub fn new(
-        listener: TcpListener,
+        listener: impl Into<Listener>,
         telemetry: &Telemetry,
         metrics: TransportMetrics,
         faults: Option<FaultPlan>,
         shards: usize,
         conn_queue_depth: usize,
     ) -> Result<Self> {
-        listener.set_nonblocking(true)?;
+        let acceptor = Acceptor::new(listener.into(), metrics, faults)?;
         let depth = conn_queue_depth.max(1);
         let ready = Arc::new(ReadySignal::default());
         let mut pool = ShardPool {
@@ -603,14 +754,11 @@ impl ReactorTransport {
             pool.shards.push(shard);
         }
         Ok(ReactorTransport {
-            listener,
+            acceptor,
             slab: ConnSlab::new(),
             pool,
             ready,
             depth,
-            metrics,
-            faults,
-            accepted: 0,
             drops: telemetry.counter(
                 "transport_backpressure_drops_total",
                 &[("role", "budgeter")],
@@ -637,24 +785,13 @@ impl ReactorTransport {
 impl Transport for ReactorTransport {
     fn accept(&mut self) -> Result<Vec<ConnId>> {
         let mut out = Vec::new();
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.accepted += 1;
-                    let mut opts = StreamOptions::default().metrics(self.metrics.clone());
-                    if let Some(plan) = &self.faults {
-                        opts = opts.faults(plan.fork(self.accepted));
-                    }
-                    let framed = FramedStream::new(stream, opts)?;
-                    let shared = Arc::new(ConnShared::default());
-                    let id = self.slab.insert(Arc::clone(&shared));
-                    self.send_cmd(id, ShardCmd::Open(id.value(), Box::new(framed), shared));
-                    out.push(id);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(out),
-                Err(e) => return Err(e.into()),
-            }
+        for framed in self.acceptor.accept()? {
+            let shared = Arc::new(ConnShared::default());
+            let id = self.slab.insert(Arc::clone(&shared));
+            self.send_cmd(id, ShardCmd::Open(id.value(), Box::new(framed), shared));
+            out.push(id);
         }
+        Ok(out)
     }
 
     fn poll_readable(&mut self) -> Vec<ConnId> {
@@ -749,10 +886,6 @@ impl Transport for ReactorTransport {
         self.slab.open()
     }
 
-    fn local_addr(&self) -> Result<SocketAddr> {
-        Ok(self.listener.local_addr()?)
-    }
-
     fn wait_readable(&self, timeout: Duration) -> bool {
         let seen = self.ready.current();
         // Fast path: input already waiting from an earlier bump.
@@ -787,10 +920,10 @@ impl Transport for ReactorTransport {
         TransportKind::Reactor
     }
 
-    fn into_listener(self: Box<Self>) -> TcpListener {
-        let ReactorTransport { listener, pool, .. } = *self;
+    fn into_listener(self: Box<Self>) -> Listener {
+        let ReactorTransport { acceptor, pool, .. } = *self;
         drop(pool); // stops and joins the shard threads
-        listener
+        acceptor.listener
     }
 }
 

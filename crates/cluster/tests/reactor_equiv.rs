@@ -6,7 +6,7 @@
 
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter, LeaseConfig};
 use anor_cluster::{
-    recorder_meta, replay, run_load, BudgetPolicy, FaultPlan, FramedStream, LoadConfig,
+    recorder_meta, replay, run_load, Addr, BudgetPolicy, FaultPlan, FramedStream, LoadConfig,
     ReactorTransport, ReplayOptions, SessionState, StreamOptions, Transport, TransportKind,
     TransportMetrics, TransportOptions,
 };
@@ -30,8 +30,8 @@ struct Scenario {
     sessions: Vec<(JobId, SessionState)>,
 }
 
-fn connect(addr: std::net::SocketAddr) -> FramedStream {
-    FramedStream::new(TcpStream::connect(addr).unwrap(), StreamOptions::default()).unwrap()
+fn connect(addr: &Addr) -> FramedStream {
+    addr.dial(StreamOptions::default()).unwrap()
 }
 
 /// Wrap an opaque payload in the wire framing (`encode()` does this for
@@ -98,19 +98,19 @@ fn run_scenario(kind: TransportKind, shards: usize, dir: &Path) -> Scenario {
     // Stage 1-3: three endpoints register one at a time (fixed accept
     // order => fixed conn ids), each gated on its cap landing.
     let _c1 = {
-        let mut c = connect(addr);
+        let mut c = connect(&addr);
         send_all(&mut c, hello(1, "bt.D.81", 2));
         pump_until(&mut b, |b| cap_of(b, 1).is_some());
         c
     };
     let mut c2 = {
-        let mut c = connect(addr);
+        let mut c = connect(&addr);
         send_all(&mut c, hello(2, "sp.D.81", 2));
         pump_until(&mut b, |b| cap_of(b, 2).is_some());
         c
     };
     let _c3 = {
-        let mut c = connect(addr);
+        let mut c = connect(&addr);
         send_all(&mut c, hello(3, "cg.D.32", 1));
         pump_until(&mut b, |b| cap_of(b, 3).is_some());
         c
@@ -126,7 +126,7 @@ fn run_scenario(kind: TransportKind, shards: usize, dir: &Path) -> Scenario {
 
     // Stage 5: endpoint 2 resumes on a fresh connection with its
     // believed cap; the budgeter restores the lease and re-balances.
-    let mut c2b = connect(addr);
+    let mut c2b = connect(&addr);
     send_all(
         &mut c2b,
         JobToCluster::Resume {
@@ -249,10 +249,10 @@ fn chaos_storm_audits_clean_on_the_reactor() {
 fn backpressure_drops_are_counted_and_never_deadlock() {
     let telemetry = Telemetry::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
     let metrics = TransportMetrics::new(&telemetry, "budgeter");
     // depth 2 => egress bound of 2 * 256 bytes per connection.
     let mut t = ReactorTransport::new(listener, &telemetry, metrics, None, 1, 2).unwrap();
-    let addr = t.local_addr().unwrap();
     let _stuck = TcpStream::connect(addr).unwrap(); // never reads
 
     let id = loop {
@@ -295,11 +295,11 @@ fn backpressure_drops_are_counted_and_never_deadlock() {
 fn ingress_is_lossless_in_order_and_wakes_wait_readable() {
     let telemetry = Telemetry::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = Addr::from(listener.local_addr().unwrap());
     let metrics = TransportMetrics::new(&telemetry, "budgeter");
     // Tiny inbox bound so the lossless path actually engages.
     let mut t = ReactorTransport::new(listener, &telemetry, metrics, None, 2, 4).unwrap();
-    let addr = t.local_addr().unwrap();
-    let mut client = connect(addr);
+    let mut client = connect(&addr);
 
     let _id = loop {
         let ids = t.accept().unwrap();

@@ -211,16 +211,8 @@ fn reclaimed_watts_are_conserved_across_expiry_and_resume() {
         assert!((g - truth).abs() < 1e-9, "gauge {g} vs entries {truth}");
     };
 
-    let mut c1 = anor_cluster::FramedStream::new(
-        std::net::TcpStream::connect(addr).unwrap(),
-        anor_cluster::StreamOptions::default(),
-    )
-    .unwrap();
-    let mut c2 = anor_cluster::FramedStream::new(
-        std::net::TcpStream::connect(addr).unwrap(),
-        anor_cluster::StreamOptions::default(),
-    )
-    .unwrap();
+    let mut c1 = addr.dial(anor_cluster::StreamOptions::default()).unwrap();
+    let mut c2 = addr.dial(anor_cluster::StreamOptions::default()).unwrap();
     let hello = |job: u64, nodes: u32| {
         JobToCluster::Hello {
             job: JobId(job),
@@ -268,11 +260,7 @@ fn reclaimed_watts_are_conserved_across_expiry_and_resume() {
 
     // Job 1 resumes: reclaimed watts return to the pool and the gauge
     // drains back to zero.
-    let mut c1b = anor_cluster::FramedStream::new(
-        std::net::TcpStream::connect(addr).unwrap(),
-        anor_cluster::StreamOptions::default(),
-    )
-    .unwrap();
+    let mut c1b = addr.dial(anor_cluster::StreamOptions::default()).unwrap();
     c1b.send(
         JobToCluster::Resume {
             job: JobId(1),

@@ -7,8 +7,8 @@
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor_cluster::status::{parse_json, Json};
 use anor_cluster::{
-    BudgetPolicy, EmulatedCluster, EmulatorConfig, FaultPlan, FramedStream, JobSetup, LeaseConfig,
-    RetryPolicy, SessionState, StatusBoard, StreamOptions,
+    BudgetPolicy, EmulatedCluster, EmulatorConfig, FaultPlan, JobSetup, LeaseConfig, RetryPolicy,
+    SessionState, StatusBoard, StreamOptions,
 };
 use anor_telemetry::ops::{http_get, OpsServer, StatusProvider};
 use anor_telemetry::{Telemetry, Tracer};
@@ -100,13 +100,7 @@ fn lease_expiry_and_resume_stay_audit_clean() {
         }
         panic!("pump_until timed out");
     };
-    let connect = || {
-        FramedStream::new(
-            std::net::TcpStream::connect(addr).unwrap(),
-            StreamOptions::default(),
-        )
-        .unwrap()
-    };
+    let connect = || addr.dial(StreamOptions::default()).unwrap();
     let hello = |job: u64, nodes: u32| {
         JobToCluster::Hello {
             job: JobId(job),
@@ -209,11 +203,7 @@ fn injected_corruption_fires_the_auditor_and_dumps_postmortem() {
         .tracer(&tracer)
         .bind()
         .unwrap();
-    let mut client = FramedStream::new(
-        std::net::TcpStream::connect(addr).unwrap(),
-        StreamOptions::default(),
-    )
-    .unwrap();
+    let mut client = addr.dial(StreamOptions::default()).unwrap();
     client
         .send(
             JobToCluster::Hello {
@@ -321,11 +311,7 @@ fn ops_endpoint_serves_live_budgeter_state() {
         .status(board)
         .bind()
         .unwrap();
-    let mut client = FramedStream::new(
-        std::net::TcpStream::connect(addr).unwrap(),
-        StreamOptions::default(),
-    )
-    .unwrap();
+    let mut client = addr.dial(StreamOptions::default()).unwrap();
     client
         .send(
             JobToCluster::Hello {

@@ -23,10 +23,11 @@ fn endpoint_dumps_postmortem_on_budgeter_disconnect() {
     cfg.dither_fraction = 0.0;
     let default = PowerCurve::from_anchor(Seconds(0.5), 0.1, CapRange::paper_node());
     let modeler = PowerModeler::with_default(cfg, default);
-    let mut endpoint = JobEndpoint::builder(addr, JobId(1), "bt.D.81", 2, modeler_side, modeler)
-        .tracer(&tracer)
-        .connect()
-        .unwrap();
+    let mut endpoint =
+        JobEndpoint::builder(addr.into(), JobId(1), "bt.D.81", 2, modeler_side, modeler)
+            .tracer(&tracer)
+            .connect()
+            .unwrap();
 
     // Accept the connection, exchange one pump so the link is live,
     // then kill the budgeter side.

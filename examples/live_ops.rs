@@ -9,7 +9,7 @@
 //! ```
 
 use anor::cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
-use anor::cluster::{parse_json, BudgetPolicy, FramedStream, Json, StatusBoard, StreamOptions};
+use anor::cluster::{parse_json, BudgetPolicy, Json, StatusBoard, StreamOptions};
 use anor::telemetry::ops::{http_get, OpsServer, StatusProvider};
 use anor::telemetry::Telemetry;
 use anor::types::msg::JobToCluster;
@@ -36,11 +36,7 @@ fn main() {
     // 2. The job side: two sessions announce themselves over TCP.
     let mut sessions = Vec::new();
     for (job, type_name, nodes) in [(1u64, "bt.D.81", 2u32), (2, "sp.D.81", 2)] {
-        let mut s = FramedStream::new(
-            std::net::TcpStream::connect(addr).expect("connect"),
-            StreamOptions::default(),
-        )
-        .expect("framed stream");
+        let mut s = addr.dial(StreamOptions::default()).expect("dial budgeter");
         s.send(
             JobToCluster::Hello {
                 job: JobId(job),

@@ -37,7 +37,7 @@ fn main() {
     println!(
         "\nHow it works: the job-tier modeler watches epoch completion times\n\
          under (slightly dithered) caps, refits T = A*P^2 + B*P + C after 10\n\
-         new epochs, and pushes the model to the cluster budgeter over TCP,\n\
-         which re-balances the shared budget."
+         new epochs, and pushes the model up to the cluster budgeter, which\n\
+         re-balances the shared budget."
     );
 }

@@ -1,6 +1,6 @@
 //! End-to-end integration tests: the full ANOR stack — simulated nodes,
-//! GEOPM runtimes, job-tier endpoint processes, the TCP budgeter daemon —
-//! wired together through the emulated cluster.
+//! GEOPM runtimes, job-tier endpoints, the budgeter daemon — wired
+//! together through the emulated cluster's in-process links.
 
 use anor::aqa::{PowerTarget, RegulationSignal};
 use anor::cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};

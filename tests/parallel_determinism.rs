@@ -57,8 +57,9 @@ fn fig4_output_is_identical_across_worker_counts() {
 #[test]
 fn emulated_trial_grid_is_identical_across_worker_counts() {
     // One emulated-hardware runner trial grid (fig6's six configs), one
-    // trial each: full TCP cluster emulations running concurrently must
-    // still aggregate to byte-identical bars.
+    // trial each: full cluster emulations running concurrently, each on
+    // its own in-process listener, must still aggregate to byte-identical
+    // bars.
     let run = |jobs: usize| {
         let opts = HwRunOptions {
             jobs,
