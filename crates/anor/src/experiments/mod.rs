@@ -26,4 +26,3 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod hw;
-pub mod multihour;

@@ -132,11 +132,6 @@ impl PlatformIo {
         &self.node
     }
 
-    /// Mutably borrow the underlying node (e.g. to launch a job).
-    pub fn node_mut(&mut self) -> &mut Node {
-        &mut self.node
-    }
-
     /// Take the node back out of the abstraction.
     pub fn into_node(self) -> Node {
         self.node

@@ -295,12 +295,6 @@ impl PowerModeler {
         let sign = if self.dither_phase { 1.0 } else { -1.0 };
         self.cfg.cap_range.clamp(budget + amp * sign)
     }
-
-    /// Forget sample history (connection reset / migration) but keep the
-    /// current model.
-    pub fn reset_window(&mut self) {
-        self.window.reset();
-    }
 }
 
 #[cfg(test)]

@@ -299,11 +299,6 @@ impl Node {
     pub fn packages(&self) -> &[PackageDomain] {
         &self.packages
     }
-
-    /// Mutable package domains.
-    pub fn packages_mut(&mut self) -> &mut [PackageDomain] {
-        &mut self.packages
-    }
 }
 
 #[cfg(test)]

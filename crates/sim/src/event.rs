@@ -4,10 +4,14 @@
 //! work is driven by *events*: nothing in the cluster changes between
 //! events, so an event-free tick costs O(1). Four event kinds exist:
 //!
-//! - [`Event::JobCompletion`]: every node of a running job reaches 100%
-//!   progress. Scheduled from the closed-form progress law at job start
-//!   and at every re-cap, stamped with the job's generation so a later
-//!   rate change invalidates it (stale generations are discarded on pop).
+//! - [`Event::JobCompletion`]: a *check* whether every node of a running
+//!   job has reached 100% progress, scheduled from the closed-form
+//!   progress law so that it never lands after the true completion tick.
+//!   It is scheduled at the job's first cap, re-armed when a check finds
+//!   the job unfinished, and rescheduled when a re-cap lifts the job's
+//!   rate above the ceiling the check was scheduled against. Each is
+//!   stamped with the job's generation so a reschedule invalidates the
+//!   superseded check (stale generations are discarded on pop).
 //! - [`Event::JobArrival`]: the submission schedule's next entry comes
 //!   due. The schedule itself is a sorted queue, so only the *next*
 //!   arrival ever needs a heap entry; it is used by the fast-forward path
@@ -37,12 +41,12 @@ use std::collections::BinaryHeap;
 /// A typed simulator event (see the module docs for the taxonomy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// All nodes of `job` reach 100% progress (valid only while the
-    /// job's generation still equals `gen`).
+    /// Check whether all nodes of `job` have reached 100% progress
+    /// (valid only while the job's generation still equals `gen`).
     JobCompletion {
         /// The completing job.
         job: JobId,
-        /// Generation the completion tick was computed under.
+        /// Generation the check was scheduled under.
         gen: u32,
     },
     /// The next submission-schedule entry comes due.

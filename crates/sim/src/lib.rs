@@ -12,8 +12,9 @@
 //! It simulates a 1000-node cluster in demand-response scenarios with
 //! per-node performance variation (Section 6.4 / Fig. 11):
 //!
-//! * [`table`] — the node table (idle/job, power, cap, progress) and job
-//!   table (queue/start/end timestamps);
+//! * [`table`] — the node table (idle/job, progress, the cap a node
+//!   keeps while idle) and job table (queue/start/end timestamps, and a
+//!   running job's cap, draw and rate, which all its nodes share);
 //! * [`sim`] — the event-driven engine behind the per-second update
 //!   loop: node update → cluster view → schedule + cap → history append,
 //!   with each stage memoized between events;

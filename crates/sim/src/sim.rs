@@ -33,8 +33,7 @@
 use crate::event::{Event, EventQueue};
 use crate::history::HistoryRow;
 use crate::table::{
-    crossing_ticks, node_power, nominal_rate, progress_rate, state_hash, JobRow, JobTable, NodeRow,
-    NodeTable,
+    crossing_ticks, node_power, nominal_rate, state_hash, JobRow, JobTable, NodeRow, NodeTable,
 };
 use anor_aqa::{JobSubmission, PendingView, PowerTarget, QueueScheduler, TrackingRecorder};
 use anor_platform::PerformanceVariation;
@@ -66,25 +65,6 @@ pub struct SimConfig {
     /// Fraction of the QoS limit at which a job is considered at risk
     /// (for forced starts and the QoS-aware capping exemption).
     pub qos_risk_threshold: f64,
-}
-
-impl SimConfig {
-    /// The paper's 1000-node scenario: the 25×-scaled catalog, 6
-    /// long-running types, 1 s ticks, Q ≤ 5 at 90%.
-    pub fn paper_1000(policy: BudgetPolicy) -> Self {
-        let catalog = anor_types::standard_catalog().scale_nodes(25);
-        let types = catalog.long_running();
-        SimConfig {
-            total_nodes: 1000,
-            idle_power: Watts(90.0),
-            catalog,
-            types,
-            tick: Seconds(1.0),
-            policy,
-            qos: QosConstraint::default(),
-            qos_risk_threshold: 0.8,
-        }
-    }
 }
 
 /// The aggregate result of a simulation run.
@@ -227,7 +207,7 @@ impl TabularSim {
             .iter()
             .next()
             .map_or(Watts(140.0), |t| t.cap_range.min);
-        let nodes = NodeTable::build(cfg.total_nodes, tdp, cfg.idle_power, |i| variation.coeff(i));
+        let nodes = NodeTable::build(cfg.total_nodes, tdp, |i| variation.coeff(i));
         let scheduler = QueueScheduler::new(
             weights.unwrap_or_else(|| vec![1.0; cfg.catalog.len()]),
             cfg.total_nodes,
@@ -427,7 +407,13 @@ impl TabularSim {
     /// Node rows, materialized from the struct-of-arrays table with
     /// progress evaluated at the current tick.
     pub fn nodes(&self) -> Vec<NodeRow> {
-        self.nodes.rows(self.tick, self.cfg.tick.value())
+        self.nodes.rows(
+            &self.jobs,
+            &self.cfg.catalog,
+            self.cfg.idle_power,
+            self.tick,
+            self.cfg.tick.value(),
+        )
     }
 
     /// FNV-1a fingerprint of the current node and job tables (see
@@ -540,11 +526,10 @@ impl TabularSim {
                     self.type_usage[type_id.index()] =
                         self.type_usage[type_id.index()].saturating_sub(n_nodes);
                     self.idle_count += n_nodes;
+                    let (power, cap) = (self.jobs.power(job_id), self.jobs.cap(job_id));
                     for &n in self.jobs.nodes_of(job_id) {
-                        self.busy_power -= self.nodes.power(n);
-                    }
-                    for &n in self.jobs.nodes_of(job_id) {
-                        self.nodes.release(n, self.cfg.idle_power, self.tick);
+                        self.busy_power -= power;
+                        self.nodes.release(n, cap);
                     }
                     self.completed += 1;
                 } else {
@@ -638,30 +623,6 @@ impl TabularSim {
         }
     }
 
-    /// The wall-clock of the next thing the engine knows will happen (a
-    /// queued event, the next arrival, the signal's next boundary), no
-    /// earlier than one tick from now. Advisory — wake-up estimates are
-    /// deliberately conservative-early — and `None` on a fully quiescent
-    /// simulator. Pass it to [`run_to`](Self::run_to) for event-paced
-    /// stepping.
-    pub fn next_event_time(&self) -> Option<Seconds> {
-        let dtv = self.cfg.tick.value();
-        let floor = self.time.value() + dtv;
-        let mut next: Option<f64> = self
-            .events
-            .next_tick()
-            .map(|k| self.time.value() + dtv * k.saturating_sub(self.tick) as f64);
-        if let Some(s) = self.schedule.front() {
-            let t = s.time.value().max(floor);
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-        if let Some(b) = self.target.signal.next_change_after(self.time) {
-            let t = b.value().max(floor);
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-        next.map(Seconds)
-    }
-
     /// Advance to `horizon`, jumping over event-free tick stretches when
     /// nothing observes individual ticks (no tracking, history,
     /// telemetry or tracer, and a policy without per-tick inputs).
@@ -751,15 +712,17 @@ impl TabularSim {
     /// Are all of the job's nodes at full progress as of this tick?
     fn job_done_now(&self, job_id: JobId) -> bool {
         let dtv = self.cfg.tick.value();
+        let nominal = self.jobs.nominal(job_id);
+        let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
         self.jobs
             .nodes_of(job_id)
             .iter()
-            .all(|&n| self.nodes.progress_at_tick(n, self.tick, dtv) >= 1.0)
+            .all(|&n| self.nodes.progress(n, nominal, dtv, ticks) >= 1.0)
     }
 
     /// Headroom factor for completion-check scheduling: checks are
-    /// scheduled as if each node ran this much faster than it currently
-    /// does (clamped to the type's uncapped maximum). Larger values mean
+    /// scheduled as if the job ran this much faster than it currently
+    /// does (clamped to its type's uncapped maximum). Larger values mean
     /// earlier, more frequent checks but fewer re-cap reschedules;
     /// smaller values the reverse. 2× halves the remaining work between
     /// consecutive checks, so a job of any length costs O(log ticks)
@@ -768,30 +731,33 @@ impl TabularSim {
 
     /// Schedule the job's next completion *check*: the earliest tick at
     /// which every node could have crossed full progress running at a
-    /// conservative rate ceiling — `CHECK_RATE_HEADROOM ×` its current
-    /// rate, clamped to the uncapped maximum for its type and
-    /// performance coefficient. The ceiling is recorded per node; as
-    /// long as actual rates stay at or below it, the check can only land
-    /// early (never after the true completion tick), so re-caps leave
-    /// the queue untouched unless they push a node's rate above its
-    /// recorded ceiling — then `recap_job` reschedules and the
-    /// generation stamp invalidates the superseded event. An early check
-    /// simply finds the job unfinished and re-arms; the check sequence
-    /// is strictly increasing and lands exactly on the completion tick.
+    /// conservative rate ceiling. The ceiling is one nominal rate per
+    /// job, `m = min(CHECK_RATE_HEADROOM × nominal, nominal_max)`, and a
+    /// node of coefficient `c` is checked at `m / c`. Rounding is
+    /// monotone, so while the job's nominal rate stays at or below `m`,
+    /// every node's rate `nominal / c` stays at or below its ceiling: the
+    /// check can only land early (never after the true completion tick)
+    /// and re-caps leave the queue untouched. A re-cap that lifts the
+    /// nominal rate above `m` reschedules, and the generation stamp
+    /// invalidates the superseded event. An early check simply finds the
+    /// job unfinished and re-arms; the check sequence is strictly
+    /// increasing and lands exactly on the completion tick.
     fn schedule_completion(&mut self, job_id: JobId) {
         if self.tick_oracle {
             return;
         }
         let spec = &self.cfg.catalog[self.jobs.type_id(job_id)];
         let nominal_max = nominal_rate(spec, spec.cap_range.max);
+        let nominal = self.jobs.nominal(job_id);
+        let ceiling = (nominal * Self::CHECK_RATE_HEADROOM).min(nominal_max);
+        self.jobs.set_ceiling(job_id, ceiling);
         let dtv = self.cfg.tick.value();
+        let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
         let mut due = self.tick + 1;
         self.jobs.bump_gen(job_id);
         for &n in self.jobs.nodes_of(job_id) {
-            let rate_max = nominal_max / self.nodes.perf_coeff(n);
-            let rate_est = (self.nodes.rate(n) * Self::CHECK_RATE_HEADROOM).min(rate_max);
-            self.nodes.set_rate_est(n, rate_est);
-            let progress = self.nodes.progress_at_tick(n, self.tick, dtv);
+            let progress = self.nodes.progress(n, nominal, dtv, ticks);
+            let rate_est = ceiling / self.nodes.perf_coeff(n);
             let Some(k) = crossing_ticks(progress, rate_est, dtv) else {
                 return;
             };
@@ -867,27 +833,27 @@ impl TabularSim {
                 self.queue_admission_retry(job_id, type_id);
                 return;
             }
-            // Start the job on the first idle nodes. The node keeps its
-            // previous cap until this tick's capping stage reassigns it,
-            // so draw and progress rate are seeded from that cap.
+            // Start the job on the first idle nodes. Each node keeps its
+            // previous cap until this tick's capping stage gives the job
+            // its first cap, so its draw is seeded from that cap. No
+            // tick passes before that first cap, so the job's first
+            // completion check is scheduled there.
             let mut assigned = Vec::with_capacity(spec.nodes as usize);
             let found = self.nodes.collect_idle(spec.nodes as usize, &mut assigned);
             debug_assert_eq!(found, spec.nodes as usize);
             let mut started_power = Watts::ZERO;
             for &n in &assigned {
-                let power = node_power(spec, self.nodes.cap(n));
-                let rate = progress_rate(spec, self.nodes.cap(n), self.nodes.perf_coeff(n));
-                self.nodes.assign(n, job_id, power, rate, self.tick);
-                started_power += power;
+                started_power += node_power(spec, self.nodes.cap(n));
+                self.nodes.assign(n, job_id);
             }
             self.idle_count -= assigned.len() as u32;
             self.type_usage[type_id.index()] += assigned.len() as u32;
             self.busy_power += started_power;
-            self.jobs.set_started(job_id, self.time, &assigned);
+            self.jobs
+                .set_started(job_id, self.time, &assigned, self.tick);
             self.pending.remove(pick);
             self.pending_views.remove(pick);
             self.running.push(job_id);
-            self.schedule_completion(job_id);
             self.caps_dirty = true;
         }
     }
@@ -897,11 +863,15 @@ impl TabularSim {
     fn job_at_risk(&self, job_id: JobId) -> bool {
         let spec = &self.cfg.catalog[self.jobs.type_id(job_id)];
         let dtv = self.cfg.tick.value();
+        // A job started this tick is not yet capped: no tick has passed,
+        // so every node reads its anchor progress (0).
+        let nominal = self.jobs.nominal(job_id);
+        let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
         let min_progress = self
             .jobs
             .nodes_of(job_id)
             .iter()
-            .map(|&n| self.nodes.progress_at_tick(n, self.tick, dtv))
+            .map(|&n| self.nodes.progress(n, nominal, dtv, ticks))
             .fold(1.0f64, f64::min);
         let remaining = (1.0 - min_progress) * spec.time_uncapped.value();
         let projected_sojourn = (self.time - self.jobs.submit(job_id)).value() + remaining;
@@ -909,39 +879,55 @@ impl TabularSim {
         q >= self.cfg.qos_risk_threshold * self.cfg.qos.limit
     }
 
-    /// Re-cap one job to `cap` in a single pass over its nodes and report
-    /// whether its cap changed. Draw and nominal rate depend on the job
-    /// type and cap alone, so they are computed once; each node whose cap
-    /// differs (nodes of one job can carry different stale caps right
-    /// after a start) is re-anchored under its old rate, moves the power
-    /// aggregate by its draw delta and takes the new cap, draw and rate.
-    /// The job's outstanding completion check stays valid as long as
-    /// every node's rate stays at or below the ceiling the check was
-    /// scheduled against; a re-cap that crosses a ceiling reschedules
-    /// (the common case, rates wandering below their ceilings, is
-    /// heap-free).
+    /// Re-cap one job to `cap` and report whether any of its nodes
+    /// changed cap. Draw and nominal rate depend on the job type and cap
+    /// alone, so they are computed once and stored on the job row; a job
+    /// whose cap did not move costs O(1).
+    ///
+    /// - The first cap runs the same tick the job started, so every
+    ///   anchor is still (0, now) and only the draw moves: each node
+    ///   whose kept cap differs adds its own draw delta to `busy_power`,
+    ///   in node order. The job's first completion check is scheduled
+    ///   from the rates after this cap.
+    /// - A later re-cap is one fused pass over the job's nodes: each is
+    ///   re-anchored under the old rate, and the one draw delta is added
+    ///   to `busy_power` once per node, in node order. The outstanding
+    ///   completion check stays valid unless the new nominal rate exceeds
+    ///   the job's check ceiling; then it is rescheduled (the common
+    ///   case, rates wandering below the ceiling, is heap-free).
     fn recap_job(&mut self, job_id: JobId, cap: Watts) -> bool {
+        let old = self.jobs.cap(job_id);
+        if old == Some(cap) {
+            return false;
+        }
         let spec = &self.cfg.catalog[self.jobs.type_id(job_id)];
         let power = node_power(spec, cap);
         let nominal = nominal_rate(spec, cap);
-        let dtv = self.cfg.tick.value();
         let nodes = self.jobs.nodes_of(job_id);
-        let cap_changed = nodes.first().map(|&n| self.nodes.cap(n)) != Some(cap);
-        let mut ceiling_crossed = false;
-        for &n in nodes {
-            if self.nodes.cap(n) == cap {
-                continue;
+        let mut changed = old.is_some();
+        if old.is_none() {
+            debug_assert_eq!(self.jobs.ticks_since_anchor(job_id, self.tick), 0);
+            for &n in nodes {
+                let kept = self.nodes.cap(n);
+                if kept != cap {
+                    self.busy_power += power - node_power(spec, kept);
+                    changed = true;
+                }
             }
-            let anchor = self.nodes.progress_at_tick(n, self.tick, dtv);
-            self.busy_power += power - self.nodes.power(n);
-            let rate = nominal / self.nodes.perf_coeff(n);
-            ceiling_crossed |= rate > self.nodes.rate_est(n);
-            self.nodes.recap(n, cap, power, rate, anchor, self.tick);
+        } else {
+            let delta = power - self.jobs.power(job_id);
+            let old_nominal = self.jobs.nominal(job_id);
+            let dtv = self.cfg.tick.value();
+            let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
+            self.busy_power =
+                self.nodes
+                    .reanchor(nodes, old_nominal, dtv, ticks, self.busy_power, delta);
         }
-        if ceiling_crossed {
+        self.jobs.recap(job_id, cap, power, nominal, self.tick);
+        if old.is_none() || nominal > self.jobs.ceiling(job_id) {
             self.schedule_completion(job_id);
         }
-        cap_changed
+        changed
     }
 
     fn cap_power(&mut self, target_now: Watts) {
@@ -1538,6 +1524,69 @@ mod tests {
         assert_eq!(jumped.energy(), stepped.energy());
         assert_eq!(jumped.measured_power(), stepped.measured_power());
         assert_eq!(jumped.outcome().completed, stepped.outcome().completed);
+    }
+
+    /// Steps a traced cluster and checks, tick by tick, that every job
+    /// whose node rows changed cap has an `MsrWrite` under that tick's
+    /// `Decision` cause. Returns how many changed node rows were checked.
+    fn assert_every_recap_is_traced(policy: BudgetPolicy, seed: u64) -> usize {
+        let cfg = small_cfg(policy);
+        let sched = quick_schedule(&cfg, 0.9, 1200.0, seed);
+        let target = PowerTarget {
+            avg: Watts(3200.0),
+            reserve: Watts(800.0),
+            signal: RegulationSignal::random_walk(Seconds(4.0), 0.35, Seconds(2400.0), seed),
+        };
+        let variation = PerformanceVariation::with_sigma(16, 0.1, seed ^ 0x7);
+        let mut sim = TabularSim::new(cfg, target, &variation, sched, None);
+        let tracer = Tracer::with_capacity(32);
+        sim.attach_tracer(&tracer);
+        let mut checked = 0;
+        for tick in 1..=1200 {
+            let before = sim.nodes();
+            let seen = tracer.recorded();
+            sim.step();
+            let events: Vec<_> = tracer
+                .ring_snapshot()
+                .into_iter()
+                .filter(|e| e.span.0 >= seen)
+                .collect();
+            let decision = events
+                .iter()
+                .find(|e| e.stage == TraceStage::Decision)
+                .map(|e| e.cause);
+            let written: Vec<u64> = events
+                .iter()
+                .filter(|e| e.stage == TraceStage::MsrWrite && Some(e.cause) == decision)
+                .filter_map(|e| e.job)
+                .collect();
+            for (i, (old, new)) in before.iter().zip(sim.nodes()).enumerate() {
+                let Some(job) = new.job else { continue };
+                if new.cap != old.cap {
+                    assert!(
+                        written.contains(&job.0),
+                        "{policy:?} seed {seed} tick {tick}: node {i} of job {} \
+                         moved {} -> {} with no msr_write",
+                        job.0,
+                        old.cap.value(),
+                        new.cap.value()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn every_recapped_job_is_traced() {
+        let mut checked = 0;
+        for policy in BudgetPolicy::ALL {
+            for seed in 0..12 {
+                checked += assert_every_recap_is_traced(policy, seed);
+            }
+        }
+        assert!(checked > 0, "the fixture must re-cap some jobs");
     }
 
     #[test]

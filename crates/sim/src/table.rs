@@ -15,14 +15,23 @@
 //! instead of striding over wide row structs. [`NodeRow`] and [`JobRow`]
 //! remain the materialized row views every external consumer sees.
 //!
+//! The simulator caps jobs, not nodes: every node of a running job runs
+//! at the job's cap. So the job table holds a running job's cap, per-node
+//! draw, nominal progress rate, anchor tick and completion-check ceiling,
+//! and the node table holds only what differs per node: the job id, the
+//! performance coefficient, the anchored progress, the cap the node keeps
+//! while idle, and the idle bit. A node's rate is its job's nominal rate
+//! over its coefficient ([`progress_rate`]), recomputed when read, so a
+//! re-cap rewrites one job row and one progress column.
+//!
 //! Progress is *anchored*, not integrated: a node stores the progress it
-//! had at the last state transition (job start or re-cap) plus the tick
-//! that anchor was taken at, and [`progress_at`] evaluates the linear law
-//! analytically for any later tick. That closed form is what lets the
-//! engine schedule a completion *event* instead of walking every busy
-//! node every simulated second.
+//! had at its job's last state transition (job start or re-cap), the job
+//! stores the tick that anchor was taken at, and [`progress_at`]
+//! evaluates the linear law analytically for any later tick. That closed
+//! form is what lets the engine schedule a completion *event* instead of
+//! walking every busy node every simulated second.
 
-use anor_types::{JobId, JobTypeId, JobTypeSpec, NodeId, QosDegradation, Seconds, Watts};
+use anor_types::{Catalog, JobId, JobTypeId, JobTypeSpec, NodeId, QosDegradation, Seconds, Watts};
 
 /// One row of the node table.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,9 +46,9 @@ pub struct NodeRow {
     pub perf_coeff: f64,
     /// Local progress of the node's share of its job, in `[0, 1]`.
     pub progress: f64,
-    /// Cached progress per second under the current cap (0 when idle).
-    /// Only changes at state transitions (job start, re-cap), so the
-    /// per-tick integration is a single multiply-add.
+    /// Progress per second under the current cap (0 when idle): the
+    /// job's nominal rate over the node's coefficient. It only changes at
+    /// state transitions (job start, re-cap).
     pub rate: f64,
 }
 
@@ -190,29 +199,19 @@ const NO_JOB: u64 = u64::MAX;
 
 /// Struct-of-arrays node table: one dense column per attribute plus an
 /// idle-node bitset. All indexing is confined to this type; callers pass
-/// [`NodeId`]s minted by the table itself.
+/// [`NodeId`]s minted by the table itself. A busy node's cap, draw, rate
+/// and anchor tick are its job's, read from the [`JobTable`].
 #[derive(Debug, Clone)]
 pub struct NodeTable {
     /// Executing job per node (`NO_JOB` = idle).
     job: Vec<u64>,
-    /// Applied cap per node.
+    /// The cap the node keeps while idle: its last job's cap, or TDP
+    /// before its first job. A busy node runs at its job's cap instead.
     cap: Vec<Watts>,
-    /// Current draw per node (idle nodes hold the idle draw).
-    power: Vec<Watts>,
     /// Performance-variation coefficient per node.
     perf_coeff: Vec<f64>,
-    /// Progress at the node's last state transition.
+    /// Progress at the job's anchor tick (0 when idle).
     anchor_progress: Vec<f64>,
-    /// Tick the anchor was taken at.
-    anchor_tick: Vec<u64>,
-    /// Progress per second under the current cap (0 when idle).
-    rate: Vec<f64>,
-    /// Conservative rate ceiling the outstanding completion check was
-    /// scheduled against (0 when idle). The engine reschedules a job's
-    /// check only when a re-cap pushes a node's actual rate above this
-    /// estimate, so the column is a scheduling aid, not physics: it never
-    /// enters progress/power arithmetic or the state hash.
-    rate_est: Vec<f64>,
     /// Bitset of idle nodes (bit set = idle), scanned ascending so the
     /// "first idle nodes" assignment matches a linear row scan.
     idle_bits: Vec<u64>,
@@ -220,8 +219,8 @@ pub struct NodeTable {
 
 impl NodeTable {
     /// Build an all-idle table of `n` nodes with per-node coefficients
-    /// from `coeff`, every cap at `tdp` and every draw at `idle_power`.
-    pub fn build(n: u32, tdp: Watts, idle_power: Watts, coeff: impl Fn(NodeId) -> f64) -> Self {
+    /// from `coeff` and every cap at `tdp`.
+    pub fn build(n: u32, tdp: Watts, coeff: impl Fn(NodeId) -> f64) -> Self {
         let n = n as usize;
         let words = n.div_ceil(64);
         let mut idle_bits = vec![u64::MAX; words];
@@ -234,12 +233,8 @@ impl NodeTable {
         NodeTable {
             job: vec![NO_JOB; n],
             cap: vec![tdp; n],
-            power: vec![idle_power; n],
             perf_coeff: (0..n).map(|i| coeff(NodeId(i as u32))).collect(),
             anchor_progress: vec![0.0; n],
-            anchor_tick: vec![0; n],
-            rate: vec![0.0; n],
-            rate_est: vec![0.0; n],
             idle_bits,
         }
     }
@@ -259,14 +254,10 @@ impl NodeTable {
         self.job[n.index()] == NO_JOB
     }
 
-    /// The node's current cap.
+    /// The cap the node keeps while idle (see the field docs). A job that
+    /// starts on the node runs at this cap until the job is first capped.
     pub fn cap(&self, n: NodeId) -> Watts {
         self.cap[n.index()]
-    }
-
-    /// The node's current draw.
-    pub fn power(&self, n: NodeId) -> Watts {
-        self.power[n.index()]
     }
 
     /// The node's performance coefficient.
@@ -274,37 +265,43 @@ impl NodeTable {
         self.perf_coeff[n.index()]
     }
 
-    /// The conservative rate ceiling of the node's outstanding
-    /// completion check (see the field docs).
-    pub fn rate_est(&self, n: NodeId) -> f64 {
-        self.rate_est[n.index()]
-    }
-
-    /// Record the rate ceiling a completion check was scheduled against.
-    pub fn set_rate_est(&mut self, n: NodeId, v: f64) {
-        self.rate_est[n.index()] = v;
-    }
-
-    /// Progress per second under the node's current cap.
-    pub fn rate(&self, n: NodeId) -> f64 {
-        self.rate[n.index()]
-    }
-
-    /// The node's anchor (progress at the last transition, and the tick
-    /// it was taken at).
-    pub fn anchor(&self, n: NodeId) -> (f64, u64) {
-        (self.anchor_progress[n.index()], self.anchor_tick[n.index()])
-    }
-
-    /// The node's progress materialized at `tick` via [`progress_at`].
-    pub fn progress_at_tick(&self, n: NodeId, tick: u64, dt: f64) -> f64 {
+    /// The node's progress `ticks` after its anchor, running at its job's
+    /// `nominal` rate: [`progress_at`] at the node's [`progress_rate`].
+    #[inline]
+    pub fn progress(&self, n: NodeId, nominal: f64, dt: f64, ticks: u64) -> f64 {
         let i = n.index();
         progress_at(
             self.anchor_progress[i],
-            self.rate[i],
+            nominal / self.perf_coeff[i],
             dt,
-            tick.saturating_sub(self.anchor_tick[i]),
+            ticks,
         )
+    }
+
+    /// Re-cap pass over one job's `nodes`, before the job's rate
+    /// changes: move each node's anchor to its
+    /// [`progress`](Self::progress) `ticks` after the old anchor at the
+    /// job's old `nominal` rate. The same pass adds the job's per-node
+    /// draw change `delta` to `busy_power` once per node, in node order,
+    /// and returns the sum; fused, the running sum costs nothing beyond
+    /// the re-anchor.
+    pub fn reanchor(
+        &mut self,
+        nodes: &[NodeId],
+        nominal: f64,
+        dt: f64,
+        ticks: u64,
+        mut busy_power: Watts,
+        delta: Watts,
+    ) -> Watts {
+        let anchor = &mut self.anchor_progress[..];
+        let coeff = &self.perf_coeff[..];
+        for &n in nodes {
+            let i = n.index();
+            anchor[i] = progress_at(anchor[i], nominal / coeff[i], dt, ticks);
+            busy_power += delta;
+        }
+        busy_power
     }
 
     /// Collect the first `want` idle nodes in ascending id order into
@@ -328,69 +325,71 @@ impl NodeTable {
         out.len()
     }
 
-    /// Start `job` on node `n` at `tick`: the anchor resets to zero
-    /// progress and the node keeps its previous cap (the capping stage
-    /// reassigns it later the same tick), so draw and rate are seeded
-    /// from that stale cap by the caller.
-    pub fn assign(&mut self, n: NodeId, job: JobId, power: Watts, rate: f64, tick: u64) {
+    /// Start `job` on node `n` from zero progress. The node keeps its cap
+    /// until the job is first capped.
+    pub fn assign(&mut self, n: NodeId, job: JobId) {
         let i = n.index();
         self.job[i] = job.0;
-        self.power[i] = power;
-        self.rate[i] = rate;
-        self.rate_est[i] = rate;
         self.anchor_progress[i] = 0.0;
-        self.anchor_tick[i] = tick;
         self.idle_bits[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Re-cap node `n` at `tick`: the caller materializes the node's
-    /// progress under the old rate into `anchor_progress` first, then the
-    /// new cap/draw/rate take effect from the next tick — exactly the
-    /// legacy ordering, where caps written in the policy stage of tick
-    /// `t` first influence the node-update stage of tick `t+1`.
-    pub fn recap(
-        &mut self,
-        n: NodeId,
-        cap: Watts,
-        power: Watts,
-        rate: f64,
-        anchor_progress: f64,
-        tick: u64,
-    ) {
-        let i = n.index();
-        self.cap[i] = cap;
-        self.power[i] = power;
-        self.rate[i] = rate;
-        self.anchor_progress[i] = anchor_progress;
-        self.anchor_tick[i] = tick;
-    }
-
-    /// Release node `n` at completion: idle again at `idle_power`, zero
-    /// progress, zero rate. The cap is kept, as on real hardware.
-    pub fn release(&mut self, n: NodeId, idle_power: Watts, tick: u64) {
+    /// Release node `n` at completion: idle again with zero progress,
+    /// keeping its job's `cap` as on real hardware (`None`, a job never
+    /// capped, leaves the node's cap as it was).
+    pub fn release(&mut self, n: NodeId, cap: Option<Watts>) {
         let i = n.index();
         self.job[i] = NO_JOB;
-        self.power[i] = idle_power;
-        self.rate[i] = 0.0;
-        self.rate_est[i] = 0.0;
+        if let Some(cap) = cap {
+            self.cap[i] = cap;
+        }
         self.anchor_progress[i] = 0.0;
-        self.anchor_tick[i] = tick;
         self.idle_bits[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Materialize the full table as rows, with progress evaluated at
-    /// `tick`.
-    pub fn rows(&self, tick: u64, dt: f64) -> Vec<NodeRow> {
+    /// `tick`. Idle rows draw `idle_power`; busy rows take their cap and
+    /// draw from `jobs`, or, for a job not yet capped, from the cap
+    /// the node kept and the job's type in `catalog`.
+    pub fn rows(
+        &self,
+        jobs: &JobTable,
+        catalog: &Catalog,
+        idle_power: Watts,
+        tick: u64,
+        dt: f64,
+    ) -> Vec<NodeRow> {
         (0..self.len())
             .map(|i| {
-                let n = NodeId(i as u32);
+                let perf_coeff = self.perf_coeff[i];
+                if self.job[i] == NO_JOB {
+                    return NodeRow {
+                        job: None,
+                        cap: self.cap[i],
+                        power: idle_power,
+                        perf_coeff,
+                        progress: 0.0,
+                        rate: 0.0,
+                    };
+                }
+                let j = JobId(self.job[i]);
+                let (cap, power, nominal) = match jobs.cap(j) {
+                    Some(cap) => (cap, jobs.power(j), jobs.nominal(j)),
+                    None => {
+                        let spec = &catalog[jobs.type_id(j)];
+                        let kept = self.cap[i];
+                        (kept, node_power(spec, kept), nominal_rate(spec, kept))
+                    }
+                };
+                let rate = nominal / perf_coeff;
+                let ticks = jobs.ticks_since_anchor(j, tick);
                 NodeRow {
-                    job: (self.job[i] != NO_JOB).then(|| JobId(self.job[i])),
-                    cap: self.cap[i],
-                    power: self.power[i],
-                    perf_coeff: self.perf_coeff[i],
-                    progress: self.progress_at_tick(n, tick, dt),
-                    rate: self.rate[i],
+                    job: Some(j),
+                    cap,
+                    power,
+                    perf_coeff,
+                    progress: progress_at(self.anchor_progress[i], rate, dt, ticks),
+                    rate,
                 }
             })
             .collect()
@@ -403,6 +402,8 @@ const NO_TIME: f64 = f64::NAN;
 /// Struct-of-arrays job table. Node allocations live in a shared
 /// append-only arena (`node_ids`) addressed by per-job offset and length,
 /// so completed jobs keep their allocation history without per-row Vecs.
+/// A running job's cap, per-node draw, nominal rate and anchor tick live
+/// here too: every node of the job shares them.
 #[derive(Debug, Clone, Default)]
 pub struct JobTable {
     type_id: Vec<JobTypeId>,
@@ -420,6 +421,21 @@ pub struct JobTable {
     /// the node-update stage completes exactly the jobs stamped with the
     /// current tick, in running order.
     due: Vec<u64>,
+    /// Cap every node of the job runs at (NaN until the job is first
+    /// capped).
+    cap: Vec<Watts>,
+    /// Per-node draw under `cap`.
+    power: Vec<Watts>,
+    /// Nominal-node progress per second under `cap` ([`nominal_rate`]).
+    nominal: Vec<f64>,
+    /// Tick the job's node anchors were taken at (start or re-cap).
+    anchor_tick: Vec<u64>,
+    /// Nominal rate ceiling the outstanding completion check was
+    /// scheduled against. The engine reschedules the check only when a
+    /// re-cap lifts `nominal` above it, so the column is a scheduling
+    /// aid, not physics: it never enters progress/power arithmetic or the
+    /// state hash.
+    ceiling: Vec<f64>,
 }
 
 impl JobTable {
@@ -450,6 +466,11 @@ impl JobTable {
         self.node_len.push(0);
         self.gen.push(0);
         self.due.push(u64::MAX);
+        self.cap.push(Watts(f64::NAN));
+        self.power.push(Watts::ZERO);
+        self.nominal.push(0.0);
+        self.anchor_tick.push(0);
+        self.ceiling.push(0.0);
         id
     }
 
@@ -480,11 +501,14 @@ impl JobTable {
         !self.start[j.0 as usize].is_nan() && self.end[j.0 as usize].is_nan()
     }
 
-    /// Record the job's start: timestamp plus its node allocation
-    /// (appended to the shared arena).
-    pub fn set_started(&mut self, j: JobId, at: Seconds, nodes: &[NodeId]) {
+    /// Record the job's start at `tick`: timestamp plus its node
+    /// allocation (appended to the shared arena). The nodes' anchors are
+    /// taken now; the job stays uncapped until the capping stage first
+    /// caps it.
+    pub fn set_started(&mut self, j: JobId, at: Seconds, nodes: &[NodeId], tick: u64) {
         let i = j.0 as usize;
         self.start[i] = at.value();
+        self.anchor_tick[i] = tick;
         self.node_off[i] = self.node_ids.len();
         self.node_len[i] = nodes.len() as u32;
         self.node_ids.extend_from_slice(nodes);
@@ -528,6 +552,52 @@ impl JobTable {
     /// Was the job stamped due at exactly `tick`?
     pub fn is_due(&self, j: JobId, tick: u64) -> bool {
         self.due[j.0 as usize] == tick
+    }
+
+    /// The cap the job's nodes run at, or `None` before it is first
+    /// capped.
+    pub fn cap(&self, j: JobId) -> Option<Watts> {
+        let v = self.cap[j.0 as usize];
+        (!v.value().is_nan()).then_some(v)
+    }
+
+    /// Per-node draw under the job's cap.
+    pub fn power(&self, j: JobId) -> Watts {
+        self.power[j.0 as usize]
+    }
+
+    /// Nominal-node progress per second under the job's cap.
+    pub fn nominal(&self, j: JobId) -> f64 {
+        self.nominal[j.0 as usize]
+    }
+
+    /// Ticks elapsed from the job's anchor tick to `tick`.
+    pub fn ticks_since_anchor(&self, j: JobId, tick: u64) -> u64 {
+        tick.saturating_sub(self.anchor_tick[j.0 as usize])
+    }
+
+    /// Re-cap the job at `tick`: the caller re-anchors its nodes under
+    /// the old rate first, then the new cap, draw and nominal rate take
+    /// effect from the next tick — exactly the legacy ordering, where
+    /// caps written in the policy stage of tick `t` first influence the
+    /// node-update stage of tick `t+1`.
+    pub fn recap(&mut self, j: JobId, cap: Watts, power: Watts, nominal: f64, tick: u64) {
+        let i = j.0 as usize;
+        self.cap[i] = cap;
+        self.power[i] = power;
+        self.nominal[i] = nominal;
+        self.anchor_tick[i] = tick;
+    }
+
+    /// The nominal rate ceiling of the job's outstanding completion check
+    /// (see the field docs).
+    pub fn ceiling(&self, j: JobId) -> f64 {
+        self.ceiling[j.0 as usize]
+    }
+
+    /// Record the ceiling a completion check was scheduled against.
+    pub fn set_ceiling(&mut self, j: JobId, v: f64) {
+        self.ceiling[j.0 as usize] = v;
     }
 
     /// Materialize one row.
@@ -736,39 +806,66 @@ mod tests {
 
     #[test]
     fn node_table_assign_recap_release_roundtrip() {
-        let mut t = NodeTable::build(130, Watts(280.0), Watts(90.0), |_| 1.0);
+        let cat = standard_catalog();
+        let spec = cat.find("mg").unwrap();
+        let mut t = NodeTable::build(130, Watts(280.0), |_| 1.0);
+        let mut jobs = JobTable::new();
+        let j = jobs.push_queued(spec.id, Seconds(0.0));
         assert_eq!(t.len(), 130);
         let mut picked = Vec::new();
         assert_eq!(t.collect_idle(3, &mut picked), 3);
         assert_eq!(picked, vec![NodeId(0), NodeId(1), NodeId(2)]);
         for &n in &picked {
-            t.assign(n, JobId(7), Watts(200.0), 0.002, 5);
+            t.assign(n, j);
         }
+        jobs.set_started(j, Seconds(5.0), &picked, 5);
         assert!(!t.is_idle(NodeId(0)));
         // The idle scan now starts at node 3.
         assert_eq!(t.collect_idle(1, &mut picked), 1);
         assert_eq!(picked, vec![NodeId(3)]);
-        // Progress accrues from the anchor.
-        let p = t.progress_at_tick(NodeId(0), 10, 1.0);
+        // Before its first cap the job runs at the cap each node kept.
+        assert_eq!(jobs.cap(j), None);
+        let rows = t.rows(&jobs, &cat, Watts(90.0), 5, 1.0);
+        assert_eq!(rows[0].cap, Watts(280.0));
+        assert_eq!(rows[0].power, node_power(spec, Watts(280.0)));
+        assert_eq!(rows[0].rate, nominal_rate(spec, Watts(280.0)));
+        // Progress accrues from the anchor at the job's rate.
+        jobs.recap(j, Watts(200.0), Watts(200.0), 0.002, 5);
+        let p = t.progress(
+            NodeId(0),
+            jobs.nominal(j),
+            1.0,
+            jobs.ticks_since_anchor(j, 10),
+        );
         assert!((p - 0.01).abs() < 1e-12);
         // Re-cap re-anchors: progress continues from the materialized
-        // value under the new rate.
-        t.recap(NodeId(0), Watts(150.0), Watts(150.0), 0.001, p, 10);
-        let p2 = t.progress_at_tick(NodeId(0), 12, 1.0);
-        assert!((p2 - (p + 0.002)).abs() < 1e-12);
-        // Release: idle again, cap kept, zero progress.
-        t.release(NodeId(0), Watts(90.0), 12);
+        // value under the new rate, and the draw delta is summed per node.
+        let busy = t.reanchor(&[NodeId(0)], 0.002, 1.0, 5, Watts(600.0), Watts(-50.0));
+        assert_eq!(busy, Watts(550.0));
+        jobs.recap(j, Watts(150.0), Watts(150.0), 0.001, 10);
+        let rows = t.rows(&jobs, &cat, Watts(90.0), 12, 1.0);
+        assert!((rows[0].progress - (p + 0.002)).abs() < 1e-12);
+        assert_eq!(
+            (rows[0].cap, rows[0].power, rows[0].rate),
+            (Watts(150.0), Watts(150.0), 0.001)
+        );
+        // Release: idle again, the job's cap kept, zero progress.
+        t.release(NodeId(0), jobs.cap(j));
         assert!(t.is_idle(NodeId(0)));
         assert_eq!(t.cap(NodeId(0)), Watts(150.0));
-        assert_eq!(t.power(NodeId(0)), Watts(90.0));
-        assert_eq!(t.progress_at_tick(NodeId(0), 99, 1.0), 0.0);
+        let rows = t.rows(&jobs, &cat, Watts(90.0), 99, 1.0);
+        assert_eq!(rows[0].power, Watts(90.0));
+        assert_eq!((rows[0].progress, rows[0].rate), (0.0, 0.0));
+        // A job released before any cap leaves the node's cap alone.
+        t.release(NodeId(1), None);
+        assert_eq!(t.cap(NodeId(1)), Watts(280.0));
     }
 
     #[test]
     fn idle_bitset_tail_is_exact() {
         // 130 nodes = 2 full words + 2 tail bits; the scan must find
         // exactly 130 and never a ghost node.
-        let t = NodeTable::build(130, Watts(280.0), Watts(90.0), |_| 1.0);
+        let t = NodeTable::build(130, Watts(280.0), |_| 1.0);
         let mut all = Vec::new();
         assert_eq!(t.collect_idle(usize::MAX, &mut all), 130);
         assert_eq!(all.len(), 130);
@@ -782,8 +879,19 @@ mod tests {
         let b = t.push_queued(JobTypeId(1), Seconds(2.0));
         assert_eq!((a, b), (JobId(0), JobId(1)));
         assert!(!t.is_running(a));
-        t.set_started(a, Seconds(3.0), &[NodeId(4), NodeId(5)]);
+        t.set_started(a, Seconds(3.0), &[NodeId(4), NodeId(5)], 3);
         assert!(t.is_running(a));
+        // Uncapped until first capped, anchored at the start tick.
+        assert_eq!(t.cap(a), None);
+        assert_eq!(t.ticks_since_anchor(a, 7), 4);
+        t.recap(a, Watts(200.0), Watts(190.0), 0.002, 5);
+        assert_eq!(
+            (t.cap(a), t.power(a), t.nominal(a)),
+            (Some(Watts(200.0)), Watts(190.0), 0.002)
+        );
+        assert_eq!(t.ticks_since_anchor(a, 7), 2);
+        t.set_ceiling(a, 0.004);
+        assert_eq!(t.ceiling(a), 0.004);
         assert_eq!(t.nodes_of(a), &[NodeId(4), NodeId(5)]);
         assert_eq!(t.node_count(a), 2);
         assert_eq!(t.node_count(b), 0);

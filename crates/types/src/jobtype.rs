@@ -114,13 +114,6 @@ impl JobTypeSpec {
         self.effective_cap(cap)
     }
 
-    /// Lowest per-node power the job can be driven to (the platform's
-    /// minimum cap).
-    #[inline]
-    pub fn min_draw(&self) -> Watts {
-        self.cap_range.min.min(self.max_draw)
-    }
-
     /// Classify by sensitivity with the thresholds used throughout the
     /// experiment discussion.
     pub fn sensitivity_class(&self) -> SensitivityClass {

@@ -151,50 +151,136 @@ fn qos_aware_policy_is_no_worse_for_at_risk_jobs() {
     );
 }
 
+/// A loaded cluster tracking a wandering target: the inputs of a pinned
+/// re-cap trajectory. The regulation signal runs for twice the arrival
+/// window, and the catalog is scaled like the figure experiments'.
+struct RecapScenario {
+    nodes: u32,
+    utilization: f64,
+    /// Arrival window and number of one-second steps taken.
+    ticks: u32,
+    avg: Watts,
+    reserve: Watts,
+    sigma: f64,
+    schedule_seed: u64,
+    walk_seed: u64,
+    variation_seed: u64,
+}
+
+impl RecapScenario {
+    fn run(&self, policy: BudgetPolicy) -> TabularSim {
+        let catalog = standard_catalog().scale_nodes(self.nodes / 40);
+        let types = catalog.long_running();
+        let cfg = SimConfig {
+            total_nodes: self.nodes,
+            idle_power: Watts(90.0),
+            catalog,
+            types,
+            tick: Seconds(1.0),
+            policy,
+            qos: QosConstraint::default(),
+            qos_risk_threshold: 0.8,
+        };
+        let horizon = Seconds(self.ticks as f64);
+        let schedule = poisson_schedule(
+            &cfg.catalog,
+            &cfg.types,
+            self.utilization,
+            self.nodes,
+            horizon,
+            self.schedule_seed,
+        );
+        let target = PowerTarget {
+            avg: self.avg,
+            reserve: self.reserve,
+            signal: RegulationSignal::random_walk(
+                Seconds(4.0),
+                0.35,
+                horizon * 2.0,
+                self.walk_seed,
+            ),
+        };
+        let variation =
+            PerformanceVariation::with_sigma(self.nodes as usize, self.sigma, self.variation_seed);
+        let mut sim = TabularSim::new(cfg, target, &variation, schedule, None);
+        for _ in 0..self.ticks {
+            sim.step();
+        }
+        sim
+    }
+}
+
+/// Asserts a run's state hash, energy bits and tracking-p90 bits.
+fn assert_pinned(sim: &TabularSim, hash: u64, energy_bits: u64, p90_bits: u64) {
+    assert_eq!(sim.state_hash(), hash, "state hash");
+    assert_eq!(sim.energy().value().to_bits(), energy_bits, "energy bits");
+    assert_eq!(
+        sim.tracking().percentile_error(90.0).to_bits(),
+        p90_bits,
+        "tracking p90 bits"
+    );
+}
+
 /// Pins the capping stage's float trajectory on a cluster large enough
 /// that every re-cap touches thousands of nodes: 8192 nodes under
 /// even-slowdown with a wandering target. Any change to the order of the
 /// re-cap's float operations moves at least one of these bit patterns.
 #[test]
 fn recap_trajectory_is_pinned_on_an_8192_node_cluster() {
-    let catalog = standard_catalog().scale_nodes(8192 / 40);
-    let types = catalog.long_running();
-    let cfg = SimConfig {
-        total_nodes: 8192,
-        idle_power: Watts(90.0),
-        catalog,
-        types,
-        tick: Seconds(1.0),
-        policy: BudgetPolicy::EvenSlowdown,
-        qos: QosConstraint::default(),
-        qos_risk_threshold: 0.8,
-    };
-    let schedule = poisson_schedule(&cfg.catalog, &cfg.types, 0.7, 8192, Seconds(400.0), 11);
-    let target = PowerTarget {
+    let scenario = RecapScenario {
+        nodes: 8192,
+        utilization: 0.7,
+        ticks: 400,
         avg: Watts(8192.0 * 200.0),
         reserve: Watts(8192.0 * 50.0),
-        signal: RegulationSignal::random_walk(Seconds(4.0), 0.35, Seconds(800.0), 3),
+        sigma: 0.05,
+        schedule_seed: 11,
+        walk_seed: 3,
+        variation_seed: 13,
     };
-    let variation = PerformanceVariation::with_sigma(8192, 0.05, 13);
-    let mut sim = TabularSim::new(cfg, target, &variation, schedule, None);
-    for _ in 0..400 {
-        sim.step();
-    }
+    let sim = scenario.run(BudgetPolicy::EvenSlowdown);
     let busy = 8192 - sim.idle_nodes();
     assert!(
         busy >= 4096,
         "only {busy} busy nodes: the fixture must load the cluster"
     );
-    assert_eq!(sim.state_hash(), 0x77a5_c9d7_486c_d998, "state hash");
-    assert_eq!(
-        sim.energy().value().to_bits(),
+    assert_pinned(
+        &sim,
+        0x77a5_c9d7_486c_d998,
         0x41be_6ce6_5293_56c3,
-        "energy bits"
-    );
-    assert_eq!(
-        sim.tracking().percentile_error(90.0).to_bits(),
         0x3ffb_3e5b_5963_5814,
-        "tracking p90 bits"
+    );
+}
+
+/// Pins a QoS-aware trajectory in which at-risk flags fire: a saturated
+/// 2048-node cluster on a budget tight enough that queued and slowed
+/// jobs approach the risk threshold. The at-risk projection reads every
+/// running job's per-node progress each tick, so this pins that read.
+#[test]
+fn qos_aware_trajectory_is_pinned_where_jobs_reach_risk() {
+    let scenario = RecapScenario {
+        nodes: 2048,
+        utilization: 1.0,
+        ticks: 4000,
+        avg: Watts(330_000.0),
+        reserve: Watts(39_600.0),
+        sigma: 0.1,
+        schedule_seed: 5,
+        walk_seed: 5 ^ 0x51,
+        variation_seed: 5 ^ 0xfe,
+    };
+    let plain = scenario.run(BudgetPolicy::EvenSlowdown);
+    let aware = scenario.run(BudgetPolicy::EvenSlowdownQosAware);
+    assert_ne!(
+        aware.state_hash(),
+        plain.state_hash(),
+        "no job reached risk: the fixture must exercise the exemption"
+    );
+    assert_pinned(
+        &aware,
+        0x43e8_7df0_3eaf_6326,
+        0x41d5_2d58_b495_df9f,
+        0x4001_feae_a351_582e,
     );
 }
 
