@@ -12,12 +12,13 @@
 //! The run is stage-gated so the numbers mean something: all endpoints
 //! registered, all capped, then per storm all resumed again. The report
 //! carries sustained endpoint (re)connects per second, pump latency
-//! percentiles, backpressure drops, and the invariant auditor's verdict
-//! on watts conservation.
+//! percentiles overall and per pump phase, backpressure drops, and the
+//! invariant auditor's verdict on watts conservation.
 
 use crate::budgeter::{BudgetPolicy, BudgeterConfig, ClusterBudgeter, LeaseConfig};
 use crate::codec::{FramedStream, StreamOptions, TransportMetrics};
 use crate::session::{FaultPlan, SessionState};
+use crate::status::PhaseStat;
 use crate::transport::{Addr, TransportKind, TransportOptions};
 use anor_telemetry::Telemetry;
 use anor_types::msg::{ClusterToJob, EpochSample, JobToCluster};
@@ -109,6 +110,9 @@ pub struct LoadReport {
     pub pump_p50_ms: f64,
     /// Budgeter pump latency, milliseconds.
     pub pump_p99_ms: f64,
+    /// Latency of each named pump phase at the end of the run, as the
+    /// budgeter's status snapshot reports it (seconds).
+    pub phases: Vec<PhaseStat>,
     /// Outbound frames dropped to egress backpressure.
     pub backpressure_drops: u64,
     /// Continuous-auditor violations (watts conservation and friends);
@@ -153,6 +157,15 @@ impl std::fmt::Display for LoadReport {
             "  pump p50 {:.3} ms  p99 {:.3} ms  over {} pump(s) in {:.2} s",
             self.pump_p50_ms, self.pump_p99_ms, self.pumps, self.elapsed_s
         )?;
+        for p in &self.phases {
+            writeln!(
+                f,
+                "    phase {:<15} p50 {:.3} ms  p99 {:.3} ms",
+                p.phase,
+                p.p50 * 1e3,
+                p.p99 * 1e3
+            )?;
+        }
         writeln!(
             f,
             "  watts: allocated {:.1} of budget {:.1}  backpressure drops {}",
@@ -444,6 +457,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
         endpoints_per_sec: (cfg.endpoints as u64 + reconnects) as f64 / elapsed,
         pump_p50_ms: pump_h.quantile(0.5) * 1e3,
         pump_p99_ms: pump_h.quantile(0.99) * 1e3,
+        phases: snapshot.phases,
         backpressure_drops: b.backpressure_drops(),
         invariant_violations: b.invariant_violations(),
         allocated_watts: snapshot.allocated_watts,
@@ -452,4 +466,47 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
         pumps: b.pump_count(),
         stalled_stages: stalled,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_prints_one_line_per_pump_phase() {
+        let phase = |name: &str, p50: f64, p99: f64| PhaseStat {
+            phase: name.to_string(),
+            p50,
+            p90: p99,
+            p99,
+        };
+        let report = LoadReport {
+            endpoints: 4,
+            storms: 1,
+            connected: 4,
+            accepted: 8,
+            reconnects: 4,
+            endpoints_per_sec: 80.0,
+            pump_p50_ms: 0.1,
+            pump_p99_ms: 0.9,
+            phases: vec![phase("ingest", 2e-5, 4e-4), phase("decide", 1e-4, 3e-3)],
+            backpressure_drops: 0,
+            invariant_violations: 0,
+            allocated_watts: 800.0,
+            budget_watts: 800.0,
+            elapsed_s: 0.1,
+            pumps: 12,
+            stalled_stages: Vec::new(),
+        };
+        let text = report.to_string();
+        let phase_lines: Vec<&str> = text.lines().filter(|l| l.contains("phase ")).collect();
+        assert_eq!(
+            phase_lines,
+            [
+                "    phase ingest          p50 0.020 ms  p99 0.400 ms",
+                "    phase decide          p50 0.100 ms  p99 3.000 ms",
+            ]
+        );
+        assert!(text.ends_with("invariant violations: 0"), "{text}");
+    }
 }

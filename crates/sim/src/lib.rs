@@ -13,8 +13,9 @@
 //! per-node performance variation (Section 6.4 / Fig. 11):
 //!
 //! * [`table`] — the node table (idle/job, progress, the cap a node
-//!   keeps while idle) and job table (queue/start/end timestamps, and a
-//!   running job's cap, draw and rate, which all its nodes share);
+//!   keeps while idle) and job table (queue/start/end timestamps, the
+//!   job's nodes as node-id ranges, and a running job's cap, draw and
+//!   rate, which all its nodes share);
 //! * [`sim`] — the event-driven engine behind the per-second update
 //!   loop: node update → cluster view → schedule + cap → history append,
 //!   with each stage memoized between events;

@@ -33,14 +33,15 @@
 use crate::event::{Event, EventQueue};
 use crate::history::HistoryRow;
 use crate::table::{
-    crossing_ticks, node_power, nominal_rate, state_hash, JobRow, JobTable, NodeRow, NodeTable,
+    add_repeated, crossing_ticks, node_power, nominal_rate, state_hash, JobRow, JobTable, NodeRow,
+    NodeTable,
 };
 use anor_aqa::{JobSubmission, PendingView, PowerTarget, QueueScheduler, TrackingRecorder};
 use anor_platform::PerformanceVariation;
 use anor_policy::{BudgetPolicy, JobView};
 use anor_telemetry::{CauseId, Gauge, Histogram, Telemetry, TraceStage, Tracer};
 use anor_types::{
-    Catalog, JobId, JobTypeId, Joules, QosConstraint, QosDegradation, Seconds, Watts,
+    Catalog, JobId, JobTypeId, Joules, NodeId, QosConstraint, QosDegradation, Seconds, Watts,
 };
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -526,11 +527,17 @@ impl TabularSim {
                     self.type_usage[type_id.index()] =
                         self.type_usage[type_id.index()].saturating_sub(n_nodes);
                     self.idle_count += n_nodes;
+                    // The job's draw comes off once per node, in node
+                    // order (`x - p` is `x + (-p)`, bit for bit).
                     let (power, cap) = (self.jobs.power(job_id), self.jobs.cap(job_id));
-                    for &n in self.jobs.nodes_of(job_id) {
-                        self.busy_power -= power;
-                        self.nodes.release(n, cap);
+                    for r in self.jobs.ranges_of(job_id) {
+                        self.nodes.release(r.clone(), cap);
                     }
+                    self.busy_power = Watts(add_repeated(
+                        self.busy_power.value(),
+                        -power.value(),
+                        n_nodes as u64,
+                    ));
                     self.completed += 1;
                 } else {
                     still_running.push(job_id);
@@ -703,7 +710,8 @@ impl TabularSim {
         }
         let steps = (ahead / dtv).floor() - 1.0;
         if steps >= 1.0 && steps.is_finite() {
-            self.tick + steps as u64
+            // `steps as u64` saturates for a wake-up ~1.8e19 ticks out.
+            self.tick.saturating_add(steps as u64)
         } else {
             self.tick + 1
         }
@@ -715,9 +723,8 @@ impl TabularSim {
         let nominal = self.jobs.nominal(job_id);
         let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
         self.jobs
-            .nodes_of(job_id)
-            .iter()
-            .all(|&n| self.nodes.progress(n, nominal, dtv, ticks) >= 1.0)
+            .node_ids(job_id)
+            .all(|n| self.nodes.progress(n, nominal, dtv, ticks) >= 1.0)
     }
 
     /// Headroom factor for completion-check scheduling: checks are
@@ -755,7 +762,7 @@ impl TabularSim {
         let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
         let mut due = self.tick + 1;
         self.jobs.bump_gen(job_id);
-        for &n in self.jobs.nodes_of(job_id) {
+        for n in self.jobs.node_ids(job_id) {
             let progress = self.nodes.progress(n, nominal, dtv, ticks);
             let rate_est = ceiling / self.nodes.perf_coeff(n);
             let Some(k) = crossing_ticks(progress, rate_est, dtv) else {
@@ -838,16 +845,18 @@ impl TabularSim {
             // its first cap, so its draw is seeded from that cap. No
             // tick passes before that first cap, so the job's first
             // completion check is scheduled there.
-            let mut assigned = Vec::with_capacity(spec.nodes as usize);
+            let mut assigned = Vec::new();
             let found = self.nodes.collect_idle(spec.nodes as usize, &mut assigned);
             debug_assert_eq!(found, spec.nodes as usize);
             let mut started_power = Watts::ZERO;
-            for &n in &assigned {
-                started_power += node_power(spec, self.nodes.cap(n));
-                self.nodes.assign(n, job_id);
+            for r in &assigned {
+                for n in r.clone().map(NodeId) {
+                    started_power += node_power(spec, self.nodes.cap(n));
+                }
+                self.nodes.assign(r.clone(), job_id);
             }
-            self.idle_count -= assigned.len() as u32;
-            self.type_usage[type_id.index()] += assigned.len() as u32;
+            self.idle_count -= found as u32;
+            self.type_usage[type_id.index()] += found as u32;
             self.busy_power += started_power;
             self.jobs
                 .set_started(job_id, self.time, &assigned, self.tick);
@@ -869,9 +878,8 @@ impl TabularSim {
         let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
         let min_progress = self
             .jobs
-            .nodes_of(job_id)
-            .iter()
-            .map(|&n| self.nodes.progress(n, nominal, dtv, ticks))
+            .node_ids(job_id)
+            .map(|n| self.nodes.progress(n, nominal, dtv, ticks))
             .fold(1.0f64, f64::min);
         let remaining = (1.0 - min_progress) * spec.time_uncapped.value();
         let projected_sojourn = (self.time - self.jobs.submit(job_id)).value() + remaining;
@@ -889,12 +897,13 @@ impl TabularSim {
     ///   whose kept cap differs adds its own draw delta to `busy_power`,
     ///   in node order. The job's first completion check is scheduled
     ///   from the rates after this cap.
-    /// - A later re-cap is one fused pass over the job's nodes: each is
+    /// - A later re-cap is one slice loop per node range: each node is
     ///   re-anchored under the old rate, and the one draw delta is added
-    ///   to `busy_power` once per node, in node order. The outstanding
-    ///   completion check stays valid unless the new nominal rate exceeds
-    ///   the job's check ceiling; then it is rescheduled (the common
-    ///   case, rates wandering below the ceiling, is heap-free).
+    ///   to `busy_power` once per node, in node order, in closed form
+    ///   ([`add_repeated`]). The outstanding completion check stays valid
+    ///   unless the new nominal rate exceeds the job's check ceiling; then
+    ///   it is rescheduled (the common case, rates wandering below the
+    ///   ceiling, is heap-free).
     fn recap_job(&mut self, job_id: JobId, cap: Watts) -> bool {
         let old = self.jobs.cap(job_id);
         if old == Some(cap) {
@@ -903,11 +912,10 @@ impl TabularSim {
         let spec = &self.cfg.catalog[self.jobs.type_id(job_id)];
         let power = node_power(spec, cap);
         let nominal = nominal_rate(spec, cap);
-        let nodes = self.jobs.nodes_of(job_id);
         let mut changed = old.is_some();
         if old.is_none() {
             debug_assert_eq!(self.jobs.ticks_since_anchor(job_id, self.tick), 0);
-            for &n in nodes {
+            for n in self.jobs.node_ids(job_id) {
                 let kept = self.nodes.cap(n);
                 if kept != cap {
                     self.busy_power += power - node_power(spec, kept);
@@ -919,9 +927,14 @@ impl TabularSim {
             let old_nominal = self.jobs.nominal(job_id);
             let dtv = self.cfg.tick.value();
             let ticks = self.jobs.ticks_since_anchor(job_id, self.tick);
-            self.busy_power =
-                self.nodes
-                    .reanchor(nodes, old_nominal, dtv, ticks, self.busy_power, delta);
+            self.busy_power = self.nodes.reanchor(
+                self.jobs.ranges_of(job_id),
+                old_nominal,
+                dtv,
+                ticks,
+                self.busy_power,
+                delta,
+            );
         }
         self.jobs.recap(job_id, cap, power, nominal, self.tick);
         if old.is_none() || nominal > self.jobs.ceiling(job_id) {
@@ -1524,6 +1537,31 @@ mod tests {
         assert_eq!(jumped.energy(), stepped.energy());
         assert_eq!(jumped.measured_power(), stepped.measured_power());
         assert_eq!(jumped.outcome().completed, stepped.outcome().completed);
+    }
+
+    #[test]
+    fn far_future_wakeup_saturates_instead_of_overflowing() {
+        // An arrival ~1e20 s out lies beyond u64::MAX ticks: its wake-up
+        // tick must saturate, not overflow (debug) or wrap to a past tick
+        // that re-queues the wake-up every tick (release).
+        let cfg = small_cfg(BudgetPolicy::Uniform);
+        let mg = cfg.catalog.find("mg").unwrap().id;
+        let sched = vec![JobSubmission {
+            time: Seconds(1e20),
+            type_id: mg,
+        }];
+        let mut sim = TabularSim::new(
+            cfg,
+            flat_target(4500.0),
+            &PerformanceVariation::none(16),
+            sched,
+            None,
+        );
+        sim.freeze_tracking();
+        sim.step();
+        sim.run_to(Seconds(100.0));
+        assert_eq!(sim.now(), Seconds(100.0));
+        assert!(sim.jobs().is_empty(), "the far arrival is not admitted yet");
     }
 
     /// Steps a traced cluster and checks, tick by tick, that every job

@@ -12,8 +12,12 @@
 //! ([`NodeTable`], [`JobTable`]): each attribute is its own dense column
 //! so the event-time hot loops (re-anchoring a job's nodes at a re-cap
 //! boundary, releasing them at completion) stream cache-linear memory
-//! instead of striding over wide row structs. [`NodeRow`] and [`JobRow`]
-//! remain the materialized row views every external consumer sees.
+//! instead of striding over wide row structs. A job holds its nodes as
+//! ascending runs of consecutive node ids, taken straight from the idle
+//! bitset, so those loops walk column slices, and the draw a job adds or
+//! removes once per node is summed in closed form ([`add_repeated`]).
+//! [`NodeRow`] and [`JobRow`] remain the materialized row views every
+//! external consumer sees.
 //!
 //! The simulator caps jobs, not nodes: every node of a running job runs
 //! at the job's cap. So the job table holds a running job's cap, per-node
@@ -32,6 +36,7 @@
 //! walking every busy node every simulated second.
 
 use anor_types::{Catalog, JobId, JobTypeId, JobTypeSpec, NodeId, QosDegradation, Seconds, Watts};
+use std::ops::Range;
 
 /// One row of the node table.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,12 +199,107 @@ pub fn crossing_ticks(anchor_progress: f64, rate: f64, dt: f64) -> Option<u64> {
     Some(k)
 }
 
+/// Significand bit of a normal `f64`: significands of one binade run
+/// from `HIDDEN` to `2·HIDDEN − 1`.
+const HIDDEN: u64 = 1 << 52;
+
+/// `x` after `n` steps of `x += d`, bit for bit, taking in one multiply
+/// every run of steps whose result is known in closed form.
+///
+/// The doubles of one binade `[2^e, 2^(e+1))` are the multiples of its
+/// ulp `u`, and `x` is one of them. So while the exact sum `x + d` stays
+/// inside the binade and `d/u` is not a tie (an odd multiple of one
+/// half), each step rounds to exactly `x + k·u` with `k = round(d/u)`,
+/// and `j` steps from significand `m` land on `(m + j·k)·u`. Steps that
+/// could leave the binade, ties, and zero, subnormal and non-finite
+/// operands are taken plainly; a step that leaves `x` unchanged ends the
+/// walk, since every later step would repeat it. Negative `x` is the
+/// mirror image: round-to-nearest-even gives `x + d = −((−x) + (−d))`.
+/// The cost is O(1) per binade crossed; the last 32 steps or fewer
+/// (`SHORT_RUN`) are taken plainly.
+pub fn add_repeated(mut x: f64, d: f64, mut n: u64) -> f64 {
+    while n > SHORT_RUN {
+        match binade_run(x, d, n) {
+            Some((after, steps)) => {
+                x = after;
+                n -= steps;
+            }
+            None => {
+                let next = x + d;
+                n -= 1;
+                if next.to_bits() == x.to_bits() {
+                    return next;
+                }
+                x = next;
+            }
+        }
+    }
+    for _ in 0..n {
+        x += d;
+    }
+    x
+}
+
+/// Runs of at most this many steps are cheaper taken one add at a time
+/// than solved: on a 2-vCPU KVM VM one closed-form run costs about as
+/// much as 30–40 dependent adds, and small clusters re-cap many jobs of
+/// a few dozen nodes.
+const SHORT_RUN: u64 = 32;
+
+/// The longest closed-form run of [`add_repeated`]'s steps from `x`, at
+/// most `n`: `Some((x after the run, its length ≥ 1))`, or `None` when
+/// the next step has to be taken plainly.
+fn binade_run(x: f64, d: f64, n: u64) -> Option<(f64, u64)> {
+    if !x.is_normal() || !d.is_finite() {
+        return None;
+    }
+    let (ax, ad) = if x < 0.0 { (-x, -d) } else { (x, d) };
+    let exp = ax.to_bits() >> 52; // biased, 1..=2046
+    let m = (ax.to_bits() & (HIDDEN - 1)) | HIDDEN;
+    // u = 2^(exp − 1075): normal from exp 53 up, subnormal below.
+    let ulp = if exp > 52 {
+        f64::from_bits((exp - 52) << 52)
+    } else {
+        f64::from_bits(1 << (exp - 1))
+    };
+    // Exact, the divisor being a power of two: an overflow fails the
+    // range check below and an underflow is far below a tie (k = 0).
+    let q = ad / ulp;
+    if q.abs() >= HIDDEN as f64 || (q - q.trunc()).abs() == 0.5 {
+        return None;
+    }
+    // The exact sums stay strictly inside the binade while every
+    // significand reached lies in [HIDDEN + 1, 2·HIDDEN − 1]: then each
+    // sum is within u/2 of a multiple of u, on the binade's own spacing.
+    // k = 0 rounds every step back to x, which the plain step detects.
+    let (lo, hi) = (HIDDEN + 1, 2 * HIDDEN - 1);
+    let k = q.round() as i64;
+    let room = match k {
+        0 => 0,
+        1.. => (hi - m) / k.unsigned_abs(),
+        _ => m.saturating_sub(lo) / k.unsigned_abs(),
+    };
+    let steps = room.min(n);
+    if steps == 0 {
+        return None;
+    }
+    let m_after = (m as i64 + k * steps as i64) as u64;
+    let after = f64::from_bits((exp << 52) | (m_after - HIDDEN));
+    Some((if x < 0.0 { -after } else { after }, steps))
+}
+
+/// The column indices of a node-id range.
+fn span(nodes: &Range<u32>) -> Range<usize> {
+    nodes.start as usize..nodes.end as usize
+}
+
 /// Sentinel in the node table's job column for "idle".
 const NO_JOB: u64 = u64::MAX;
 
 /// Struct-of-arrays node table: one dense column per attribute plus an
 /// idle-node bitset. All indexing is confined to this type; callers pass
-/// [`NodeId`]s minted by the table itself. A busy node's cap, draw, rate
+/// [`NodeId`]s, or ranges of them, minted by the table itself
+/// ([`collect_idle`](Self::collect_idle)). A busy node's cap, draw, rate
 /// and anchor tick are its job's, read from the [`JobTable`].
 #[derive(Debug, Clone)]
 pub struct NodeTable {
@@ -278,73 +378,91 @@ impl NodeTable {
         )
     }
 
-    /// Re-cap pass over one job's `nodes`, before the job's rate
+    /// Re-cap pass over one job's node `ranges`, before the job's rate
     /// changes: move each node's anchor to its
     /// [`progress`](Self::progress) `ticks` after the old anchor at the
-    /// job's old `nominal` rate. The same pass adds the job's per-node
-    /// draw change `delta` to `busy_power` once per node, in node order,
-    /// and returns the sum; fused, the running sum costs nothing beyond
-    /// the re-anchor.
+    /// job's old `nominal` rate. Each range is one [`progress_at`] loop
+    /// over two column slices with the zero-tick case (every anchor
+    /// unchanged) hoisted out, which the compiler turns into packed
+    /// divides. Returns `busy_power` plus the job's per-node draw change
+    /// `delta` once per node, in node order: [`add_repeated`], bit for
+    /// bit the per-node running sum.
     pub fn reanchor(
         &mut self,
-        nodes: &[NodeId],
+        ranges: &[Range<u32>],
         nominal: f64,
         dt: f64,
         ticks: u64,
-        mut busy_power: Watts,
+        busy_power: Watts,
         delta: Watts,
     ) -> Watts {
-        let anchor = &mut self.anchor_progress[..];
-        let coeff = &self.perf_coeff[..];
-        for &n in nodes {
-            let i = n.index();
-            anchor[i] = progress_at(anchor[i], nominal / coeff[i], dt, ticks);
-            busy_power += delta;
-        }
-        busy_power
-    }
-
-    /// Collect the first `want` idle nodes in ascending id order into
-    /// `out` (cleared first). Returns how many were found.
-    pub fn collect_idle(&self, want: usize, out: &mut Vec<NodeId>) -> usize {
-        out.clear();
-        if want == 0 {
-            return 0;
-        }
-        for (w, &word) in self.idle_bits.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push(NodeId((w * 64) as u32 + b));
-                if out.len() == want {
-                    return want;
-                }
-                bits &= bits - 1;
+        let mut nodes = 0;
+        for r in ranges {
+            let s = span(r);
+            nodes += s.len() as u64;
+            if ticks == 0 {
+                continue;
+            }
+            let anchor = &mut self.anchor_progress[s.clone()];
+            for (a, &c) in anchor.iter_mut().zip(&self.perf_coeff[s]) {
+                *a = progress_at(*a, nominal / c, dt, ticks);
             }
         }
-        out.len()
+        Watts(add_repeated(busy_power.value(), delta.value(), nodes))
     }
 
-    /// Start `job` on node `n` from zero progress. The node keeps its cap
-    /// until the job is first capped.
-    pub fn assign(&mut self, n: NodeId, job: JobId) {
-        let i = n.index();
-        self.job[i] = job.0;
-        self.anchor_progress[i] = 0.0;
-        self.idle_bits[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Release node `n` at completion: idle again with zero progress,
-    /// keeping its job's `cap` as on real hardware (`None`, a job never
-    /// capped, leaves the node's cap as it was).
-    pub fn release(&mut self, n: NodeId, cap: Option<Watts>) {
-        let i = n.index();
-        self.job[i] = NO_JOB;
-        if let Some(cap) = cap {
-            self.cap[i] = cap;
+    /// Collect the first `want` idle nodes, in ascending id order, into
+    /// `out` (cleared first) as maximal ranges of consecutive ids, read
+    /// from the idle bitset a run of set bits at a time. Returns how many
+    /// nodes the ranges hold.
+    pub fn collect_idle(&self, want: usize, out: &mut Vec<Range<u32>>) -> usize {
+        out.clear();
+        let mut found = 0;
+        for (w, &word) in self.idle_bits.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 && found < want {
+                let lo = bits.trailing_zeros();
+                let run = ((bits >> lo).trailing_ones() as usize).min(want - found);
+                let start = (w * 64) as u32 + lo;
+                let end = start + run as u32;
+                match out.last_mut() {
+                    Some(last) if last.end == start => last.end = end,
+                    _ => out.push(start..end),
+                }
+                found += run;
+                bits &= u64::MAX.checked_shl(lo + run as u32).unwrap_or(0);
+            }
+            if found == want {
+                break;
+            }
         }
-        self.anchor_progress[i] = 0.0;
-        self.idle_bits[i / 64] |= 1u64 << (i % 64);
+        found
+    }
+
+    /// Start `job` on the nodes of `range` from zero progress. Each node
+    /// keeps its cap until the job is first capped.
+    pub fn assign(&mut self, range: Range<u32>, job: JobId) {
+        let s = span(&range);
+        self.job[s.clone()].fill(job.0);
+        self.anchor_progress[s.clone()].fill(0.0);
+        for i in s {
+            self.idle_bits[i / 64] &= !(1u64 << (i % 64));
+        }
+    }
+
+    /// Release the nodes of `range` at completion: idle again with zero
+    /// progress, keeping their job's `cap` as on real hardware (`None`, a
+    /// job never capped, leaves each node's cap as it was).
+    pub fn release(&mut self, range: Range<u32>, cap: Option<Watts>) {
+        let s = span(&range);
+        self.job[s.clone()].fill(NO_JOB);
+        if let Some(cap) = cap {
+            self.cap[s.clone()].fill(cap);
+        }
+        self.anchor_progress[s.clone()].fill(0.0);
+        for i in s {
+            self.idle_bits[i / 64] |= 1u64 << (i % 64);
+        }
     }
 
     /// Materialize the full table as rows, with progress evaluated at
@@ -400,20 +518,22 @@ impl NodeTable {
 const NO_TIME: f64 = f64::NAN;
 
 /// Struct-of-arrays job table. Node allocations live in a shared
-/// append-only arena (`node_ids`) addressed by per-job offset and length,
-/// so completed jobs keep their allocation history without per-row Vecs.
-/// A running job's cap, per-node draw, nominal rate and anchor tick live
-/// here too: every node of the job shares them.
+/// append-only arena of ascending node-id ranges (`ranges`) addressed by
+/// per-job offset and length, so completed jobs keep their allocation
+/// history without per-row Vecs, at one entry per run of consecutive
+/// nodes rather than one per node. A running job's cap, per-node draw,
+/// nominal rate and anchor tick live here too: every node of the job
+/// shares them.
 #[derive(Debug, Clone, Default)]
 pub struct JobTable {
     type_id: Vec<JobTypeId>,
     submit: Vec<Seconds>,
     start: Vec<f64>,
     end: Vec<f64>,
-    node_off: Vec<usize>,
-    node_len: Vec<u32>,
+    range_off: Vec<usize>,
+    range_len: Vec<u32>,
     /// Shared node-allocation arena.
-    node_ids: Vec<NodeId>,
+    ranges: Vec<Range<u32>>,
     /// Event generation: bumped whenever the job's rates change (start or
     /// re-cap), so stale completion events can be discarded on pop.
     gen: Vec<u32>,
@@ -462,8 +582,8 @@ impl JobTable {
         self.submit.push(submit);
         self.start.push(NO_TIME);
         self.end.push(NO_TIME);
-        self.node_off.push(self.node_ids.len());
-        self.node_len.push(0);
+        self.range_off.push(self.ranges.len());
+        self.range_len.push(0);
         self.gen.push(0);
         self.due.push(u64::MAX);
         self.cap.push(Watts(f64::NAN));
@@ -502,16 +622,16 @@ impl JobTable {
     }
 
     /// Record the job's start at `tick`: timestamp plus its node
-    /// allocation (appended to the shared arena). The nodes' anchors are
-    /// taken now; the job stays uncapped until the capping stage first
-    /// caps it.
-    pub fn set_started(&mut self, j: JobId, at: Seconds, nodes: &[NodeId], tick: u64) {
+    /// allocation as ascending node-id `ranges` (appended to the shared
+    /// arena). The nodes' anchors are taken now; the job stays uncapped
+    /// until the capping stage first caps it.
+    pub fn set_started(&mut self, j: JobId, at: Seconds, ranges: &[Range<u32>], tick: u64) {
         let i = j.0 as usize;
         self.start[i] = at.value();
         self.anchor_tick[i] = tick;
-        self.node_off[i] = self.node_ids.len();
-        self.node_len[i] = nodes.len() as u32;
-        self.node_ids.extend_from_slice(nodes);
+        self.range_off[i] = self.ranges.len();
+        self.range_len[i] = ranges.len() as u32;
+        self.ranges.extend_from_slice(ranges);
     }
 
     /// Record the job's completion timestamp.
@@ -519,16 +639,22 @@ impl JobTable {
         self.end[j.0 as usize] = at.value();
     }
 
-    /// The job's allocated nodes (empty while queued).
-    pub fn nodes_of(&self, j: JobId) -> &[NodeId] {
+    /// The job's allocated nodes as ascending node-id ranges (empty
+    /// while queued).
+    pub fn ranges_of(&self, j: JobId) -> &[Range<u32>] {
         let i = j.0 as usize;
-        let off = self.node_off[i];
-        &self.node_ids[off..off + self.node_len[i] as usize]
+        let off = self.range_off[i];
+        &self.ranges[off..off + self.range_len[i] as usize]
+    }
+
+    /// The job's allocated nodes, one by one in ascending order.
+    pub fn node_ids(&self, j: JobId) -> impl Iterator<Item = NodeId> + '_ {
+        self.ranges_of(j).iter().flat_map(|r| r.clone().map(NodeId))
     }
 
     /// How many nodes the job holds (0 while queued).
     pub fn node_count(&self, j: JobId) -> u32 {
-        self.node_len[j.0 as usize]
+        self.ranges_of(j).iter().map(|r| r.end - r.start).sum()
     }
 
     /// The job's current event generation.
@@ -602,13 +728,15 @@ impl JobTable {
 
     /// Materialize one row.
     pub fn row(&self, j: JobId) -> JobRow {
+        let mut nodes = Vec::with_capacity(self.node_count(j) as usize);
+        nodes.extend(self.node_ids(j));
         JobRow {
             id: j,
             type_id: self.type_id(j),
             submit: self.submit(j),
             start: self.start(j),
             end: self.end(j),
-            nodes: self.nodes_of(j).to_vec(),
+            nodes,
         }
     }
 
@@ -676,6 +804,7 @@ impl Fnv1a {
 mod tests {
     use super::*;
     use anor_types::standard_catalog;
+    use proptest::prelude::*;
 
     #[test]
     fn node_row_lifecycle() {
@@ -804,6 +933,11 @@ mod tests {
         assert_eq!(crossing_ticks(0.5, 1e-300, 1.0), None, "too far out");
     }
 
+    /// Node-id ranges from `(start, end)` pairs.
+    fn runs(bounds: &[(u32, u32)]) -> Vec<Range<u32>> {
+        bounds.iter().map(|&(start, end)| start..end).collect()
+    }
+
     #[test]
     fn node_table_assign_recap_release_roundtrip() {
         let cat = standard_catalog();
@@ -814,15 +948,13 @@ mod tests {
         assert_eq!(t.len(), 130);
         let mut picked = Vec::new();
         assert_eq!(t.collect_idle(3, &mut picked), 3);
-        assert_eq!(picked, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        for &n in &picked {
-            t.assign(n, j);
-        }
+        assert_eq!(picked, runs(&[(0, 3)]));
+        t.assign(0..3, j);
         jobs.set_started(j, Seconds(5.0), &picked, 5);
-        assert!(!t.is_idle(NodeId(0)));
+        assert!(!t.is_idle(NodeId(0)) && !t.is_idle(NodeId(2)));
         // The idle scan now starts at node 3.
         assert_eq!(t.collect_idle(1, &mut picked), 1);
-        assert_eq!(picked, vec![NodeId(3)]);
+        assert_eq!(picked, runs(&[(3, 4)]));
         // Before its first cap the job runs at the cap each node kept.
         assert_eq!(jobs.cap(j), None);
         let rows = t.rows(&jobs, &cat, Watts(90.0), 5, 1.0);
@@ -840,8 +972,8 @@ mod tests {
         assert!((p - 0.01).abs() < 1e-12);
         // Re-cap re-anchors: progress continues from the materialized
         // value under the new rate, and the draw delta is summed per node.
-        let busy = t.reanchor(&[NodeId(0)], 0.002, 1.0, 5, Watts(600.0), Watts(-50.0));
-        assert_eq!(busy, Watts(550.0));
+        let busy = t.reanchor(jobs.ranges_of(j), 0.002, 1.0, 5, Watts(600.0), Watts(-50.0));
+        assert_eq!(busy, Watts(450.0));
         jobs.recap(j, Watts(150.0), Watts(150.0), 0.001, 10);
         let rows = t.rows(&jobs, &cat, Watts(90.0), 12, 1.0);
         assert!((rows[0].progress - (p + 0.002)).abs() < 1e-12);
@@ -850,15 +982,18 @@ mod tests {
             (Watts(150.0), Watts(150.0), 0.001)
         );
         // Release: idle again, the job's cap kept, zero progress.
-        t.release(NodeId(0), jobs.cap(j));
+        t.release(0..1, jobs.cap(j));
         assert!(t.is_idle(NodeId(0)));
         assert_eq!(t.cap(NodeId(0)), Watts(150.0));
         let rows = t.rows(&jobs, &cat, Watts(90.0), 99, 1.0);
         assert_eq!(rows[0].power, Watts(90.0));
         assert_eq!((rows[0].progress, rows[0].rate), (0.0, 0.0));
         // A job released before any cap leaves the node's cap alone.
-        t.release(NodeId(1), None);
+        t.release(1..2, None);
         assert_eq!(t.cap(NodeId(1)), Watts(280.0));
+        // Released nodes are the first idle run again.
+        assert_eq!(t.collect_idle(usize::MAX, &mut picked), 129);
+        assert_eq!(picked, vec![0..2, 3..130]);
     }
 
     #[test]
@@ -868,8 +1003,11 @@ mod tests {
         let t = NodeTable::build(130, Watts(280.0), |_| 1.0);
         let mut all = Vec::new();
         assert_eq!(t.collect_idle(usize::MAX, &mut all), 130);
-        assert_eq!(all.len(), 130);
-        assert_eq!(all.last(), Some(&NodeId(129)));
+        assert_eq!(
+            all,
+            runs(&[(0, 130)]),
+            "one run across both word boundaries"
+        );
     }
 
     #[test]
@@ -879,7 +1017,7 @@ mod tests {
         let b = t.push_queued(JobTypeId(1), Seconds(2.0));
         assert_eq!((a, b), (JobId(0), JobId(1)));
         assert!(!t.is_running(a));
-        t.set_started(a, Seconds(3.0), &[NodeId(4), NodeId(5)], 3);
+        t.set_started(a, Seconds(3.0), &[4..6, 9..10], 3);
         assert!(t.is_running(a));
         // Uncapped until first capped, anchored at the start tick.
         assert_eq!(t.cap(a), None);
@@ -892,9 +1030,10 @@ mod tests {
         assert_eq!(t.ticks_since_anchor(a, 7), 2);
         t.set_ceiling(a, 0.004);
         assert_eq!(t.ceiling(a), 0.004);
-        assert_eq!(t.nodes_of(a), &[NodeId(4), NodeId(5)]);
-        assert_eq!(t.node_count(a), 2);
+        assert_eq!(t.ranges_of(a), &[4..6, 9..10]);
+        assert_eq!(t.node_count(a), 3);
         assert_eq!(t.node_count(b), 0);
+        assert!(t.ranges_of(b).is_empty());
         t.set_end(a, Seconds(10.0));
         assert!(!t.is_running(a));
         // Generations and due stamps drive event validity.
@@ -907,7 +1046,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].start, Some(Seconds(3.0)));
         assert_eq!(rows[0].end, Some(Seconds(10.0)));
-        assert_eq!(rows[0].nodes, vec![NodeId(4), NodeId(5)]);
+        assert_eq!(rows[0].nodes, vec![NodeId(4), NodeId(5), NodeId(9)]);
         assert_eq!(rows[1].start, None);
         assert!(rows[1].is_pending());
     }
@@ -925,5 +1064,207 @@ mod tests {
         let mut nodes2 = nodes.clone();
         nodes2[3].progress = 0.5;
         assert_ne!(h1, state_hash(&nodes2, &jobs));
+    }
+
+    /// The loop [`add_repeated`] stands in for.
+    fn add_loop(mut x: f64, d: f64, n: u64) -> f64 {
+        for _ in 0..n {
+            x += d;
+        }
+        x
+    }
+
+    fn assert_adds_match(x: f64, d: f64, n: u64) {
+        let (fast, slow) = (add_repeated(x, d, n), add_loop(x, d, n));
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "x {x:e}, d {d:e}, n {n}: {fast:e} vs the loop's {slow:e}"
+        );
+    }
+
+    /// `m · 2^e` with the sign taken from bit 0 of `sign`.
+    fn scaled(m: f64, e: i32, sign: u8) -> f64 {
+        let v = m * 2f64.powi(e);
+        if sign & 1 == 1 {
+            -v
+        } else {
+            v
+        }
+    }
+
+    proptest! {
+        /// Random magnitudes, with d from far below x's ulp to above x.
+        #[test]
+        fn add_repeated_matches_the_loop(
+            xm in 1.0f64..2.0,
+            xe in -40i32..40,
+            dm in 1.0f64..2.0,
+            rel in -60i32..6,
+            signs in 0u8..4,
+            n in 0u64..10_000,
+        ) {
+            assert_adds_match(scaled(xm, xe, signs), scaled(dm, xe + rel, signs >> 1), n);
+        }
+
+        /// x a few ulps from ±2^k, stepping across it in either
+        /// direction, including steps that land on the edge itself.
+        #[test]
+        fn add_repeated_crosses_binade_edges(
+            k in -30i32..50,
+            ulps in 0u32..40,
+            dm in 1.0f64..2.0,
+            rel in -3i32..4,
+            signs in 0u8..4,
+            n in 0u64..10_000,
+        ) {
+            let edge = 2f64.powi(k);
+            let u = 2f64.powi(k - 52);
+            let x = if signs & 1 == 1 { edge - ulps as f64 * u / 2.0 } else { edge + ulps as f64 * u };
+            let d = scaled(dm, k - 52 + rel, signs >> 1);
+            assert_adds_match(x, d, n);
+            assert_adds_match(-x, -d, n);
+            // Steps of exact whole ulps land on the edge exactly.
+            assert_adds_match(x, -(ulps as f64) * u, n);
+        }
+
+        /// Sums that run through zero and out the other side.
+        #[test]
+        fn add_repeated_crosses_zero(
+            xm in 1.0f64..2.0,
+            xe in -20i32..30,
+            to_zero in 1u64..5_000,
+            jitter in 0.9f64..1.1,
+            sign in 0u8..2,
+            n in 0u64..10_000,
+        ) {
+            let x = scaled(xm, xe, sign);
+            assert_adds_match(x, -x / to_zero as f64 * jitter, n);
+        }
+
+        /// d an exact odd multiple of half x's ulp: every step is a tie.
+        #[test]
+        fn add_repeated_breaks_ties_like_the_loop(
+            xm in 1.0f64..2.0,
+            xe in -20i32..30,
+            halves in 0u64..1_000_000,
+            signs in 0u8..4,
+            n in 0u64..10_000,
+        ) {
+            let x = scaled(xm, xe, signs);
+            let d = scaled((2 * halves + 1) as f64, xe - 53, signs >> 1);
+            assert_adds_match(x, d, n);
+        }
+    }
+
+    #[test]
+    fn add_repeated_steps_plainly_on_special_operands() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let specials = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            3.0 * tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE - tiny, // largest subnormal
+            1e-310,
+            1.0,
+            -1.5,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &x in &specials {
+            for &d in &specials {
+                for n in [0, 1, 2, 3, 64, 1000] {
+                    assert_adds_match(x, d, n);
+                }
+            }
+        }
+    }
+
+    /// Assign `0..n` to one job, then release random runs, so idle runs
+    /// start and end anywhere, cross word boundaries and reach the tail.
+    fn fragmented(n: u32, seed: u64) -> NodeTable {
+        let mut rng = proptest::test_runner::TestRng::new(seed);
+        let mut t = NodeTable::build(n, Watts(280.0), |_| 1.0);
+        t.assign(0..n, JobId(0));
+        let mut i = 0;
+        while i < n {
+            let len = (1 + rng.below(150) as u32).min(n - i);
+            if rng.below(2) == 0 {
+                t.release(i..i + len, None);
+            }
+            i += len;
+        }
+        t
+    }
+
+    proptest! {
+        /// The range scan holds exactly the first `want` idle nodes of a
+        /// per-bit scan, as maximal runs.
+        #[test]
+        fn collect_idle_matches_a_per_bit_scan(
+            n in 1u32..600,
+            seed in any::<u64>(),
+            want in 0usize..700,
+        ) {
+            let t = fragmented(n, seed);
+            let ids: Vec<u32> = (0..n).filter(|&i| t.is_idle(NodeId(i))).take(want).collect();
+            let mut expect: Vec<Range<u32>> = Vec::new();
+            for &i in &ids {
+                match expect.last_mut() {
+                    Some(r) if r.end == i => r.end += 1,
+                    _ => expect.push(i..i + 1),
+                }
+            }
+            let mut out = runs(&[(7, 9)]); // cleared first
+            assert_eq!(t.collect_idle(want, &mut out), ids.len());
+            assert_eq!(out, expect);
+        }
+
+        /// The range re-anchor and its closed-form draw sum match the
+        /// per-node `progress_at` loop and running sum, bit for bit.
+        #[test]
+        fn range_reanchor_matches_the_per_node_loop(
+            n in 1u32..400,
+            seed in any::<u64>(),
+            nominal in 1e-5f64..1e-2,
+            dt in 0.05f64..2.0,
+            ticks in 0u64..3_000,
+            busy in 0.0f64..5e7,
+            delta in -80.0f64..80.0,
+        ) {
+            let mut rng = proptest::test_runner::TestRng::new(seed);
+            let coeff: Vec<f64> = (0..n).map(|_| 0.8 + 0.4 * rng.unit_f64()).collect();
+            let mut t = NodeTable::build(n, Watts(280.0), |i| coeff[i.index()]);
+            for a in &mut t.anchor_progress {
+                *a = if rng.below(8) == 0 { 1.0 } else { rng.unit_f64() };
+            }
+            let mut ranges = Vec::new();
+            let mut i = rng.below(4) as u32;
+            while i < n {
+                let end = (i + 1 + rng.below(90) as u32).min(n);
+                ranges.push(i..end);
+                i = end + 1 + rng.below(40) as u32;
+            }
+            let before = t.anchor_progress.clone();
+            let mut expect = before.clone();
+            let mut expect_busy = Watts(busy);
+            for id in ranges.iter().flat_map(|r| r.clone()) {
+                let i = id as usize;
+                expect[i] = progress_at(before[i], nominal / t.perf_coeff[i], dt, ticks);
+                expect_busy += Watts(delta);
+            }
+            let got = t.reanchor(&ranges, nominal, dt, ticks, Watts(busy), Watts(delta));
+            assert_eq!(got.value().to_bits(), expect_busy.value().to_bits());
+            for (i, (a, e)) in t.anchor_progress.iter().zip(&expect).enumerate() {
+                assert_eq!(a.to_bits(), e.to_bits(), "node {i}");
+            }
+        }
     }
 }

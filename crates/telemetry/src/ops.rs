@@ -250,6 +250,18 @@ mod tests {
         OpsServer::bind("127.0.0.1:0", t, provider).unwrap()
     }
 
+    /// The served counter ticks after the response bytes are written,
+    /// so a client can observe its complete answer before the server
+    /// thread reaches the fetch_add: give the counter up to 2 s to reach
+    /// `n` rather than asserting against the race, then read it.
+    fn served_once_settled(s: &OpsServer, n: u64) -> u64 {
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while s.requests_served() < n && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        s.requests_served()
+    }
+
     #[test]
     fn serves_health_metrics_and_status() {
         let s = server();
@@ -261,7 +273,7 @@ mod tests {
         assert!(body.contains("ops_probe_total{kind=\"unit\"} 7"), "{body}");
         let (code, body) = http_get(&addr, "/status?verbose=1", IO_TIMEOUT).unwrap();
         assert_eq!((code, body.as_str()), (200, "{\"ok\":true}"));
-        assert_eq!(s.requests_served(), 3);
+        assert_eq!(served_once_settled(&s, 3), 3);
     }
 
     #[test]
@@ -299,15 +311,7 @@ mod tests {
             assert_eq!(code, 200);
             assert!(body.contains("ops_probe_total"), "{body}");
         }
-        // The served counter ticks after the response bytes are written,
-        // so a client can observe its complete answer before the server
-        // thread reaches the fetch_add: give the counter a moment rather
-        // than asserting against the race.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while s.requests_served() < n && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(s.requests_served(), n);
+        assert_eq!(served_once_settled(&s, n), n);
         assert_eq!(s.request_errors(), 0);
     }
 
@@ -330,7 +334,7 @@ mod tests {
         // IO_TIMEOUT lets it ride out the stall.
         let (code, body) = http_get(&addr.to_string(), "/health", Duration::from_secs(8)).unwrap();
         assert_eq!((code, body.as_str()), (200, "ok\n"));
-        assert_eq!(s.requests_served(), 1);
+        assert_eq!(served_once_settled(&s, 1), 1);
         assert_eq!(s.request_errors(), 1);
         drop(loris);
     }
