@@ -34,6 +34,11 @@
 //!   regulation signal, as its Adjusted cell runs it: even-slowdown with
 //!   job-tier feedback, BT announced as IS. The whole emulated control
 //!   loop: job tier, GEOPM runtimes, retrains and the in-process links.
+//! - `replay_dr_600s`: `replay` with `verify` over a flight recording of
+//!   that same run, made once before the timed runs: the daemon's
+//!   accept, ingest, decide and actuate code over the recorded plane. A
+//!   divergence fails the run; the auditor's count is printed (Fig. 10's
+//!   band trips its watts-conservation check live, see ROADMAP item 1).
 //! - `policy_assign_<policy>_<n>`: `BudgetPolicy::assign` over `n` = 16,
 //!   1k and 10k jobs for each policy that reads no at-risk flags, at
 //!   210 W per node (inside every job's window, so even-slowdown
@@ -55,21 +60,22 @@
 //! system time of every thread, read from `/proc/self/stat` around the
 //! K-run batch (10 ms resolution over the batch, 0 where unavailable).
 //! When the prior PR's trajectory file exists (`--baseline`, default
-//! `BENCH_PR17.json`), medians that slowed by more than 10% are flagged
+//! `BENCH_PR18.json`), medians that slowed by more than 10% are flagged
 //! as `PERF REGRESSION` lines.
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_bench::analyze::{flag_regressions, parse_bench_file, BenchRow};
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor_cluster::{
-    run_load, BudgetPolicy, EmulatedCluster, EmulatorConfig, FramedStream, JobSetup, LoadConfig,
-    StreamOptions, TransportKind, TransportOptions,
+    recorder_meta, replay, run_load, BudgetPolicy, EmulatedCluster, EmulatorConfig, FramedStream,
+    JobSetup, LoadConfig, ReplayOptions, StreamOptions, TransportKind, TransportOptions,
 };
 use anor_core::experiments::{fig11, fig4};
 use anor_model::{ModelerConfig, PowerModeler};
 use anor_platform::PerformanceVariation;
 use anor_policy::JobView;
 use anor_sim::{SimConfig, TabularSim};
+use anor_telemetry::{read_recording, FlightRecorder};
 use anor_types::msg::{ClusterToJob, EpochSample, JobToCluster};
 use anor_types::stats::std_dev;
 use anor_types::{CapRange, JobId, Joules, PowerCurve};
@@ -396,12 +402,12 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR18.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR19.json".to_string());
     let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR17.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR18.json".to_string());
     let runs = args
         .iter()
         .position(|a| a == "--runs")
@@ -558,6 +564,34 @@ fn main() {
         "emulator_dr_600s: {} for {} job(s) over 600 virtual s",
         r.summary(),
         jobs.len()
+    );
+    results.push(r);
+
+    let path = std::env::temp_dir().join(format!("perfsuite-dr-{}.rec", std::process::id()));
+    let bcfg = BudgeterConfig::new(cfg.policy, cfg.feedback);
+    let recorder = FlightRecorder::create(&path, recorder_meta(&bcfg, &cfg.lease, cfg.seed))
+        .expect("cannot create the flight recording");
+    EmulatedCluster::new(cfg.clone().with_recorder(recorder.clone()))
+        .run_demand_response(&jobs, target.clone(), false)
+        .expect("recorded emulated run failed");
+    recorder.flush().expect("flight recording not flushed");
+    let rec = read_recording(&path).expect("cannot read the flight recording");
+    let _ = std::fs::remove_file(&path);
+    let verify = ReplayOptions {
+        verify: true,
+        until: None,
+    };
+    let (mut pumps, mut violations) = (0, 0);
+    let r = timed_runs("replay_dr_600s", 1, runs, || {
+        let out = replay(&rec, &verify).expect("replay failed");
+        assert_eq!(out.first_divergence, None, "replay --verify diverged");
+        (pumps, violations) = (out.pumps_replayed, out.invariant_violations);
+    });
+    println!(
+        "replay_dr_600s: {} for {pumps} verified pump(s) of {} event(s), {violations} \
+         invariant violation(s)",
+        r.summary(),
+        rec.events.len()
     );
     results.push(r);
 

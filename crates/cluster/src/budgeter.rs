@@ -36,7 +36,7 @@ use anor_telemetry::{
 };
 use anor_types::msg::{ClusterToJob, JobToCluster};
 use anor_types::{AnorError, Catalog, JobId, Result, Seconds, Watts};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -377,7 +377,26 @@ impl BudgeterBuilder {
     /// Returns the daemon and the address endpoints should dial.
     /// Fails with a config error for a policy that reads at-risk flags
     /// ([`BudgetPolicy::reads_at_risk`]): the daemon projects none.
-    pub fn bind(self) -> Result<(ClusterBudgeter, Addr)> {
+    pub fn bind(mut self) -> Result<(ClusterBudgeter, Addr)> {
+        let listener = match self.listener.take() {
+            Some(l) => l,
+            None => TcpListener::bind(self.addr.as_str())?.into(),
+        };
+        let addr = listener.addr()?;
+        let telemetry = self.telemetry.get_or_insert_with(Telemetry::default);
+        let transport = build_transport(
+            &self.transport,
+            listener,
+            telemetry,
+            TransportMetrics::new(telemetry, "budgeter"),
+            self.faults.take(),
+        )?;
+        Ok((self.over(transport)?, addr))
+    }
+
+    /// Construct the daemon over an already-built connection plane (how
+    /// replay puts it on a recording).
+    pub(crate) fn over(self, transport: Box<dyn Transport>) -> Result<ClusterBudgeter> {
         if self.cfg.policy.reads_at_risk() {
             return Err(AnorError::config(format!(
                 "policy `{}` needs at-risk projections the daemon does not make; \
@@ -385,42 +404,24 @@ impl BudgeterBuilder {
                 self.cfg.policy.name()
             )));
         }
-        let listener = match self.listener {
-            Some(l) => l,
-            None => TcpListener::bind(self.addr.as_str())?.into(),
-        };
-        let addr = listener.addr()?;
         let telemetry = self.telemetry.unwrap_or_default();
-        let transport_metrics = TransportMetrics::new(&telemetry, "budgeter");
-        let metrics = BudgeterMetrics::new(&telemetry);
-        let transport = build_transport(
-            &self.transport,
-            listener,
-            &telemetry,
-            transport_metrics,
-            self.faults,
-        )?;
-        Ok((
-            ClusterBudgeter {
-                cfg: self.cfg,
-                transport,
-                jobs: BTreeMap::new(),
-                completed: Vec::new(),
-                telemetry,
-                metrics,
-                tracer: self.tracer,
-                lease: self.lease,
-                accepted: 0,
-                status: self.status,
-                pumps: 0,
-                last_budget: Watts::ZERO,
-                audit_dumped: AuditDumped::default(),
-                recorder: self.recorder,
-                replay: None,
-                model_observe_s: 0.0,
-            },
-            addr,
-        ))
+        Ok(ClusterBudgeter {
+            cfg: self.cfg,
+            transport,
+            jobs: BTreeMap::new(),
+            completed: Vec::new(),
+            metrics: BudgeterMetrics::new(&telemetry),
+            telemetry,
+            tracer: self.tracer,
+            lease: self.lease,
+            accepted: 0,
+            status: self.status,
+            pumps: 0,
+            last_budget: Watts::ZERO,
+            audit_dumped: AuditDumped::default(),
+            recorder: self.recorder,
+            model_observe_s: 0.0,
+        })
     }
 }
 
@@ -454,28 +455,13 @@ struct AuditDumped {
     stale_session: bool,
 }
 
-/// Replay-mode I/O substitution: when attached, the budgeter reads no
-/// sockets — the replayer injects recorded frames and connection
-/// transitions directly, outbound frames are captured instead of sent,
-/// and decision cause ids come from the recorded feed rather than the
-/// tracer (tracer counters are shared across components, so re-minting
-/// would not reproduce the recorded wire bytes).
-#[derive(Debug, Default)]
-pub(crate) struct ReplayIo {
-    /// Virtual connection liveness, by recorded slot index.
-    open: Vec<bool>,
-    /// Captured outbound frames `(conn, body)` in emission order.
-    out: Vec<(usize, bytes::Bytes)>,
-    /// Recorded decision cause ids, consumed in mint order.
-    causes: VecDeque<u64>,
-}
-
 /// The budgeter daemon (pump-driven).
 #[derive(Debug)]
 pub struct ClusterBudgeter {
     cfg: BudgeterConfig,
-    /// The connection plane: blocking sweeps or the sharded reactor.
-    /// Session logic above this seam addresses peers by [`ConnId`] only.
+    /// The connection plane: blocking sweeps, the sharded reactor, or a
+    /// recording on replay. Session logic above this seam addresses peers
+    /// by [`ConnId`] only.
     transport: Box<dyn Transport>,
     // Ordered so every pump-phase walk (lease ticks, redistribution,
     // audits, status snapshots) visits jobs in JobId order: the audit's
@@ -493,7 +479,6 @@ pub struct ClusterBudgeter {
     last_budget: Watts,
     audit_dumped: AuditDumped,
     recorder: Option<FlightRecorder>,
-    replay: Option<ReplayIo>,
     /// Seconds spent in `Sample`/`Model` handling during the current
     /// pump (the model-observe phase, carved out of ingest).
     model_observe_s: f64,
@@ -534,11 +519,6 @@ impl ClusterBudgeter {
         self.transport.backpressure_drops()
     }
 
-    /// Which connection plane this daemon runs.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.transport.kind()
-    }
-
     /// One control pass: accept connections, ingest messages, advance
     /// lease countdowns, recompute the assignment over active jobs for
     /// `busy_budget` (total CPU watts for all job-occupied nodes), send
@@ -557,10 +537,8 @@ impl ClusterBudgeter {
         // Phase: ingest (minus the model-observe time carved out below).
         self.model_observe_s = 0.0;
         let ingest_started = Instant::now();
-        if self.replay.is_none() {
-            self.accept_new()?;
-            self.ingest()?;
-        }
+        self.accept_new()?;
+        self.ingest()?;
         let ingest_s = (ingest_started.elapsed().as_secs_f64() - self.model_observe_s).max(0.0);
         self.metrics.phase_ingest.observe(ingest_s);
         self.metrics
@@ -619,9 +597,9 @@ impl ClusterBudgeter {
     }
 
     fn ingest(&mut self) -> Result<()> {
-        // `poll_readable` yields ids in ascending accept order on every
-        // plane — the deterministic drain order the recorded decision
-        // stream depends on.
+        // `poll_readable` yields ids in ascending accept order on the live
+        // planes, and in recorded order on replay — the deterministic
+        // drain order the recorded decision stream depends on.
         for id in self.transport.poll_readable() {
             // A misbehaving peer (malformed frames, oversized length
             // prefix) must not take the daemon down — and must not spin
@@ -634,9 +612,9 @@ impl ClusterBudgeter {
                     self.transport.shutdown(id);
                     self.metrics.conns_quarantined.inc();
                     // Length-prefix corruption is caught below decode, so
-                    // no FrameIn exists for the replayer to re-trip on —
-                    // the quarantine is recorded as its own event and
-                    // applied as such on replay.
+                    // no FrameIn precedes this quarantine in the recording;
+                    // the recorded plane turns such a quarantine back into
+                    // this error on replay.
                     if let Some(r) = &self.recorder {
                         r.record(&RecEvent::ConnQuarantined { conn: id.value() });
                     }
@@ -664,9 +642,6 @@ impl ClusterBudgeter {
     /// Handle one decoded-or-rejected inbound frame body on `conn`.
     /// Returns `true` when the frame poisoned its connection (malformed:
     /// the conn is quarantined and must be torn down by the caller).
-    /// This is the single code path for live ingest *and* replay
-    /// injection, so a recording replays through exactly the logic that
-    /// produced it.
     fn process_frame(&mut self, id: ConnId, body: bytes::Bytes) -> Result<bool> {
         if let Some(r) = &self.recorder {
             r.record(&RecEvent::FrameIn {
@@ -678,13 +653,9 @@ impl ClusterBudgeter {
             Ok(m) => m,
             Err(e) => {
                 self.transport.shutdown(id);
-                // On replay the recorded ConnQuarantined event drives the
-                // counter, so re-tripping here must not double-count.
-                if self.replay.is_none() {
-                    self.metrics.conns_quarantined.inc();
-                    if let Some(r) = &self.recorder {
-                        r.record(&RecEvent::ConnQuarantined { conn: id.value() });
-                    }
+                self.metrics.conns_quarantined.inc();
+                if let Some(r) = &self.recorder {
+                    r.record(&RecEvent::ConnQuarantined { conn: id.value() });
                 }
                 if let Some(t) = &self.tracer {
                     t.record_detail(
@@ -875,8 +846,7 @@ impl ClusterBudgeter {
 
     /// Tear down connection `conn`'s session bookkeeping: postmortem any
     /// jobs it carried, start their lease countdowns (or strand them when
-    /// leases are off), and free the slot. Shared between live ingest and
-    /// replayed `ConnClosed` events.
+    /// leases are off), and free the slot.
     fn disconnect_conn(&mut self, conn: ConnId) {
         if let Some(r) = &self.recorder {
             r.record(&RecEvent::ConnClosed { conn: conn.value() });
@@ -913,26 +883,9 @@ impl ClusterBudgeter {
         self.transport.release(conn);
     }
 
-    /// Is connection `conn` live? In replay mode liveness comes from
-    /// the recorded connection transitions, not real sockets.
-    fn conn_slot_live(&self, conn: ConnId) -> bool {
-        match &self.replay {
-            Some(rio) => rio.open.get(conn.index()).copied().unwrap_or(false),
-            None => self.transport.is_open(conn),
-        }
-    }
-
-    /// Send `frame` (an un-length-prefixed message body) to `conn`,
+    /// Send `frame` (an encoded, length-prefixed message) to `conn`,
     /// recording it as a `DecisionTx` exactly when a send really happens.
-    /// In replay mode the frame is captured for byte-comparison instead
-    /// of being written to a socket.
     fn send_to_conn(&mut self, conn: ConnId, frame: bytes::Bytes) -> Result<()> {
-        if let Some(rio) = self.replay.as_mut() {
-            if rio.open.get(conn.index()).copied().unwrap_or(false) {
-                rio.out.push((conn.index(), frame));
-            }
-            return Ok(());
-        }
         if self.transport.is_open(conn) {
             if let Some(r) = &self.recorder {
                 r.record(&RecEvent::DecisionTx {
@@ -961,11 +914,7 @@ impl ClusterBudgeter {
             if !e.holds_lease() {
                 continue;
             }
-            let connected = match &self.replay {
-                Some(rio) => rio.open.get(e.conn.index()).copied().unwrap_or(false),
-                None => self.transport.is_live(e.conn),
-            };
-            if connected {
+            if self.transport.is_live(e.conn) {
                 continue;
             }
             e.missed_pumps = e.missed_pumps.saturating_add(1);
@@ -1056,30 +1005,26 @@ impl ClusterBudgeter {
         // pass that re-sends nothing mints nothing (no phantom orphans).
         // The tracer's cause counter is shared across components, so its
         // value depends on interleaving a replay cannot reproduce: the
-        // mint is recorded, and replay consumes the recorded feed so the
-        // re-emitted cap frames stay byte-identical.
-        let cause = if let Some(rio) = self.replay.as_mut() {
-            CauseId(rio.causes.pop_front().unwrap_or(0))
-        } else {
-            let c = match &self.tracer {
-                Some(t) => {
-                    let c = t.next_cause();
-                    t.record_full(
-                        TraceStage::Decision,
-                        c,
-                        None,
-                        Some(busy_budget.value()),
-                        Some(format!("{} cap(s) re-issued", changed.len())),
-                    );
-                    c
-                }
-                None => CauseId::NONE,
-            };
-            if let Some(r) = &self.recorder {
-                r.record(&RecEvent::CauseMinted { cause: c.0 });
+        // mint is recorded, and a replay takes the recorded id from its
+        // plane so the re-emitted cap frames stay byte-identical.
+        let cause = match (self.transport.recorded_cause(), &self.tracer) {
+            (Some(c), _) => CauseId(c),
+            (None, Some(t)) => {
+                let c = t.next_cause();
+                t.record_full(
+                    TraceStage::Decision,
+                    c,
+                    None,
+                    Some(busy_budget.value()),
+                    Some(format!("{} cap(s) re-issued", changed.len())),
+                );
+                c
             }
-            c
+            (None, None) => CauseId::NONE,
         };
+        if let Some(r) = &self.recorder {
+            r.record(&RecEvent::CauseMinted { cause: cause.0 });
+        }
         self.metrics
             .phase_decide
             .observe(decide_started.elapsed().as_secs_f64());
@@ -1090,7 +1035,7 @@ impl ClusterBudgeter {
             };
             entry.last_cap = Some(cap);
             let conn = entry.conn;
-            if self.conn_slot_live(conn) {
+            if self.transport.is_open(conn) {
                 if let Some(t) = &self.tracer {
                     t.record_job(TraceStage::CapTx, cause, id.0, Some(cap.value()));
                 }
@@ -1151,7 +1096,7 @@ impl ClusterBudgeter {
             }
             match e.state {
                 SessionState::Connected => {
-                    if !self.conn_slot_live(e.conn) {
+                    if !self.transport.is_open(e.conn) {
                         violations.push((
                             AuditKind::StaleSession,
                             format!(
@@ -1298,10 +1243,7 @@ impl ClusterBudgeter {
             budget: self.last_budget.value(),
             pumps: self.pumps,
             active_jobs: self.active_jobs(),
-            conns_open: match &self.replay {
-                Some(rio) => rio.open.iter().filter(|o| **o).count(),
-                None => self.transport.open_conns(),
-            },
+            conns_open: self.transport.open_conns(),
             accepted: self.accepted,
             completed: self.completed.len(),
             allocated_watts: allocated,
@@ -1329,70 +1271,6 @@ impl ClusterBudgeter {
     /// Control passes executed so far.
     pub fn pump_count(&self) -> u64 {
         self.pumps
-    }
-
-    // ---- replay-mode hooks (driven by `crate::replay`) ---------------
-
-    /// Detach the daemon from its sockets: all subsequent I/O comes from
-    /// replayed events, and outbound frames are captured for comparison.
-    pub(crate) fn replay_begin(&mut self) {
-        self.replay = Some(ReplayIo::default());
-    }
-
-    /// Apply a recorded `ConnOpen`: slot `conn` becomes virtually live.
-    pub(crate) fn replay_conn_open(&mut self, conn: usize) {
-        self.accepted += 1;
-        if let Some(rio) = self.replay.as_mut() {
-            if rio.open.len() <= conn {
-                rio.open.resize(conn + 1, false);
-            }
-            if let Some(slot) = rio.open.get_mut(conn) {
-                *slot = true;
-            }
-        }
-    }
-
-    /// Apply a recorded `ConnClosed`: mark the slot dead and run the
-    /// live disconnect bookkeeping (lease countdowns, postmortems).
-    pub(crate) fn replay_conn_closed(&mut self, conn: usize) {
-        if let Some(rio) = self.replay.as_mut() {
-            if let Some(slot) = rio.open.get_mut(conn) {
-                *slot = false;
-            }
-        }
-        self.disconnect_conn(ConnId::new(conn as u32));
-    }
-
-    /// Apply a recorded `ConnQuarantined`: count it. (Recordings pair a
-    /// quarantine with a `ConnClosed`, which does the teardown; frame-
-    /// level quarantines additionally re-trip inside `process_frame`,
-    /// which skips the counter in replay mode to avoid double-counting.)
-    pub(crate) fn replay_conn_quarantined(&mut self, _conn: usize) {
-        self.metrics.conns_quarantined.inc();
-    }
-
-    /// Inject a recorded inbound frame body through the real decode and
-    /// session paths. Returns `true` when the frame was malformed (the
-    /// recording carries the resulting quarantine/close as events).
-    pub(crate) fn replay_inject(&mut self, conn: usize, body: bytes::Bytes) -> Result<bool> {
-        self.process_frame(ConnId::new(conn as u32), body)
-    }
-
-    /// Queue a recorded decision cause id for the next cap-reissuing
-    /// redistribute pass.
-    pub(crate) fn replay_feed_cause(&mut self, cause: u64) {
-        if let Some(rio) = self.replay.as_mut() {
-            rio.causes.push_back(cause);
-        }
-    }
-
-    /// Drain the outbound frames captured since the last call, in
-    /// emission order.
-    pub(crate) fn replay_take_out(&mut self) -> Vec<(usize, bytes::Bytes)> {
-        self.replay
-            .as_mut()
-            .map(|rio| std::mem::take(&mut rio.out))
-            .unwrap_or_default()
     }
 
     /// Invariant-auditor violations observed so far (all kinds).
@@ -1959,7 +1837,12 @@ mod tests {
                 .telemetry(telemetry.clone())
                 .bind()
                 .unwrap();
-        assert_eq!(b.transport_kind(), TransportKind::Blocking);
+        // Only the reactor adds per-shard ingest rows to the PHASE pane.
+        let phases = b.status_snapshot().phases;
+        assert!(
+            phases.iter().all(|p| !p.phase.starts_with("ingest/shard")),
+            "{phases:?}"
+        );
         let mut client = connect(&addr);
         client.send(hello(2, "mg.D.32", 1)).unwrap();
         pump_until(&mut b, Watts(200.0), |b| b.active_jobs() == 1);

@@ -8,8 +8,8 @@
 //!
 //! A link is either a TCP stream (the `anord`/`anor-job` daemons, the
 //! load harness, the socket tests) or one end of an in-process pipe pair
-//! with TCP's non-blocking semantics. The emulated cluster and replay run
-//! both ends on one thread, where loopback TCP models no latency and no
+//! with TCP's non-blocking semantics. The emulated cluster runs both
+//! ends on one thread, where loopback TCP models no latency and no
 //! loss but costs a syscall per read. Framing, the length-prefix check,
 //! fault injection and the transport counters all sit above the link, so
 //! every frame takes the same encode → bytes → `take_frame` → decode

@@ -26,19 +26,19 @@
 //! * [`status`] — the live ops surface: the budgeter publishes a
 //!   [`StatusSnapshot`] each control pass into a [`StatusBoard`] that the
 //!   introspection endpoint serves as `GET /status` JSON;
-//! * [`replay`](mod@replay) — offline reconstruction of a budgeter from
-//!   a flight recording, with byte-exact decision verification
+//! * [`replay`](mod@replay) — re-runs a budgeter's live pump over a
+//!   flight recording, with byte-exact decision verification
 //!   (`anor-replay --verify`) and first-divergence diffing;
 //! * [`emulator`] — a 16-node emulated cluster harness that wires
 //!   simulated nodes, GEOPM runtimes, endpoint processes and the budgeter
 //!   daemon together over in-process links under a virtual clock (the
 //!   real-hardware substitution documented in DESIGN.md);
 //! * [`transport`] — the connection plane behind the budgeter: a
-//!   [`Transport`] seam with the original blocking sweep
-//!   ([`BlockingTransport`]) and a sharded non-blocking reactor
-//!   ([`ReactorTransport`]) whose recorded decision streams are
-//!   byte-identical at any shard count, accepting from a TCP or an
-//!   in-process [`Listener`] that endpoints reach through an [`Addr`];
+//!   [`Transport`] seam with three planes. The blocking sweep
+//!   ([`BlockingTransport`]) and the sharded reactor
+//!   ([`ReactorTransport`]) accept from a TCP or an in-process
+//!   [`Listener`] that endpoints reach through an [`Addr`], with
+//!   byte-identical decision streams; replay's plane serves a recording;
 //! * [`load`] — the `anor-load` synthetic-endpoint harness: N endpoints
 //!   × reconnect storms × fault specs against a live budgeter.
 

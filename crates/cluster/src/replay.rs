@@ -4,11 +4,11 @@
 //! budgeter saw — inbound wire frames, connection and lease transitions,
 //! pump triggers, minted decision cause ids — plus everything it emitted.
 //! [`replay`] reconstructs a [`ClusterBudgeter`] from the recorded
-//! header's config string and drives it through the *real* decode,
-//! session and budget code paths, with recorded events standing in for
-//! the links and the recorded timestamps standing in for the wall clock
-//! (no sleeps: virtual time only orders events, it never waits). The
-//! replayed budgeter sits on an in-process listener, so a replay binds
+//! header's config string, puts it on a recorded connection plane that
+//! serves the recorded events and captures its writes, and calls the live
+//! `pump` once per recorded pump: accept, ingest, decode, session and
+//! budget code all run as in the daemon, with the recorded pump
+//! boundaries standing in for the wall clock (no sleeps). A replay binds
 //! no port.
 //!
 //! In `--verify` mode every re-emitted decision frame is compared
@@ -20,10 +20,14 @@
 
 use crate::budgeter::{BudgetPolicy, BudgeterConfig, ClusterBudgeter, LeaseConfig, UnknownDefault};
 use crate::status::StatusSnapshot;
-use crate::transport::Listener;
-use anor_telemetry::{RecEvent, Recording, RecordingMeta};
-use anor_types::msg::ClusterToJob;
+use crate::transport::{ConnId, ConnSlab, Listener, Transport};
+use anor_telemetry::{RecEvent, RecordedEvent, Recording, RecordingMeta};
+use anor_types::msg::{take_frame, ClusterToJob};
 use anor_types::{AnorError, Result, Watts};
+use bytes::{Bytes, BytesMut};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Render a budgeter configuration as the canonical `key=value` string
 /// stored in a recording header. [`parse_config`] inverts it; the pair
@@ -172,11 +176,11 @@ pub fn replay(rec: &Recording, opts: &ReplayOptions) -> Result<ReplayOutcome> {
             rec.header.config, rec.header.build_version, rec.header.git_hash
         )));
     };
-    let (mut budgeter, _addr) = ClusterBudgeter::builder(cfg)
+    let plane = RecordedPlane::default();
+    let tape = Arc::clone(&plane.tape);
+    let mut budgeter = ClusterBudgeter::builder(cfg)
         .lease(lease)
-        .listener(Listener::in_process())
-        .bind()?;
-    budgeter.replay_begin();
+        .over(Box::new(plane))?;
 
     let mut outcome = ReplayOutcome {
         pumps_replayed: 0,
@@ -189,48 +193,31 @@ pub fn replay(rec: &Recording, opts: &ReplayOptions) -> Result<ReplayOutcome> {
             .map_or(0.0, |e| e.ts_nanos as f64 / 1_000_000_000.0),
         snapshot: StatusSnapshot::default(),
     };
-    // Events between two PumpStarts belong to the *first* of them (the
-    // pump was running when they were recorded), so each pump executes
-    // when its successor begins — by then all of its injections have
-    // been applied, exactly as live ingest had before lease/decide.
-    let mut pending: Option<(u64, f64)> = None;
-    let mut expected: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut stopped = false;
-    for ev in &rec.events {
-        match &ev.event {
-            RecEvent::PumpStart { pump, budget } => {
-                if let Some((p, bud)) = pending.take() {
-                    run_pump(&mut budgeter, p, bud, &mut expected, opts, &mut outcome)?;
-                    if outcome.first_divergence.is_some() || opts.until.is_some_and(|u| p >= u) {
-                        stopped = true;
-                    }
-                }
-                if stopped {
-                    break;
-                }
-                pending = Some((*pump, *budget));
-            }
-            RecEvent::ConnOpen { conn } => budgeter.replay_conn_open(*conn as usize),
-            RecEvent::ConnClosed { conn } => budgeter.replay_conn_closed(*conn as usize),
-            RecEvent::ConnQuarantined { conn } => {
-                budgeter.replay_conn_quarantined(*conn as usize);
-            }
-            RecEvent::FrameIn { conn, body } => {
-                let _poisoned =
-                    budgeter.replay_inject(*conn as usize, bytes::Bytes::from(body.clone()))?;
-                // The recording carries the resulting quarantine/close as
-                // their own events; nothing more to do here.
-            }
-            RecEvent::DecisionTx { conn, frame } => expected.push((*conn, frame.clone())),
-            RecEvent::CauseMinted { cause } => budgeter.replay_feed_cause(*cause),
-            RecEvent::LeaseExpired { .. } | RecEvent::LeaseRestored { .. } => {
-                // Informational: replayed tick_leases re-derives both.
-            }
+    let mut expected = Vec::new();
+    // Events between two PumpStarts belong to the first of them (its pass
+    // was running when they were recorded); events ahead of the first
+    // PumpStart join the first pass.
+    let pumps = rec
+        .events
+        .chunk_by(|_, next| !matches!(next.event, RecEvent::PumpStart { .. }));
+    for events in pumps {
+        lock(&tape).stage(events, &mut expected);
+        let Some(&RecEvent::PumpStart { pump, budget }) = events.first().map(|e| &e.event) else {
+            continue;
+        };
+        budgeter.pump(Watts(budget))?;
+        outcome.pumps_replayed += 1;
+        let actual = std::mem::take(&mut lock(&tape).writes);
+        if !opts.verify {
+            outcome.decisions_checked += actual.len() as u64;
+        } else {
+            let div = first_mismatch(pump, budgeter.pump_count(), &expected, &actual);
+            outcome.decisions_checked += div.as_ref().map_or(actual.len(), |d| d.index) as u64;
+            outcome.first_divergence = div;
         }
-    }
-    if let Some((p, bud)) = pending.take() {
-        if !stopped {
-            run_pump(&mut budgeter, p, bud, &mut expected, opts, &mut outcome)?;
+        expected.clear();
+        if outcome.first_divergence.is_some() || opts.until.is_some_and(|u| pump >= u) {
+            break;
         }
     }
     outcome.invariant_violations = budgeter.invariant_violations();
@@ -238,74 +225,211 @@ pub fn replay(rec: &Recording, opts: &ReplayOptions) -> Result<ReplayOutcome> {
     Ok(outcome)
 }
 
-/// Execute one replayed pump and (in verify mode) compare its captured
-/// decision frames against the recorded ones, in emission order.
-fn run_pump(
-    budgeter: &mut ClusterBudgeter,
-    pump_no: u64,
-    budget: f64,
-    expected: &mut Vec<(u32, Vec<u8>)>,
-    opts: &ReplayOptions,
-    outcome: &mut ReplayOutcome,
-) -> Result<()> {
-    budgeter.pump(Watts(budget))?;
-    outcome.pumps_replayed += 1;
-    let actual = budgeter.replay_take_out();
-    if !opts.verify {
-        outcome.decisions_checked += actual.len() as u64;
-        expected.clear();
-        return Ok(());
-    }
-    if budgeter.pump_count() != pump_no && outcome.first_divergence.is_none() {
-        outcome.first_divergence = Some(Divergence {
-            pump: pump_no,
+/// Where a replayed pump first differs from its recording: its pump
+/// counter, then its written frames against the recorded decisions, in
+/// emission order.
+fn first_mismatch(
+    pump: u64,
+    replayed_pump: u64,
+    expected: &[(u32, &[u8])],
+    actual: &[(ConnId, Bytes)],
+) -> Option<Divergence> {
+    if replayed_pump != pump {
+        return Some(Divergence {
+            pump,
             index: 0,
-            expected: format!("pump counter {pump_no}"),
-            actual: format!(
-                "pump counter {} (recording did not start at pump 1?)",
-                budgeter.pump_count()
-            ),
+            expected: format!("pump counter {pump}"),
+            actual: format!("pump counter {replayed_pump} (recording did not start at pump 1?)"),
         });
     }
-    let n = expected.len().max(actual.len());
-    for i in 0..n {
-        if outcome.first_divergence.is_some() {
-            break;
+    let recorded = |i: usize| expected.get(i).copied();
+    let replayed = |i: usize| actual.get(i).map(|(conn, f)| (conn.value(), f.as_ref()));
+    let index = (0..expected.len().max(actual.len())).find(|&i| recorded(i) != replayed(i))?;
+    let describe = |frame: Option<(u32, &[u8])>, none: &str| {
+        frame.map_or_else(|| none.to_string(), |(conn, f)| describe_frame(conn, f))
+    };
+    Some(Divergence {
+        pump,
+        index,
+        expected: describe(recorded(index), "<no frame recorded>"),
+        actual: describe(replayed(index), "<no frame emitted>"),
+    })
+}
+
+/// One connection's recorded input within a pump, served by one
+/// `read_frames`: its frames in order, then maybe a close.
+#[derive(Debug)]
+struct Read {
+    conn: ConnId,
+    frames: usize,
+    closed: bool,
+    /// Quarantined before any frame (a rejected length prefix): served as
+    /// the protocol error a live plane raises.
+    broken: bool,
+}
+
+/// What [`replay`] and its [`RecordedPlane`] share: the next pump's
+/// recorded inputs, and the frames the budgeter wrote.
+#[derive(Debug, Default)]
+struct Tape {
+    /// Recorded `ConnOpen` ids, all accepted when the pump starts.
+    opens: Vec<u32>,
+    /// Reads in recorded order.
+    reads: VecDeque<Read>,
+    /// The reads' frame bodies back to back, where each one ends, and
+    /// where the next one to serve starts.
+    bodies: Vec<u8>,
+    ends: VecDeque<usize>,
+    served: usize,
+    /// Recorded decision cause ids, in mint order.
+    causes: VecDeque<u64>,
+    /// `(conn, frame)` in emission order.
+    writes: Vec<(ConnId, Bytes)>,
+}
+
+impl Tape {
+    /// Stage one pump's recorded inputs, and collect its recorded decision
+    /// frames into `expected`. Consecutive inputs on one connection form
+    /// one read, which a close ends.
+    fn stage<'r>(&mut self, events: &'r [RecordedEvent], expected: &mut Vec<(u32, &'r [u8])>) {
+        if self.reads.is_empty() {
+            self.bodies.clear();
+            self.ends.clear();
+            self.served = 0;
         }
-        match (expected.get(i), actual.get(i)) {
-            (Some((ec, ef)), Some((ac, af))) => {
-                if *ec as usize != *ac || ef.as_slice() != af.as_ref() {
-                    outcome.first_divergence = Some(Divergence {
-                        pump: pump_no,
-                        index: i,
-                        expected: describe_frame(*ec, ef),
-                        actual: describe_frame(*ac as u32, af),
-                    });
-                } else {
-                    outcome.decisions_checked += 1;
+        let mut read = None;
+        for ev in events {
+            match &ev.event {
+                RecEvent::ConnOpen { conn } => self.opens.push(*conn),
+                RecEvent::FrameIn { conn, body } => {
+                    self.bodies.extend_from_slice(body);
+                    self.ends.push_back(self.bodies.len());
+                    self.read_on(&mut read, *conn).frames += 1;
                 }
+                RecEvent::ConnClosed { conn } => self.read_on(&mut read, *conn).closed = true,
+                RecEvent::ConnQuarantined { conn } => {
+                    // After a frame, the quarantine is that malformed
+                    // frame's, which decoding it again re-trips.
+                    let r = self.read_on(&mut read, *conn);
+                    r.broken |= r.frames == 0;
+                }
+                RecEvent::CauseMinted { cause } => self.causes.push_back(*cause),
+                RecEvent::DecisionTx { conn, frame } => expected.push((*conn, frame)),
+                RecEvent::PumpStart { .. }
+                | RecEvent::LeaseExpired { .. }
+                | RecEvent::LeaseRestored { .. } => {}
             }
-            (Some((ec, ef)), None) => {
-                outcome.first_divergence = Some(Divergence {
-                    pump: pump_no,
-                    index: i,
-                    expected: describe_frame(*ec, ef),
-                    actual: "<no frame emitted>".to_string(),
-                });
-            }
-            (None, Some((ac, af))) => {
-                outcome.first_divergence = Some(Divergence {
-                    pump: pump_no,
-                    index: i,
-                    expected: "<no frame recorded>".to_string(),
-                    actual: describe_frame(*ac as u32, af),
-                });
-            }
-            (None, None) => break,
         }
+        self.reads.extend(read);
     }
-    expected.clear();
-    Ok(())
+
+    /// The read `conn`'s next input joins: the open one, unless it is on
+    /// another connection or closed, in which case that one is queued.
+    fn read_on<'a>(&mut self, read: &'a mut Option<Read>, conn: u32) -> &'a mut Read {
+        let conn = ConnId::new(conn);
+        if read.as_ref().is_some_and(|r| r.conn != conn || r.closed) {
+            self.reads.extend(read.take());
+        }
+        read.get_or_insert_with(|| Read {
+            conn,
+            frames: 0,
+            closed: false,
+            broken: false,
+        })
+    }
+
+    /// The next staged frame body.
+    fn next_body(&mut self) -> Bytes {
+        let start = self.served;
+        self.served = self.ends.pop_front().unwrap_or(start);
+        Bytes::copy_from_slice(self.bodies.get(start..self.served).unwrap_or_default())
+    }
+}
+
+fn lock(tape: &Mutex<Tape>) -> MutexGuard<'_, Tape> {
+    tape.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The connection plane a replay runs on: each pump accepts its staged
+/// `ConnOpen`s, serves its reads in recorded order and its cause ids in
+/// mint order, and writes onto the tape.
+#[derive(Debug, Default)]
+struct RecordedPlane {
+    tape: Arc<Mutex<Tape>>,
+    conns: ConnSlab<()>,
+}
+
+impl Transport for RecordedPlane {
+    /// Ids are allocated in accept order and never reused, so a recorded
+    /// id that is not the next accept index marks a corrupt recording.
+    fn accept(&mut self) -> Result<Vec<ConnId>> {
+        let opens = std::mem::take(&mut lock(&self.tape).opens);
+        let mut ids = Vec::new();
+        for conn in opens {
+            if conn as usize != self.conns.allocated() {
+                let e = format!("recorded connection {conn} opens out of accept order");
+                return Err(AnorError::config(e));
+            }
+            ids.push(self.conns.insert(()));
+        }
+        Ok(ids)
+    }
+
+    fn poll_readable(&mut self) -> Vec<ConnId> {
+        lock(&self.tape).reads.iter().map(|r| r.conn).collect()
+    }
+
+    /// Serves the front read: ingest reads each listed id once, in list
+    /// order.
+    fn read_frames(&mut self, _id: ConnId) -> Result<(Vec<Bytes>, bool)> {
+        let mut tape = lock(&self.tape);
+        let Some(read) = tape.reads.pop_front() else {
+            return Ok((Vec::new(), false));
+        };
+        let frames = (0..read.frames).map(|_| tape.next_body()).collect();
+        if read.broken {
+            return Err(AnorError::protocol("recorded quarantine"));
+        }
+        Ok((frames, read.closed))
+    }
+
+    fn write_frame(&mut self, id: ConnId, frame: Bytes) -> Result<()> {
+        lock(&self.tape).writes.push((id, frame));
+        Ok(())
+    }
+
+    fn shutdown(&mut self, _id: ConnId) {}
+
+    fn release(&mut self, id: ConnId) {
+        self.conns.remove(id);
+    }
+
+    fn is_open(&self, id: ConnId) -> bool {
+        self.conns.contains(id)
+    }
+
+    /// A recorded close is served with its read and released in the same
+    /// ingest, so an open connection is a live one.
+    fn is_live(&self, id: ConnId) -> bool {
+        self.conns.contains(id)
+    }
+
+    fn open_conns(&self) -> usize {
+        self.conns.open()
+    }
+
+    fn wait_readable(&self, _timeout: Duration) -> bool {
+        false
+    }
+
+    /// An exhausted feed hands back `CauseId::NONE`.
+    fn recorded_cause(&mut self) -> Option<u64> {
+        Some(lock(&self.tape).causes.pop_front().unwrap_or(0))
+    }
+
+    fn into_listener(self: Box<Self>) -> Listener {
+        Listener::in_process()
+    }
 }
 
 /// Compare two recordings event-by-event (timestamps ignored) and report
@@ -376,15 +500,17 @@ pub fn diff_recordings(a: &Recording, b: &Recording) -> RecordingDiff {
     diff
 }
 
-/// Human-readable one-liner for an outbound frame body: decoded message
-/// when the codec accepts it, byte count either way.
-fn describe_frame(conn: u32, body: &[u8]) -> String {
-    match ClusterToJob::decode(bytes::Bytes::copy_from_slice(body)) {
-        Ok(msg) => format!("conn {conn}, {} byte(s): {msg:?}", body.len()),
-        Err(_) => format!(
+/// Human-readable one-liner for a decision frame as handed to the
+/// transport, length prefix included: the decoded message when the codec
+/// accepts it, byte count either way.
+fn describe_frame(conn: u32, frame: &[u8]) -> String {
+    let body = take_frame(&mut BytesMut::from(frame)).ok().flatten();
+    match body.map(ClusterToJob::decode) {
+        Some(Ok(msg)) => format!("conn {conn}, {} byte(s): {msg:?}", frame.len()),
+        _ => format!(
             "conn {conn}, {} byte(s): <undecodable> {}",
-            body.len(),
-            hex_prefix(body)
+            frame.len(),
+            hex_prefix(frame)
         ),
     }
 }
@@ -427,9 +553,11 @@ fn hex_prefix(body: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::codec::StreamOptions;
-    use anor_telemetry::{read_recording, FlightRecorder, RecordedEvent, RecordingHeader};
+    use crate::transport::Addr;
+    use anor_telemetry::{read_recording, FlightRecorder, RecordingHeader};
     use anor_types::msg::JobToCluster;
     use anor_types::JobId;
+    use std::path::PathBuf;
 
     #[test]
     fn config_string_round_trips() {
@@ -583,5 +711,228 @@ mod tests {
         assert_eq!(d.first_divergence.unwrap().index, 2);
         assert_eq!(d.events_a, 3);
         assert_eq!(d.events_b, 2);
+    }
+
+    /// A budgeter flight-recording into `<tmp>/<name>.rec`, on the default
+    /// blocking plane over in-process links.
+    fn recorded_budgeter(
+        name: &str,
+        lease: LeaseConfig,
+    ) -> (ClusterBudgeter, Addr, FlightRecorder, PathBuf) {
+        let path = std::env::temp_dir().join(format!("anor-{name}-{}.rec", std::process::id()));
+        let cfg = BudgeterConfig::new(BudgetPolicy::EvenSlowdown, false);
+        let recorder = FlightRecorder::create(&path, recorder_meta(&cfg, &lease, 42)).unwrap();
+        let (b, addr) = ClusterBudgeter::builder(cfg)
+            .lease(lease)
+            .listener(Listener::in_process())
+            .recorder(recorder.clone())
+            .bind()
+            .unwrap();
+        (b, addr, recorder, path)
+    }
+
+    fn hello(job: u64) -> Bytes {
+        JobToCluster::Hello {
+            job: JobId(job),
+            type_name: "bt.D.81".into(),
+            nodes: 2,
+        }
+        .encode()
+    }
+
+    fn verify() -> ReplayOptions {
+        ReplayOptions {
+            verify: true,
+            until: None,
+        }
+    }
+
+    fn synthetic(events: Vec<RecEvent>) -> Recording {
+        Recording {
+            header: genesis_header("budgeter", 0),
+            events: events
+                .into_iter()
+                .map(|event| RecordedEvent { ts_nanos: 0, event })
+                .collect(),
+            unknown_skipped: 0,
+        }
+    }
+
+    #[test]
+    fn conn_open_at_u32_max_is_refused() {
+        // Ids are checked against the next accept index, never used to
+        // size a table: this recording once asked for 4 GiB.
+        let rec = synthetic(vec![
+            RecEvent::PumpStart {
+                pump: 1,
+                budget: 400.0,
+            },
+            RecEvent::ConnOpen { conn: u32::MAX },
+        ]);
+        assert!(replay(&rec, &ReplayOptions::default()).is_err());
+    }
+
+    #[test]
+    fn conn_one_opening_before_conn_zero_is_refused() {
+        let rec = synthetic(vec![
+            RecEvent::PumpStart {
+                pump: 1,
+                budget: 400.0,
+            },
+            RecEvent::ConnOpen { conn: 1 },
+            RecEvent::ConnOpen { conn: 0 },
+        ]);
+        assert!(replay(&rec, &ReplayOptions::default()).is_err());
+    }
+
+    #[test]
+    fn the_recorded_plane_serves_reads_in_recorded_order() {
+        let events = [
+            RecEvent::FrameIn {
+                conn: 2,
+                body: vec![1],
+            },
+            RecEvent::FrameIn {
+                conn: 2,
+                body: vec![2],
+            },
+            RecEvent::ConnClosed { conn: 2 },
+            RecEvent::FrameIn {
+                conn: 2,
+                body: vec![4],
+            },
+            RecEvent::FrameIn {
+                conn: 0,
+                body: vec![3],
+            },
+            RecEvent::ConnQuarantined { conn: 0 },
+            RecEvent::ConnClosed { conn: 0 },
+            RecEvent::ConnQuarantined { conn: 1 },
+            RecEvent::ConnClosed { conn: 1 },
+        ]
+        .map(|event| RecordedEvent { ts_nanos: 0, event });
+        let mut plane = RecordedPlane::default();
+        lock(&plane.tape).stage(&events, &mut Vec::new());
+        assert_eq!(plane.poll_readable(), [2, 2, 0, 1].map(ConnId::new));
+        let (frames, closed) = plane.read_frames(ConnId::new(2)).unwrap();
+        assert_eq!(frames, [Bytes::from(vec![1]), Bytes::from(vec![2])]);
+        assert!(closed);
+        // A close ends a read: a later frame is served after it.
+        let (frames, closed) = plane.read_frames(ConnId::new(2)).unwrap();
+        assert_eq!(frames, [Bytes::from(vec![4])]);
+        assert!(!closed);
+        // A quarantine after a frame is that frame's: decoding re-trips it.
+        let (frames, closed) = plane.read_frames(ConnId::new(0)).unwrap();
+        assert_eq!(frames, [Bytes::from(vec![3])]);
+        assert!(closed);
+        // One with no frame before it is a rejected length prefix.
+        let broken = plane.read_frames(ConnId::new(1));
+        assert!(matches!(broken, Err(AnorError::Protocol(_))), "{broken:?}");
+    }
+
+    #[test]
+    fn a_tampered_cap_is_reported_decoded_on_both_sides() {
+        let (mut b, addr, recorder, path) =
+            recorded_budgeter("replay-tampered", LeaseConfig::default());
+        let mut client = addr.dial(StreamOptions::default()).unwrap();
+        client.send(hello(1)).unwrap();
+        for _ in 0..3 {
+            b.pump(Watts(400.0)).unwrap();
+        }
+        recorder.flush().unwrap();
+        let mut rec = read_recording(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let frame = rec
+            .events
+            .iter_mut()
+            .find_map(|e| match &mut e.event {
+                RecEvent::DecisionTx { frame, .. } => Some(frame),
+                _ => None,
+            })
+            .unwrap();
+        // Length prefix, tag 4, then the cap's big-endian bits: flip the
+        // lowest, past the 12 bytes the undecodable fallback prints.
+        assert_eq!(frame.get(4), Some(&4), "a SetPowerCap frame");
+        frame[12] ^= 1;
+        let div = replay(&rec, &verify()).unwrap().first_divergence.unwrap();
+        assert!(div.expected.contains("SetPowerCap"), "{div:?}");
+        assert!(div.actual.contains("SetPowerCap"), "{div:?}");
+        assert_ne!(div.expected, div.actual);
+    }
+
+    #[test]
+    fn quarantines_a_lease_expiry_and_a_resume_replay_like_the_live_run() {
+        let (mut b, addr, recorder, path) =
+            recorded_budgeter("replay-three-peers", LeaseConfig::after_misses(3));
+        let dial = || addr.dial(StreamOptions::default()).unwrap();
+        let (mut malformed, mut oversized, mut leaver) = (dial(), dial(), dial());
+        malformed.send(hello(1)).unwrap();
+        oversized.send(hello(2)).unwrap();
+        leaver.send(hello(3)).unwrap();
+        for _ in 0..2 {
+            b.pump(Watts(1200.0)).unwrap();
+        }
+        // A framed body with no valid tag fails decode; a length prefix
+        // past `MAX_FRAME_LEN` fails below it; the leaver just goes.
+        malformed
+            .send(Bytes::from(vec![0, 0, 0, 3, 0xde, 0xad, 0xbe]))
+            .unwrap();
+        oversized.send(Bytes::from(vec![0xff; 4])).unwrap();
+        drop(leaver);
+        for _ in 0..6 {
+            b.pump(Watts(1200.0)).unwrap();
+        }
+        let mut resumed = dial();
+        resumed
+            .send(
+                JobToCluster::Resume {
+                    job: JobId(3),
+                    type_name: "bt.D.81".into(),
+                    nodes: 2,
+                    believed_cap: Watts(200.0),
+                    cause: 9,
+                }
+                .encode(),
+            )
+            .unwrap();
+        for _ in 0..3 {
+            b.pump(Watts(1200.0)).unwrap();
+        }
+        recorder.flush().unwrap();
+        let live = b.status_snapshot();
+        let rec = read_recording(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        let count =
+            |want: &dyn Fn(&RecEvent) -> bool| rec.events.iter().filter(|e| want(&e.event)).count();
+        assert_eq!(count(&|e| matches!(e, RecEvent::ConnQuarantined { .. })), 2);
+        // Conn 0's malformed body was recorded; conn 1's prefix never
+        // reached decode, so only its Hello was.
+        assert_eq!(
+            count(&|e| matches!(e, RecEvent::FrameIn { conn: 0, .. })),
+            2
+        );
+        assert_eq!(
+            count(&|e| matches!(e, RecEvent::FrameIn { conn: 1, .. })),
+            1
+        );
+        assert_eq!(
+            count(&|e| matches!(e, RecEvent::LeaseExpired { job: 3, .. })),
+            1
+        );
+        let resume_ack = |e: &RecEvent| matches!(e, RecEvent::DecisionTx { conn: 3, frame } if frame.get(4) == Some(&5));
+        assert_eq!(count(&resume_ack), 1);
+
+        let out = replay(&rec, &verify()).unwrap();
+        assert_eq!(out.first_divergence, None);
+        assert_eq!(out.invariant_violations, 0);
+        let replayed = out.snapshot;
+        assert!(live.reclaimed_watts > 0.0, "leases expired live");
+        assert_eq!(replayed.pumps, live.pumps);
+        assert_eq!(replayed.jobs, live.jobs);
+        assert_eq!(replayed.accepted, live.accepted);
+        assert_eq!(replayed.conns_open, live.conns_open);
+        assert_eq!(replayed.allocated_watts, live.allocated_watts);
+        assert_eq!(replayed.reclaimed_watts, live.reclaimed_watts);
     }
 }

@@ -5,7 +5,7 @@
 //! [`crate::session::RetryPolicy`], [`crate::session::FaultPlan`], the
 //! lease machinery, the invariant auditor, the flight recorder — is
 //! transport-agnostic: it addresses peers by stable [`ConnId`]s and never
-//! touches a socket. Below the seam live two implementations:
+//! touches a socket. Below the seam live three implementations:
 //!
 //! * [`BlockingTransport`] — the original plane: every socket is polled
 //!   inline on the pump thread, one sweep per control pass. Simple,
@@ -17,10 +17,12 @@
 //!   in ascending [`ConnId`] order — the same order the blocking plane
 //!   sweeps its slots — so the recorded decision stream is byte-identical
 //!   at any shard count.
+//! * The recorded plane, private to [`replay`](mod@crate::replay), serves
+//!   a flight recording back to the live pump.
 //!
-//! Either plane accepts from a [`Listener`]: a bound TCP socket (the
+//! Both live planes accept from a [`Listener`]: a bound TCP socket (the
 //! daemons, the load harness) or an in-process accept queue (the
-//! emulated cluster and replay). Endpoints reach it through the [`Addr`]
+//! emulated cluster). Endpoints reach it through the [`Addr`]
 //! that [`crate::budgeter::BudgeterBuilder::bind`] returns. Connection
 //! ids are allocated in accept order on either, and everything above the
 //! byte link (framing, fault injection, transport counters, the flight
@@ -72,7 +74,7 @@ pub const EGRESS_BYTES_PER_SLOT: usize = 256;
 /// connection, never reused for the lifetime of the daemon. Leases,
 /// quarantine bookkeeping, recorder tags (`RecEvent::{ConnOpen,FrameIn,
 /// DecisionTx,...}` all carry this value) and `/status` agree on it, and
-/// replay reconstructs liveness per id from the recorded transitions.
+/// replay re-allocates the recorded ids in the recorded accept order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(u32);
 
@@ -396,18 +398,18 @@ impl Acceptor {
 
 /// The connection plane the budgeter drives. One sweep of the pump is:
 /// [`Transport::accept`] for new ids, [`Transport::poll_readable`] for
-/// ids with pending input (ascending — the deterministic drain order),
-/// [`Transport::read_frames`] per id, [`Transport::write_frame`] for
-/// decisions, and [`Transport::release`] once the session bookkeeping
-/// has torn a connection down.
+/// ids with pending input (the deterministic drain order),
+/// [`Transport::read_frames`] once per listed id, in list order,
+/// [`Transport::write_frame`] for decisions, and [`Transport::release`]
+/// once the session bookkeeping has torn a connection down.
 pub trait Transport: std::fmt::Debug + Send {
     /// Accept every connection the listener has queued; returns the new
     /// ids in accept order.
     fn accept(&mut self) -> Result<Vec<ConnId>>;
 
     /// Connections with input to drain (frames, a close, or an error),
-    /// in ascending id order. The blocking plane reports every open
-    /// connection, since only reading them can find out.
+    /// in ascending id order on the live planes. The blocking plane
+    /// reports every open connection, since only reading can find out.
     fn poll_readable(&mut self) -> Vec<ConnId>;
 
     /// Drain every complete frame received on `id`, plus whether the
@@ -441,15 +443,21 @@ pub trait Transport: std::fmt::Debug + Send {
     /// one millisecond) because finding out requires reading.
     fn wait_readable(&self, timeout: Duration) -> bool;
 
-    /// Per-shard ingest timings for the `/status` PHASE pane (empty for
-    /// the blocking plane).
-    fn shard_phases(&self) -> Vec<PhaseStat>;
+    /// Per-shard ingest timings for the `/status` PHASE pane.
+    fn shard_phases(&self) -> Vec<PhaseStat> {
+        Vec::new()
+    }
 
     /// Egress frames dropped to backpressure so far.
-    fn backpressure_drops(&self) -> u64;
+    fn backpressure_drops(&self) -> u64 {
+        0
+    }
 
-    /// Which plane this is.
-    fn kind(&self) -> TransportKind;
+    /// The cause id a recording minted for this pass's re-issued caps;
+    /// `None` on the live planes, where the budgeter mints its own.
+    fn recorded_cause(&mut self) -> Option<u64> {
+        None
+    }
 
     /// Tear the plane down but keep the listener (daemon restarts keep
     /// their port). Reactor shard threads are stopped and joined.
@@ -556,18 +564,6 @@ impl Transport for BlockingTransport {
         // the CPU briefly; the next sweep discovers whatever arrived.
         std::thread::sleep(timeout.min(Duration::from_millis(1)));
         false
-    }
-
-    fn shard_phases(&self) -> Vec<PhaseStat> {
-        Vec::new()
-    }
-
-    fn backpressure_drops(&self) -> u64 {
-        0
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Blocking
     }
 
     fn into_listener(self: Box<Self>) -> Listener {
@@ -914,10 +910,6 @@ impl Transport for ReactorTransport {
 
     fn backpressure_drops(&self) -> u64 {
         self.drops.get()
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Reactor
     }
 
     fn into_listener(self: Box<Self>) -> Listener {

@@ -58,7 +58,7 @@ fn pump_until(b: &mut ClusterBudgeter, mut done: impl FnMut(&ClusterBudgeter) ->
         }
         b.wait_readable(Duration::from_millis(1));
     }
-    panic!("pump_until timed out ({:?} plane)", b.transport_kind());
+    panic!("pump_until timed out");
 }
 
 /// Run the stage-gated scripted trace — three endpoints register, one

@@ -164,8 +164,9 @@ pub struct RecordingHeader {
 }
 
 /// One recorded control-plane event. `FrameIn` and `DecisionTx` carry
-/// raw wire bytes (the frame *body*, without the length prefix) so
-/// replay exercises the real codec and verification is byte-exact.
+/// raw wire bytes so replay exercises the real codec and verification is
+/// byte-exact: `FrameIn` the inbound frame *body* (no length prefix),
+/// `DecisionTx` the whole outbound frame, length prefix included.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecEvent {
     /// A control pass began (`pump` is 1-based, `budget` in watts).
@@ -201,7 +202,8 @@ pub enum RecEvent {
     DecisionTx {
         /// Connection slot index.
         conn: u32,
-        /// Raw frame body as handed to the transport.
+        /// The encoded frame as handed to the transport: the 4-byte
+        /// length prefix, then the body.
         frame: Vec<u8>,
     },
     /// A job's power lease expired and its watts were reclaimed.
