@@ -61,7 +61,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "==> perf smoke: perfsuite --quick"
 PERF_JSON="$SMOKE_DIR/bench.json"
 PERF_OUT="$(./target/release/perfsuite --quick --runs 1 --out "$PERF_JSON" \
-    --baseline BENCH_PR19.json)"
+    --baseline BENCH_PR20.json)"
 grep -q '"bench"' "$PERF_JSON" && grep -q '"median_s"' "$PERF_JSON" \
     || { echo "perf smoke: $PERF_JSON is missing bench results"; cat "$PERF_JSON"; exit 1; }
 # Advisory regression table: perfsuite compares the quick run against the
@@ -90,16 +90,24 @@ for BIN in fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablation sec72_short_j
              head -40 "$SMOKE_DIR/$BIN.diff"; exit 1; }
 done
 
-echo "==> trace smoke: fig6 --trace + anor-trace"
+# Traced under injected faults, so the failure paths trace too: every
+# postmortem kind the link faults raise must be dumped, and the trace
+# plus all of its postmortems must parse.
+echo "==> trace smoke: fig6 --faults drop@17,corrupt@42 --trace + anor-trace"
 TRACE_DIR="$SMOKE_DIR/trace"
 mkdir "$TRACE_DIR"
-ANOR_QUICK=1 ./target/release/fig6 --trace "$TRACE_DIR" >/dev/null
+ANOR_QUICK=1 ./target/release/fig6 --faults drop@17,corrupt@42 --trace "$TRACE_DIR" >/dev/null
 REPORT="$(./target/release/anor-trace "$TRACE_DIR")"
 echo "$REPORT" | grep -E "complete chains: [1-9][0-9]*" >/dev/null \
     || { echo "trace smoke: no complete decision->actuation->observation chain"; \
          echo "$REPORT"; exit 1; }
-echo "$REPORT" | grep -E ", 0 malformed," >/dev/null \
+echo "$REPORT" | grep -E "event\(s\), 0 malformed event\(s\)$" >/dev/null \
     || { echo "trace smoke: malformed trace events"; echo "$REPORT"; exit 1; }
+for KIND in budgeter-protocol-error budgeter-malformed-frame endpoint-disconnect \
+    budgeter-disconnect; do
+    compgen -G "$TRACE_DIR/postmortem-*-$KIND.jsonl" >/dev/null \
+        || { echo "trace smoke: no $KIND postmortem"; ls "$TRACE_DIR"; exit 1; }
+done
 
 echo "==> chaos smoke: fig6 --faults drop@17,corrupt@42 --record"
 CHAOS_OUT="$SMOKE_DIR/chaos.txt"

@@ -71,9 +71,9 @@ pub struct Fig10Config {
     /// (in-memory by default; the `fig10` binary passes a
     /// directory-backed sink for `--telemetry <dir>`).
     pub telemetry: Telemetry,
-    /// Optional causal tracer shared by the four policies' runs (the
-    /// `--trace <dir>` path of the `fig10` binary).
-    pub tracer: Option<Tracer>,
+    /// Causal tracer shared by the four policies' runs (off by default;
+    /// the `--trace <dir>` path of the `fig10` binary).
+    pub tracer: Tracer,
     /// Worker threads for the four policies' emulated runs (0 = resolve
     /// from `ANOR_JOBS` / available parallelism). Each policy's run is
     /// seeded independently and results aggregate in legend order, so
@@ -99,7 +99,7 @@ impl Default for Fig10Config {
             seed: 10,
             warmup: Seconds(180.0),
             telemetry: Telemetry::new(),
-            tracer: None,
+            tracer: Tracer::off(),
             jobs: 0,
             faults: None,
             record: None,
@@ -162,11 +162,9 @@ fn run_policy(
         Fig10Policy::Misclassified => (BudgetPolicy::EvenSlowdown, false, true),
         Fig10Policy::Adjusted => (BudgetPolicy::EvenSlowdown, true, true),
     };
-    let mut ecfg =
-        EmulatorConfig::paper(budget_policy, feedback).with_telemetry(cfg.telemetry.clone());
-    if let Some(t) = &cfg.tracer {
-        ecfg = ecfg.with_tracer(t.clone());
-    }
+    let mut ecfg = EmulatorConfig::paper(budget_policy, feedback)
+        .with_telemetry(cfg.telemetry.clone())
+        .with_tracer(cfg.tracer.clone());
     if let Some(plan) = &cfg.faults {
         // Legend position as the fork salt: stable per policy, so the
         // four runs draw identical but independent schedules.
@@ -174,15 +172,13 @@ fn run_policy(
         ecfg = ecfg.with_faults(plan.fork(salt.unwrap_or(0) as u64 + 1));
     }
     ecfg.seed = cfg.seed;
-    let mut cell_rec = None;
     if let Some(dir) = &cfg.record {
         let bcfg = BudgeterConfig::new(budget_policy, feedback);
         let meta = recorder_meta(&bcfg, &ecfg.lease, cfg.seed);
         let path = dir.join(format!("fig10-{}.rec", policy.label().to_lowercase()));
-        let rec = FlightRecorder::create(path, meta)?;
-        ecfg = ecfg.with_recorder(rec.clone());
-        cell_rec = Some(rec);
+        ecfg = ecfg.with_recorder(FlightRecorder::create(path, meta)?);
     }
+    let recorder = ecfg.recorder.clone();
     let jobs: Vec<JobSetup> = jobs
         .iter()
         .map(|j| {
@@ -205,9 +201,7 @@ fn run_policy(
     };
     let cluster = EmulatedCluster::new(ecfg);
     let report = cluster.run_demand_response(&jobs, target, true)?;
-    if let Some(rec) = cell_rec {
-        rec.flush()?;
-    }
+    recorder.flush()?;
     // Per-type stats.
     let mut cells = Vec::new();
     for name in type_names {

@@ -28,9 +28,9 @@ pub struct Fig9Config {
     /// the `fig9` binary passes a directory-backed sink for
     /// `--telemetry <dir>`).
     pub telemetry: Telemetry,
-    /// Optional causal tracer (the `--trace <dir>` path of the `fig9`
-    /// binary).
-    pub tracer: Option<Tracer>,
+    /// Causal tracer (off by default; the `--trace <dir>` path of the
+    /// `fig9` binary).
+    pub tracer: Tracer,
 }
 
 impl Default for Fig9Config {
@@ -46,7 +46,7 @@ impl Default for Fig9Config {
             seed: 9,
             warmup: Seconds(180.0),
             telemetry: Telemetry::new(),
-            tracer: None,
+            tracer: Tracer::off(),
         }
     }
 }
@@ -67,11 +67,9 @@ pub struct Fig9Output {
 
 /// Run the scenario.
 pub fn run(cfg: &Fig9Config) -> Result<Fig9Output> {
-    let mut ecfg = EmulatorConfig::paper(BudgetPolicy::EvenSlowdown, false)
-        .with_telemetry(cfg.telemetry.clone());
-    if let Some(t) = &cfg.tracer {
-        ecfg = ecfg.with_tracer(t.clone());
-    }
+    let ecfg = EmulatorConfig::paper(BudgetPolicy::EvenSlowdown, false)
+        .with_telemetry(cfg.telemetry.clone())
+        .with_tracer(cfg.tracer.clone());
     let catalog = ecfg.catalog.clone();
     let types = catalog.long_running();
     let submissions = poisson_schedule(

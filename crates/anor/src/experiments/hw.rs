@@ -56,12 +56,13 @@ pub struct HwBar {
 /// Optional knobs shared by every figure's emulated-cluster grid
 /// ([`run_configs`]). Callers set what they need and take the rest from
 /// `..HwRunOptions::default()`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HwRunOptions {
     /// Telemetry sink shared by every trial (`--telemetry <dir>`).
     pub telemetry: Telemetry,
-    /// Optional causal tracer shared by every trial (`--trace <dir>`).
-    pub tracer: Option<Tracer>,
+    /// Causal tracer shared by every trial (off by default;
+    /// `--trace <dir>`).
+    pub tracer: Tracer,
     /// Worker threads for the trial fan-out (0 = `ANOR_JOBS` /
     /// available parallelism). Output is identical for every value.
     pub jobs: usize,
@@ -69,18 +70,6 @@ pub struct HwRunOptions {
     pub faults: Option<FaultPlan>,
     /// Optional flight-recording directory (`--record <dir>`).
     pub record_dir: Option<PathBuf>,
-}
-
-impl Default for HwRunOptions {
-    fn default() -> Self {
-        HwRunOptions {
-            telemetry: Telemetry::new(),
-            tracer: None,
-            jobs: 0,
-            faults: None,
-            record_dir: None,
-        }
-    }
 }
 
 /// Filesystem-safe slug of a configuration label (for per-cell recording
@@ -127,16 +116,13 @@ pub fn run_configs(
     let pool = ExecPool::new(opts.jobs).with_telemetry(telemetry);
     let trial_results = pool.map(&grid, |&(ci, trial)| -> Result<Vec<f64>> {
         let cfg = &configs[ci];
-        let mut ecfg =
-            EmulatorConfig::paper(cfg.policy, cfg.feedback).with_telemetry(telemetry.clone());
-        if let Some(t) = &opts.tracer {
-            ecfg = ecfg.with_tracer(t.clone());
-        }
+        let mut ecfg = EmulatorConfig::paper(cfg.policy, cfg.feedback)
+            .with_telemetry(telemetry.clone())
+            .with_tracer(opts.tracer.clone());
         if let Some(plan) = &opts.faults {
             ecfg = ecfg.with_faults(plan.fork(((ci as u64) << 32) ^ (trial as u64 + 1)));
         }
         ecfg.seed = seed ^ ((trial as u64 + 1) << 16);
-        let mut cell_rec = None;
         if let Some(dir) = &opts.record_dir {
             let bcfg = BudgeterConfig::new(cfg.policy, cfg.feedback);
             let meta = recorder_meta(&bcfg, &ecfg.lease, ecfg.seed);
@@ -145,15 +131,12 @@ pub fn run_configs(
                 label_slug(&cfg.label),
                 trial + 1
             ));
-            let rec = FlightRecorder::create(path, meta)?;
-            ecfg = ecfg.with_recorder(rec.clone());
-            cell_rec = Some(rec);
+            ecfg = ecfg.with_recorder(FlightRecorder::create(path, meta)?);
         }
+        let recorder = ecfg.recorder.clone();
         let cluster = EmulatedCluster::new(ecfg);
         let report = cluster.run_static(&cfg.jobs, SHARED_BUDGET)?;
-        if let Some(rec) = cell_rec {
-            rec.flush()?;
-        }
+        recorder.flush()?;
         Ok(report
             .jobs
             .iter()

@@ -55,16 +55,18 @@ fn main() {
                 ("tracking_ok_fraction", (*frac).into()),
             ],
         );
-        if let Some(t) = &tracer {
-            t.record_detail(
-                TraceStage::Decision,
-                t.next_cause(),
-                &format!(
+        tracer.record_with(
+            TraceStage::Decision,
+            tracer.next_cause(),
+            None,
+            None,
+            || {
+                format!(
                     "fig11 level ±{level}%: mean p90 QoS {mean_qos:.2}, tracking ok {:.0}%",
                     frac * 100.0
-                ),
-            );
-        }
+                )
+            },
+        );
     }
     finish_telemetry(&telemetry);
     finish_tracer(&tracer);

@@ -48,15 +48,13 @@ fn main() {
                     ("worst_slowdown_pct", worst.into()),
                 ],
             );
-            if let Some(t) = &tracer {
-                t.record_full(
-                    TraceStage::Decision,
-                    t.next_cause(),
-                    None,
-                    Some(budget),
-                    Some(format!("fig4 {policy} worst {worst:.2}%")),
-                );
-            }
+            tracer.record_with(
+                TraceStage::Decision,
+                tracer.next_cause(),
+                None,
+                Some(budget),
+                || format!("fig4 {policy} worst {worst:.2}%"),
+            );
         }
     }
     // Paper anchor: even-slowdown reduces the worst job's slowdown in the

@@ -218,38 +218,37 @@ pub fn finish_recording(record_dir: &Option<std::path::PathBuf>) {
 /// Build the run's causal [`Tracer`](anor_telemetry::Tracer) from a
 /// `--trace <dir>` command-line option: directory-backed when present
 /// (events stream to `<dir>/trace.jsonl`, flight-recorder postmortems
-/// land beside it), absent otherwise. Unknown options are ignored so
+/// land beside it), off otherwise. Unknown options are ignored so
 /// figure binaries stay permissive.
-pub fn tracer_from_args() -> Option<anor_telemetry::Tracer> {
+pub fn tracer_from_args() -> anor_telemetry::Tracer {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--trace" {
             if let Some(dir) = args.next() {
                 match anor_telemetry::Tracer::to_dir(&dir) {
-                    Ok(t) => return Some(t),
+                    Ok(t) => return t,
                     Err(e) => {
                         eprintln!("--trace {dir}: {e}; tracing disabled");
-                        return None;
+                        return anor_telemetry::Tracer::off();
                     }
                 }
             }
         }
     }
-    None
+    anor_telemetry::Tracer::off()
 }
 
 /// Flush the tracer and print where the trace went and how to analyze it.
-pub fn finish_tracer(tracer: &Option<anor_telemetry::Tracer>) {
-    let Some(t) = tracer else { return };
-    if let Err(e) = t.flush() {
+pub fn finish_tracer(tracer: &anor_telemetry::Tracer) {
+    if let Err(e) = tracer.flush() {
         eprintln!("failed to flush trace sink: {e}");
     }
-    if let Some(dir) = t.dir() {
+    if let Some(dir) = tracer.dir() {
         println!();
         println!(
             "trace written to {} ({} event(s)); analyze with: anor-trace {}",
             dir.join("trace.jsonl").display(),
-            t.recorded(),
+            tracer.recorded(),
             dir.display()
         );
     }

@@ -71,8 +71,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut modeler = PowerModeler::with_precharacterized(mcfg, believed.epoch_curve());
     modeler.attach_telemetry(&telemetry);
     let tracer = match args.get("trace") {
-        Some(dir) => Some(Tracer::to_dir(dir)?),
-        None => None,
+        Some(dir) => Tracer::to_dir(dir)?,
+        None => Tracer::off(),
     };
     let mut builder = JobEndpoint::builder(
         connect.into(),
@@ -82,16 +82,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         modeler_side,
         modeler,
     )
-    .telemetry(telemetry.clone());
+    .telemetry(telemetry.clone())
+    .tracer(&tracer);
     if let Some(plan) = args.fault_plan()? {
         builder = builder.faults(plan);
     }
-    if let Some(t) = &tracer {
-        builder = builder.tracer(t);
-    }
     // --record <dir>: flight-record the endpoint's wire traffic into
     // <dir>/job-<id>.rec (role "endpoint" — inspectable, not replayable).
-    let mut recorder = None;
+    let mut recorder = FlightRecorder::off();
     if let Some(dir) = args.get("record") {
         let meta = RecordingMeta {
             seed,
@@ -102,14 +100,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             role: "endpoint".to_string(),
         };
         let path = std::path::Path::new(dir).join(format!("job-{}.rec", job.0));
-        let rec = FlightRecorder::create(path, meta)?;
-        builder = builder.recorder(rec.clone());
-        recorder = Some(rec);
+        recorder = FlightRecorder::create(path, meta)?;
+        builder = builder.recorder(recorder.clone());
     }
     let mut endpoint = builder.connect()?;
-    if let Some(t) = &tracer {
-        runtime.attach_tracer(t);
-    }
+    runtime.attach_tracer(&tracer);
 
     let dt = Seconds(0.5);
     let mut now = Seconds::ZERO;
@@ -136,22 +131,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let summary = telemetry.write_artifacts()?;
         println!("{summary}");
     }
-    if let Some(t) = &tracer {
-        t.flush()?;
-        if let Some(dir) = t.dir() {
-            println!(
-                "anor-job: trace written to {}",
-                dir.join("trace.jsonl").display()
-            );
-        }
+    tracer.flush()?;
+    if let Some(dir) = tracer.dir() {
+        println!(
+            "anor-job: trace written to {}",
+            dir.join("trace.jsonl").display()
+        );
     }
-    if let Some(rec) = &recorder {
-        rec.flush()?;
+    recorder.flush()?;
+    if let Some(path) = recorder.path() {
         println!(
             "anor-job: recording written to {} ({} event(s), {} dropped)",
-            rec.path().display(),
-            rec.written(),
-            rec.dropped()
+            path.display(),
+            recorder.written(),
+            recorder.dropped()
         );
     }
     Ok(())

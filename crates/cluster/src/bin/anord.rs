@@ -80,8 +80,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         None => Telemetry::new(),
     };
     let tracer = match args.get("trace") {
-        Some(dir) => Some(Tracer::to_dir(dir)?),
-        None => None,
+        Some(dir) => Tracer::to_dir(dir)?,
+        None => Tracer::off(),
     };
     // Connection plane: --transport reactor --shards N --queue-depth D
     // runs the sharded reactor for high endpoint fan-in; the default
@@ -95,22 +95,19 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .telemetry(telemetry.clone())
         .transport(transport)
         .shards(shards)
-        .conn_queue_depth(queue_depth);
-    if let Some(t) = &tracer {
-        builder = builder.tracer(t);
-    }
+        .conn_queue_depth(queue_depth)
+        .tracer(&tracer);
     if let Some(plan) = args.fault_plan()? {
         builder = builder.faults(plan);
     }
     // --record <dir>: flight-record every inbound frame and emitted
     // decision into <dir>/anord.rec for `anor-replay`.
-    let mut recorder = None;
+    let mut recorder = FlightRecorder::off();
     if let Some(dir) = args.get("record") {
         let seed: u64 = args.get_or("seed", 0)?;
         let meta = anor_cluster::recorder_meta(&cfg, &LeaseConfig::default(), seed);
-        let rec = FlightRecorder::create(std::path::Path::new(dir).join("anord.rec"), meta)?;
-        builder = builder.recorder(rec.clone());
-        recorder = Some(rec);
+        recorder = FlightRecorder::create(std::path::Path::new(dir).join("anord.rec"), meta)?;
+        builder = builder.recorder(recorder.clone());
     }
     // The live ops plane: --status-addr starts the introspection endpoint
     // (`/metrics`, `/health`, `/status`) and has the budgeter publish a
@@ -164,22 +161,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let summary = telemetry.write_artifacts()?;
         println!("{summary}");
     }
-    if let Some(t) = &tracer {
-        t.flush()?;
-        if let Some(dir) = t.dir() {
-            println!(
-                "anord: trace written to {}",
-                dir.join("trace.jsonl").display()
-            );
-        }
+    tracer.flush()?;
+    if let Some(dir) = tracer.dir() {
+        println!(
+            "anord: trace written to {}",
+            dir.join("trace.jsonl").display()
+        );
     }
-    if let Some(rec) = &recorder {
-        rec.flush()?;
+    recorder.flush()?;
+    if let Some(path) = recorder.path() {
         println!(
             "anord: recording written to {} ({} event(s), {} dropped)",
-            rec.path().display(),
-            rec.written(),
-            rec.dropped()
+            path.display(),
+            recorder.written(),
+            recorder.dropped()
         );
     }
     Ok(())

@@ -193,16 +193,15 @@ struct BudgeterMetrics {
     leases_expired: Counter,
     watts_reclaimed: Gauge,
     conns_quarantined: Counter,
-    audit_conservation: Counter,
-    audit_double_count: Counter,
-    audit_gauge_drift: Counter,
-    audit_stale_session: Counter,
+    /// Per invariant kind, indexed by [`AuditKind`]:
+    /// `anor_invariant_violations_total{invariant}`, and whether that
+    /// kind already dumped a postmortem (a persistent violation costs one
+    /// flight-recorder dump, not one per pump).
+    audits: [(Counter, bool); AuditKind::ALL.len()],
 }
 
 impl BudgeterMetrics {
     fn new(telemetry: &Telemetry) -> Self {
-        let audit =
-            |inv: &str| telemetry.counter("anor_invariant_violations_total", &[("invariant", inv)]);
         let phase = |p: &str| telemetry.histogram("pump_phase_seconds", &[("phase", p)]);
         BudgeterMetrics {
             rebalance: telemetry.histogram("budgeter_rebalance_seconds", &[]),
@@ -222,18 +221,18 @@ impl BudgeterMetrics {
             leases_expired: telemetry.counter("leases_expired_total", &[]),
             watts_reclaimed: telemetry.gauge("watts_reclaimed", &[]),
             conns_quarantined: telemetry.counter("budgeter_conns_quarantined_total", &[]),
-            audit_conservation: audit("watts_conservation"),
-            audit_double_count: audit("lease_double_count"),
-            audit_gauge_drift: audit("reclaim_gauge_drift"),
-            audit_stale_session: audit("stale_session"),
+            audits: AuditKind::ALL.map(|kind| {
+                let labels = [("invariant", kind.name())];
+                (
+                    telemetry.counter("anor_invariant_violations_total", &labels),
+                    false,
+                )
+            }),
         }
     }
 
     fn violations(&self) -> u64 {
-        self.audit_conservation.get()
-            + self.audit_double_count.get()
-            + self.audit_gauge_drift.get()
-            + self.audit_stale_session.get()
+        self.audits.iter().map(|(counter, _)| counter.get()).sum()
     }
 
     /// The pump phases in execution order, for the status snapshot.
@@ -266,11 +265,11 @@ pub struct BudgeterBuilder {
     addr: String,
     listener: Option<Listener>,
     telemetry: Option<Telemetry>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     lease: LeaseConfig,
     faults: Option<FaultPlan>,
     status: Option<StatusBoard>,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
     transport: TransportOptions,
 }
 
@@ -281,11 +280,11 @@ impl BudgeterBuilder {
             addr: "127.0.0.1:0".to_string(),
             listener: None,
             telemetry: None,
-            tracer: None,
+            tracer: Tracer::off(),
             lease: LeaseConfig::default(),
             faults: None,
             status: None,
-            recorder: None,
+            recorder: FlightRecorder::off(),
             transport: TransportOptions::default(),
         }
     }
@@ -316,7 +315,7 @@ impl BudgeterBuilder {
     /// lease transition into `tracer`; on peer failures the flight
     /// recorder is dumped to disk.
     pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
+        self.tracer = tracer.clone();
         self
     }
 
@@ -346,7 +345,7 @@ impl BudgeterBuilder {
     /// [`crate::replay::recorder_meta`] to stamp the recording with a
     /// replay-compatible config description.
     pub fn recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.recorder = Some(recorder);
+        self.recorder = recorder;
         self
     }
 
@@ -418,7 +417,6 @@ impl BudgeterBuilder {
             status: self.status,
             pumps: 0,
             last_budget: Watts::ZERO,
-            audit_dumped: AuditDumped::default(),
             recorder: self.recorder,
             model_observe_s: 0.0,
         })
@@ -435,6 +433,14 @@ enum AuditKind {
 }
 
 impl AuditKind {
+    /// Every kind, in [`BudgeterMetrics::audits`] order.
+    const ALL: [AuditKind; 4] = [
+        AuditKind::Conservation,
+        AuditKind::DoubleCount,
+        AuditKind::GaugeDrift,
+        AuditKind::StaleSession,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             AuditKind::Conservation => "watts_conservation",
@@ -443,16 +449,6 @@ impl AuditKind {
             AuditKind::StaleSession => "stale_session",
         }
     }
-}
-
-/// Tracks which invariant kinds already dumped a postmortem, so a
-/// persistent violation costs one flight-recorder dump, not one per pump.
-#[derive(Debug, Default)]
-struct AuditDumped {
-    conservation: bool,
-    double_count: bool,
-    gauge_drift: bool,
-    stale_session: bool,
 }
 
 /// The budgeter daemon (pump-driven).
@@ -471,14 +467,13 @@ pub struct ClusterBudgeter {
     completed: Vec<(JobId, Seconds)>,
     telemetry: Telemetry,
     metrics: BudgeterMetrics,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     lease: LeaseConfig,
     accepted: u64,
     status: Option<StatusBoard>,
     pumps: u64,
     last_budget: Watts,
-    audit_dumped: AuditDumped,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
     /// Seconds spent in `Sample`/`Model` handling during the current
     /// pump (the model-observe phase, carved out of ingest).
     model_observe_s: f64,
@@ -528,12 +523,10 @@ impl ClusterBudgeter {
         let _timer = Timer::start(self.metrics.pump.clone());
         self.pumps += 1;
         self.last_budget = busy_budget;
-        if let Some(r) = &self.recorder {
-            r.record(&RecEvent::PumpStart {
-                pump: self.pumps,
-                budget: busy_budget.value(),
-            });
-        }
+        self.recorder.record(&RecEvent::PumpStart {
+            pump: self.pumps,
+            budget: busy_budget.value(),
+        });
         // Phase: ingest (minus the model-observe time carved out below).
         self.model_observe_s = 0.0;
         let ingest_started = Instant::now();
@@ -566,9 +559,8 @@ impl ClusterBudgeter {
     fn accept_new(&mut self) -> Result<()> {
         for id in self.transport.accept()? {
             self.accepted += 1;
-            if let Some(r) = &self.recorder {
-                r.record(&RecEvent::ConnOpen { conn: id.value() });
-            }
+            self.recorder
+                .record(&RecEvent::ConnOpen { conn: id.value() });
         }
         Ok(())
     }
@@ -601,27 +593,14 @@ impl ClusterBudgeter {
         // planes, and in recorded order on replay — the deterministic
         // drain order the recorded decision stream depends on.
         for id in self.transport.poll_readable() {
-            // A misbehaving peer (malformed frames, oversized length
-            // prefix) must not take the daemon down — and must not spin
-            // the pump loop either: quarantine the connection (hard
-            // shutdown + counter + postmortem) so a reject-storm from a
-            // hostile or corrupted peer costs one pass, not every pass.
             let (frames, mut closed) = match self.transport.read_frames(id) {
                 Ok(drained) => drained,
                 Err(AnorError::Protocol(e)) => {
-                    self.transport.shutdown(id);
-                    self.metrics.conns_quarantined.inc();
                     // Length-prefix corruption is caught below decode, so
                     // no FrameIn precedes this quarantine in the recording;
                     // the recorded plane turns such a quarantine back into
                     // this error on replay.
-                    if let Some(r) = &self.recorder {
-                        r.record(&RecEvent::ConnQuarantined { conn: id.value() });
-                    }
-                    if let Some(t) = &self.tracer {
-                        t.record_detail(TraceStage::TransportError, CauseId::NONE, &e);
-                        t.dump_postmortem("budgeter-protocol-error");
-                    }
+                    self.quarantine(id, "budgeter-protocol-error", || e);
                     (Vec::new(), true)
                 }
                 Err(e) => return Err(e),
@@ -639,32 +618,40 @@ impl ClusterBudgeter {
         Ok(())
     }
 
+    /// Quarantine a misbehaving peer (malformed frames, oversized length
+    /// prefix): hard shutdown, count, record, trace `detail` and dump a
+    /// `reason` postmortem. It must not take the daemon down, nor spin the
+    /// pump loop: a reject-storm from a hostile or corrupted peer costs
+    /// one pass, not every pass.
+    fn quarantine(&mut self, id: ConnId, reason: &str, detail: impl FnOnce() -> String) {
+        self.transport.shutdown(id);
+        self.metrics.conns_quarantined.inc();
+        self.recorder
+            .record(&RecEvent::ConnQuarantined { conn: id.value() });
+        self.tracer.record_with(
+            TraceStage::TransportError,
+            CauseId::NONE,
+            None,
+            None,
+            detail,
+        );
+        self.tracer.dump_postmortem(reason);
+    }
+
     /// Handle one decoded-or-rejected inbound frame body on `conn`.
     /// Returns `true` when the frame poisoned its connection (malformed:
     /// the conn is quarantined and must be torn down by the caller).
     fn process_frame(&mut self, id: ConnId, body: bytes::Bytes) -> Result<bool> {
-        if let Some(r) = &self.recorder {
-            r.record(&RecEvent::FrameIn {
-                conn: id.value(),
-                body: body.to_vec(),
-            });
-        }
+        self.recorder.record_with(|| RecEvent::FrameIn {
+            conn: id.value(),
+            body: body.to_vec(),
+        });
         let msg = match JobToCluster::decode(body) {
             Ok(m) => m,
             Err(e) => {
-                self.transport.shutdown(id);
-                self.metrics.conns_quarantined.inc();
-                if let Some(r) = &self.recorder {
-                    r.record(&RecEvent::ConnQuarantined { conn: id.value() });
-                }
-                if let Some(t) = &self.tracer {
-                    t.record_detail(
-                        TraceStage::TransportError,
-                        CauseId::NONE,
-                        &format!("malformed frame: {e}"),
-                    );
-                    t.dump_postmortem("budgeter-malformed-frame");
-                }
+                self.quarantine(id, "budgeter-malformed-frame", || {
+                    format!("malformed frame: {e}")
+                });
                 return Ok(true);
             }
         };
@@ -701,14 +688,12 @@ impl ClusterBudgeter {
                         ("believed_cap", believed_cap.value().into()),
                     ],
                 );
-                if let Some(t) = &self.tracer {
-                    t.record_job(
-                        TraceStage::Resume,
-                        CauseId(cause),
-                        job.0,
-                        Some(believed_cap.value()),
-                    );
-                }
+                self.tracer.record_job(
+                    TraceStage::Resume,
+                    CauseId(cause),
+                    job.0,
+                    Some(believed_cap.value()),
+                );
                 if !self.jobs.contains_key(&job) {
                     // No record of this job (the daemon restarted,
                     // or it was evicted): re-register from the
@@ -730,21 +715,17 @@ impl ClusterBudgeter {
                 if let Some(w) = restored {
                     let g = &self.metrics.watts_reclaimed;
                     g.set((g.get() - w.value()).max(0.0));
-                    if let Some(r) = &self.recorder {
-                        r.record(&RecEvent::LeaseRestored {
-                            job: job.0,
-                            watts: w.value(),
-                        });
-                    }
-                    if let Some(t) = &self.tracer {
-                        t.record_full(
-                            TraceStage::LeaseRestored,
-                            CauseId(cause),
-                            Some(job.0),
-                            Some(w.value()),
-                            Some(format!("{w} restored to resumed job")),
-                        );
-                    }
+                    self.recorder.record(&RecEvent::LeaseRestored {
+                        job: job.0,
+                        watts: w.value(),
+                    });
+                    self.tracer.record_with(
+                        TraceStage::LeaseRestored,
+                        CauseId(cause),
+                        Some(job.0),
+                        Some(w.value()),
+                        || format!("{w} restored to resumed job"),
+                    );
                 }
                 self.send_to_conn(
                     id,
@@ -758,14 +739,12 @@ impl ClusterBudgeter {
             JobToCluster::Sample(s) => {
                 self.metrics.msgs_sample.inc();
                 let observe_started = Instant::now();
-                if let Some(t) = &self.tracer {
-                    t.record_job(
-                        TraceStage::SampleRx,
-                        CauseId(s.cause),
-                        s.job.0,
-                        Some(s.avg_power.value()),
-                    );
-                }
+                self.tracer.record_job(
+                    TraceStage::SampleRx,
+                    CauseId(s.cause),
+                    s.job.0,
+                    Some(s.avg_power.value()),
+                );
                 if let Some(e) = self.jobs.get_mut(&s.job) {
                     e.missed_pumps = 0;
                     e.samples_seen += 1;
@@ -807,9 +786,8 @@ impl ClusterBudgeter {
             } => {
                 self.metrics.msgs_model.inc();
                 let observe_started = Instant::now();
-                if let Some(t) = &self.tracer {
-                    t.record_job(TraceStage::ModelRx, CauseId(cause), job.0, None);
-                }
+                self.tracer
+                    .record_job(TraceStage::ModelRx, CauseId(cause), job.0, None);
                 if let Some(e) = self.jobs.get_mut(&job) {
                     e.missed_pumps = 0;
                     e.models_seen += 1;
@@ -848,9 +826,8 @@ impl ClusterBudgeter {
     /// jobs it carried, start their lease countdowns (or strand them when
     /// leases are off), and free the slot.
     fn disconnect_conn(&mut self, conn: ConnId) {
-        if let Some(r) = &self.recorder {
-            r.record(&RecEvent::ConnClosed { conn: conn.value() });
-        }
+        self.recorder
+            .record(&RecEvent::ConnClosed { conn: conn.value() });
         let lost: Vec<JobId> = self
             .jobs
             .iter()
@@ -858,14 +835,11 @@ impl ClusterBudgeter {
             .map(|(&id, _)| id)
             .collect();
         if !lost.is_empty() {
-            if let Some(t) = &self.tracer {
-                t.record_detail(
-                    TraceStage::Disconnect,
-                    CauseId::NONE,
-                    &format!("conn {conn} lost with {} active job(s)", lost.len()),
-                );
-                t.dump_postmortem("endpoint-disconnect");
-            }
+            self.tracer
+                .record_with(TraceStage::Disconnect, CauseId::NONE, None, None, || {
+                    format!("conn {conn} lost with {} active job(s)", lost.len())
+                });
+            self.tracer.dump_postmortem("endpoint-disconnect");
         }
         if self.lease.enabled {
             // The lease keeps these jobs' watts reserved: mark them
@@ -887,12 +861,10 @@ impl ClusterBudgeter {
     /// recording it as a `DecisionTx` exactly when a send really happens.
     fn send_to_conn(&mut self, conn: ConnId, frame: bytes::Bytes) -> Result<()> {
         if self.transport.is_open(conn) {
-            if let Some(r) = &self.recorder {
-                r.record(&RecEvent::DecisionTx {
-                    conn: conn.value(),
-                    frame: frame.to_vec(),
-                });
-            }
+            self.recorder.record_with(|| RecEvent::DecisionTx {
+                conn: conn.value(),
+                frame: frame.to_vec(),
+            });
             // The decision is recorded above even if the transport then
             // drops the frame to egress backpressure: recordings are the
             // *decision* stream, and delivery is the transport's problem.
@@ -932,30 +904,27 @@ impl ClusterBudgeter {
             self.metrics.leases_expired.inc();
             let g = &self.metrics.watts_reclaimed;
             g.set(g.get() + watts.value());
-            if let Some(r) = &self.recorder {
-                r.record(&RecEvent::LeaseExpired {
-                    job: id.0,
-                    watts: watts.value(),
-                });
-            }
+            self.recorder.record(&RecEvent::LeaseExpired {
+                job: id.0,
+                watts: watts.value(),
+            });
             self.telemetry.event(
                 "budgeter_lease_expired",
                 &[("job", id.0.into()), ("watts", watts.value().into())],
             );
-            if let Some(t) = &self.tracer {
-                let cause = t.next_cause();
-                t.record_full(
-                    TraceStage::LeaseExpired,
-                    cause,
-                    Some(id.0),
-                    Some(watts.value()),
-                    Some(format!(
+            self.tracer.record_with(
+                TraceStage::LeaseExpired,
+                self.tracer.next_cause(),
+                Some(id.0),
+                Some(watts.value()),
+                || {
+                    format!(
                         "lease expired after {} missed pump(s); {watts} reclaimed",
                         self.lease.miss_pumps
-                    )),
-                );
-                t.dump_postmortem("lease-expired");
-            }
+                    )
+                },
+            );
+            self.tracer.dump_postmortem("lease-expired");
         }
     }
 
@@ -1007,24 +976,24 @@ impl ClusterBudgeter {
         // value depends on interleaving a replay cannot reproduce: the
         // mint is recorded, and a replay takes the recorded id from its
         // plane so the re-emitted cap frames stay byte-identical.
-        let cause = match (self.transport.recorded_cause(), &self.tracer) {
-            (Some(c), _) => CauseId(c),
-            (None, Some(t)) => {
-                let c = t.next_cause();
-                t.record_full(
+        // An off tracer mints `CauseId::NONE`, so untraced caps go out
+        // with cause 0.
+        let cause = match self.transport.recorded_cause() {
+            Some(c) => CauseId(c),
+            None => {
+                let c = self.tracer.next_cause();
+                self.tracer.record_with(
                     TraceStage::Decision,
                     c,
                     None,
                     Some(busy_budget.value()),
-                    Some(format!("{} cap(s) re-issued", changed.len())),
+                    || format!("{} cap(s) re-issued", changed.len()),
                 );
                 c
             }
-            (None, None) => CauseId::NONE,
         };
-        if let Some(r) = &self.recorder {
-            r.record(&RecEvent::CauseMinted { cause: cause.0 });
-        }
+        self.recorder
+            .record(&RecEvent::CauseMinted { cause: cause.0 });
         self.metrics
             .phase_decide
             .observe(decide_started.elapsed().as_secs_f64());
@@ -1036,9 +1005,8 @@ impl ClusterBudgeter {
             entry.last_cap = Some(cap);
             let conn = entry.conn;
             if self.transport.is_open(conn) {
-                if let Some(t) = &self.tracer {
-                    t.record_job(TraceStage::CapTx, cause, id.0, Some(cap.value()));
-                }
+                self.tracer
+                    .record_job(TraceStage::CapTx, cause, id.0, Some(cap.value()));
                 self.send_to_conn(
                     conn,
                     ClusterToJob::SetPowerCap {
@@ -1171,35 +1139,20 @@ impl ClusterBudgeter {
     }
 
     fn flag_violation(&mut self, kind: AuditKind, detail: &str) {
-        let (counter, dumped) = match kind {
-            AuditKind::Conservation => (
-                &self.metrics.audit_conservation,
-                &mut self.audit_dumped.conservation,
-            ),
-            AuditKind::DoubleCount => (
-                &self.metrics.audit_double_count,
-                &mut self.audit_dumped.double_count,
-            ),
-            AuditKind::GaugeDrift => (
-                &self.metrics.audit_gauge_drift,
-                &mut self.audit_dumped.gauge_drift,
-            ),
-            AuditKind::StaleSession => (
-                &self.metrics.audit_stale_session,
-                &mut self.audit_dumped.stale_session,
-            ),
+        let Some((counter, dumped)) = self.metrics.audits.get_mut(kind as usize) else {
+            return;
         };
         counter.inc();
         self.telemetry.event(
             "invariant_violation",
             &[("invariant", kind.name().into()), ("detail", detail.into())],
         );
-        if let Some(t) = &self.tracer {
-            t.record_detail(TraceStage::InvariantViolation, CauseId::NONE, detail);
-            if !*dumped {
-                *dumped = true;
-                t.dump_postmortem(&format!("invariant-{}", kind.name()));
-            }
+        self.tracer
+            .record_detail(TraceStage::InvariantViolation, CauseId::NONE, detail);
+        if !*dumped {
+            *dumped = true;
+            self.tracer
+                .dump_postmortem(&format!("invariant-{}", kind.name()));
         }
     }
 
@@ -1252,9 +1205,9 @@ impl ClusterBudgeter {
             pump_p50: self.metrics.pump.quantile(0.5),
             pump_p90: self.metrics.pump.quantile(0.9),
             pump_p99: self.metrics.pump.quantile(0.99),
-            ring_depth: self.tracer.as_ref().map_or(0, Tracer::ring_depth),
-            trace_recorded: self.tracer.as_ref().map_or(0, Tracer::recorded),
-            postmortems: self.tracer.as_ref().map_or(0, Tracer::postmortems),
+            ring_depth: self.tracer.ring_depth(),
+            trace_recorded: self.tracer.recorded(),
+            postmortems: self.tracer.postmortems(),
             build_version: info.version.clone(),
             git_hash: info.git_hash.clone(),
             phases,
@@ -1716,6 +1669,40 @@ mod tests {
         );
         // And the healthy job still gets budget updates.
         pump_until(&mut b, Watts(560.0), |b| b.job_caps()[0].1.is_some());
+    }
+
+    #[test]
+    fn untraced_budgeter_sends_cause_zero_and_reports_no_trace() {
+        let (mut b, addr) =
+            ClusterBudgeter::builder(BudgeterConfig::new(BudgetPolicy::EvenSlowdown, false))
+                .listener(Listener::in_process())
+                .bind()
+                .unwrap();
+        let mut bt = connect(&addr);
+        let mut sp = connect(&addr);
+        bt.send(hello(1, "bt.D.81", 2)).unwrap();
+        sp.send(hello(2, "sp.D.81", 2)).unwrap();
+        // Two budgets, so the second pass re-issues caps under a decision
+        // of its own.
+        let mut causes = Vec::new();
+        for budget in [840.0, 700.0] {
+            b.pump(Watts(budget)).unwrap();
+            for client in [&mut bt, &mut sp] {
+                for f in client.recv_frames().unwrap() {
+                    let ClusterToJob::SetPowerCap { cause, .. } = ClusterToJob::decode(f).unwrap()
+                    else {
+                        panic!("expected a cap message");
+                    };
+                    causes.push(cause);
+                }
+            }
+        }
+        assert_eq!(causes, vec![0; 4], "an off tracer mints no cause ids");
+        let snap = b.status_snapshot();
+        assert_eq!(
+            (snap.ring_depth, snap.trace_recorded, snap.postmortems),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -64,9 +64,9 @@ pub struct EmulatorConfig {
     /// pass `Telemetry::to_dir(..)` for `--telemetry <dir>`.
     pub telemetry: Telemetry,
     /// Causal tracer shared by the budgeter, every endpoint/runtime and
-    /// the per-job modelers. `None` disables tracing entirely; runners
-    /// pass `Tracer::to_dir(..)` for `--trace <dir>`.
-    pub tracer: Option<Tracer>,
+    /// the per-job modelers. Defaults to [`Tracer::off`]; runners pass
+    /// `Tracer::to_dir(..)` for `--trace <dir>`.
+    pub tracer: Tracer,
     /// Seeded chaos schedule injected into every endpoint's transport
     /// (each job gets an independent [`FaultPlan::fork`] so the schedule
     /// stays deterministic per job). `None` runs fault-free.
@@ -77,8 +77,8 @@ pub struct EmulatorConfig {
     pub lease: LeaseConfig,
     /// Flight recorder attached to the budgeter: every inbound frame,
     /// connection/lease transition and emitted cap decision is logged
-    /// for `anor-replay`. `None` disables recording.
-    pub recorder: Option<FlightRecorder>,
+    /// for `anor-replay`. Defaults to [`FlightRecorder::off`].
+    pub recorder: FlightRecorder,
 }
 
 impl EmulatorConfig {
@@ -98,11 +98,11 @@ impl EmulatorConfig {
             dither_fraction: None,
             setup_teardown: Seconds::ZERO,
             telemetry: Telemetry::new(),
-            tracer: None,
+            tracer: Tracer::off(),
             faults: None,
             retry: RetryPolicy::default(),
             lease: LeaseConfig::default(),
-            recorder: None,
+            recorder: FlightRecorder::off(),
         }
     }
 
@@ -114,7 +114,7 @@ impl EmulatorConfig {
 
     /// Causally trace the run into `tracer` (builder style).
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -142,7 +142,7 @@ impl EmulatorConfig {
     /// with [`crate::recorder_meta`] so `anor-replay` can reconstruct the
     /// exact budgeter configuration from the recording header.
     pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.recorder = Some(recorder);
+        self.recorder = recorder;
         self
     }
 }
@@ -327,39 +327,65 @@ impl EmulatedCluster {
         }
     }
 
-    /// Build and connect one job-tier endpoint with the harness-wide
-    /// session knobs (retry, per-job fault fork, telemetry, tracer).
-    #[allow(clippy::too_many_arguments)]
-    fn connect_endpoint(
+    /// Start job `idx` on `nodes`: launch its runtime, connect its
+    /// endpoint with the harness-wide session knobs (retry, per-job fault
+    /// fork, telemetry, tracer) and emit `job_started` at `now`.
+    /// `started_at` is when the job took its nodes, before any batch
+    /// setup hold.
+    fn start_job(
         &self,
+        setups: &[JobSetup],
+        idx: usize,
+        nodes: Vec<Node>,
         addr: &Addr,
-        job_id: JobId,
-        announced: &str,
-        nodes: u32,
-        modeler_side: anor_geopm::EndpointModeler,
-        believed: &anor_types::JobTypeSpec,
-        telemetry: &Telemetry,
-    ) -> Result<JobEndpoint> {
+        now: Seconds,
+        started_at: Seconds,
+    ) -> Result<ActiveJob> {
         let cfg = &self.cfg;
+        let setup = &setups[idx];
+        let mut spec = self.true_spec(setup)?.clone();
+        spec.nodes = nodes.len() as u32;
+        let job_id = JobId(idx as u64);
+        let seed = cfg.seed ^ (idx as u64);
+        let (mut runtime, modeler_side) = match &setup.phases {
+            Some(phases) => JobRuntime::launch_phased(job_id, spec.clone(), phases, nodes, seed)?,
+            None => JobRuntime::launch(job_id, spec.clone(), nodes, seed)?,
+        };
+        runtime.attach_telemetry(&cfg.telemetry);
+        let believed = cfg.catalog.find(&setup.announced).unwrap_or(&spec);
         let mut b = JobEndpoint::builder(
             addr.clone(),
             job_id,
-            announced,
-            nodes,
+            &setup.announced,
+            spec.nodes,
             modeler_side,
             self.modeler_for(believed),
         )
-        .telemetry(telemetry.clone())
-        .retry(cfg.retry);
+        .telemetry(cfg.telemetry.clone())
+        .retry(cfg.retry)
+        .tracer(&cfg.tracer);
         if let Some(plan) = &cfg.faults {
             // Independent per-job schedule: same spec, salted seed, own
             // frame counter — deterministic across runs with one seed.
             b = b.faults(plan.fork(job_id.0));
         }
-        if let Some(t) = &cfg.tracer {
-            b = b.tracer(t);
-        }
-        b.connect()
+        let endpoint = b.connect()?;
+        runtime.attach_tracer(&cfg.tracer);
+        cfg.telemetry.event(
+            "job_started",
+            &[
+                ("t_virtual", now.value().into()),
+                ("job", job_id.0.into()),
+                ("type", setup.true_type.as_str().into()),
+                ("nodes", u64::from(spec.nodes).into()),
+            ],
+        );
+        Ok(ActiveJob {
+            runtime,
+            endpoint,
+            setup_idx: idx,
+            started_at,
+        })
     }
 
     fn run(&self, setups: &[JobSetup], mode: PowerMode, trace: bool) -> Result<RunReport> {
@@ -398,17 +424,13 @@ impl EmulatedCluster {
         let measured_gauge = telemetry.gauge("emulator_measured_watts", &[]);
         let mut bcfg = BudgeterConfig::new(cfg.policy, cfg.feedback);
         bcfg.catalog = cfg.catalog.clone();
-        let mut builder = ClusterBudgeter::builder(bcfg)
+        let (mut budgeter, addr) = ClusterBudgeter::builder(bcfg)
             .listener(Listener::in_process())
             .telemetry(telemetry.clone())
-            .lease(cfg.lease);
-        if let Some(t) = &cfg.tracer {
-            builder = builder.tracer(t);
-        }
-        if let Some(rec) = &cfg.recorder {
-            builder = builder.recorder(rec.clone());
-        }
-        let (mut budgeter, addr) = builder.bind()?;
+            .lease(cfg.lease)
+            .tracer(&cfg.tracer)
+            .recorder(cfg.recorder.clone())
+            .bind()?;
         telemetry.event(
             "run_started",
             &[
@@ -484,13 +506,9 @@ impl EmulatedCluster {
             let mut still_pending = Vec::new();
             for idx in pending.drain(..) {
                 let setup = &setups[idx];
-                let spec = self.true_spec(setup)?;
-                let mut spec = spec.clone();
-                if let Some(n) = setup.nodes {
-                    spec.nodes = n;
-                }
-                if (spec.nodes as usize) <= pool.len() {
-                    let nodes: Vec<Node> = pool.drain(..spec.nodes as usize).collect();
+                let wanted = setup.nodes.unwrap_or(self.true_spec(setup)?.nodes) as usize;
+                if wanted <= pool.len() {
+                    let nodes: Vec<Node> = pool.drain(..wanted).collect();
                     if cfg.setup_teardown.value() > 0.0 {
                         starting.push(HeldJob {
                             setup_idx: idx,
@@ -500,51 +518,7 @@ impl EmulatedCluster {
                         });
                         continue;
                     }
-                    let job_id = JobId(idx as u64);
-                    let (mut runtime, modeler_side) = match &setup.phases {
-                        Some(phases) => JobRuntime::launch_phased(
-                            job_id,
-                            spec.clone(),
-                            phases,
-                            nodes,
-                            cfg.seed ^ (idx as u64),
-                        )?,
-                        None => JobRuntime::launch(
-                            job_id,
-                            spec.clone(),
-                            nodes,
-                            cfg.seed ^ (idx as u64),
-                        )?,
-                    };
-                    runtime.attach_telemetry(&telemetry);
-                    let believed = cfg.catalog.find(&setup.announced).unwrap_or(&spec).clone();
-                    let endpoint = self.connect_endpoint(
-                        &addr,
-                        job_id,
-                        &setup.announced,
-                        spec.nodes,
-                        modeler_side,
-                        &believed,
-                        &telemetry,
-                    )?;
-                    if let Some(t) = &cfg.tracer {
-                        runtime.attach_tracer(t);
-                    }
-                    telemetry.event(
-                        "job_started",
-                        &[
-                            ("t_virtual", now.value().into()),
-                            ("job", job_id.0.into()),
-                            ("type", setup.true_type.as_str().into()),
-                            ("nodes", u64::from(spec.nodes).into()),
-                        ],
-                    );
-                    active.push(ActiveJob {
-                        runtime,
-                        endpoint,
-                        setup_idx: idx,
-                        started_at: now,
-                    });
+                    active.push(self.start_job(setups, idx, nodes, &addr, now, now)?);
                 } else {
                     still_pending.push(idx);
                 }
@@ -558,53 +532,14 @@ impl EmulatedCluster {
                     still_starting.push(h);
                     continue;
                 }
-                let idx = h.setup_idx;
-                let setup = &setups[idx];
-                let spec = self.true_spec(setup)?;
-                let mut spec = spec.clone();
-                spec.nodes = h.nodes.len() as u32;
-                let job_id = JobId(idx as u64);
-                let (mut runtime, modeler_side) = match &setup.phases {
-                    Some(phases) => JobRuntime::launch_phased(
-                        job_id,
-                        spec.clone(),
-                        phases,
-                        h.nodes,
-                        cfg.seed ^ (idx as u64),
-                    )?,
-                    None => {
-                        JobRuntime::launch(job_id, spec.clone(), h.nodes, cfg.seed ^ (idx as u64))?
-                    }
-                };
-                runtime.attach_telemetry(&telemetry);
-                let believed = cfg.catalog.find(&setup.announced).unwrap_or(&spec).clone();
-                let endpoint = self.connect_endpoint(
+                active.push(self.start_job(
+                    setups,
+                    h.setup_idx,
+                    h.nodes,
                     &addr,
-                    job_id,
-                    &setup.announced,
-                    spec.nodes,
-                    modeler_side,
-                    &believed,
-                    &telemetry,
-                )?;
-                if let Some(t) = &cfg.tracer {
-                    runtime.attach_tracer(t);
-                }
-                telemetry.event(
-                    "job_started",
-                    &[
-                        ("t_virtual", now.value().into()),
-                        ("job", job_id.0.into()),
-                        ("type", setup.true_type.as_str().into()),
-                        ("nodes", u64::from(spec.nodes).into()),
-                    ],
-                );
-                active.push(ActiveJob {
-                    runtime,
-                    endpoint,
-                    setup_idx: idx,
-                    started_at: h.held_since,
-                });
+                    now,
+                    h.held_since,
+                )?);
             }
             starting = still_starting;
             let mut still_finishing = Vec::new();

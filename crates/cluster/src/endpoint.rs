@@ -69,10 +69,10 @@ pub struct EndpointBuilder {
     endpoint: EndpointModeler,
     modeler: PowerModeler,
     telemetry: Option<Telemetry>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     retry: RetryPolicy,
     faults: Option<FaultPlan>,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
 }
 
 impl EndpointBuilder {
@@ -85,7 +85,7 @@ impl EndpointBuilder {
     /// Trace cap receipt, policy writes, sample forwarding, retrains and
     /// session transitions.
     pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
+        self.tracer = tracer.clone();
         self
     }
 
@@ -109,7 +109,7 @@ impl EndpointBuilder {
     /// Endpoint recordings carry role `endpoint` — `anor-replay` reads
     /// them for inspection and diffing, not reconstruction.
     pub fn recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.recorder = Some(recorder);
+        self.recorder = recorder;
         self
     }
 
@@ -135,19 +135,14 @@ impl EndpointBuilder {
             nodes: self.nodes,
         }
         .encode();
-        if let Some(rec) = &self.recorder {
-            rec.record(&RecEvent::ConnOpen { conn: 0 });
-            rec.record(&RecEvent::DecisionTx {
-                conn: 0,
-                frame: hello.to_vec(),
-            });
-        }
+        self.recorder.record(&RecEvent::ConnOpen { conn: 0 });
+        self.recorder.record_with(|| RecEvent::DecisionTx {
+            conn: 0,
+            frame: hello.to_vec(),
+        });
         stream.send(hello)?;
         let mut modeler = self.modeler;
-        let tracer = self.tracer;
-        if let Some(t) = &tracer {
-            modeler.attach_tracer(t);
-        }
+        modeler.attach_tracer(&self.tracer);
         Ok(JobEndpoint {
             job: self.job,
             nodes: self.nodes,
@@ -163,7 +158,7 @@ impl EndpointBuilder {
             models_sent: 0,
             shutdown_requested: false,
             metrics: EndpointMetrics::new(telemetry),
-            tracer,
+            tracer: self.tracer,
             budget_cause: 0,
             disconnect_dumped: false,
             session,
@@ -193,7 +188,7 @@ pub struct JobEndpoint {
     models_sent: u64,
     shutdown_requested: bool,
     metrics: EndpointMetrics,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     /// Cause of the budget cap currently in force (0 = untraced).
     budget_cause: u64,
     /// Postmortem already dumped for the current disconnect episode.
@@ -210,7 +205,7 @@ pub struct JobEndpoint {
     /// models are not individually acknowledged.
     last_model: Option<JobToCluster>,
     /// Endpoint-side flight recorder (wire traffic + session events).
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
 }
 
 impl JobEndpoint {
@@ -233,10 +228,10 @@ impl JobEndpoint {
             endpoint,
             modeler,
             telemetry: None,
-            tracer: None,
+            tracer: Tracer::off(),
             retry: RetryPolicy::default(),
             faults: None,
-            recorder: None,
+            recorder: FlightRecorder::off(),
         }
     }
 
@@ -297,63 +292,45 @@ impl JobEndpoint {
     /// stream.
     fn pump_stream(&mut self, now: Seconds) -> Result<()> {
         self.stream.flush_some()?;
-        // Inbound budgeter messages. A malformed frame or corrupt length
-        // prefix from the budgeter must not kill the job: the endpoint
-        // dumps its flight recorder, keeps the last-known cap, and carries
-        // on driving the agent.
         let frames = match self.stream.recv_frames() {
             Ok(frames) => frames,
             Err(AnorError::Protocol(e)) => {
-                if let Some(t) = &self.tracer {
-                    t.record_detail(TraceStage::TransportError, CauseId::NONE, &e);
-                    t.dump_postmortem("endpoint-protocol-error");
-                }
+                self.link_fault("endpoint-protocol-error", || e);
                 Vec::new()
             }
             Err(e) => return Err(e),
         };
         for body in frames {
-            if let Some(rec) = &self.recorder {
-                rec.record(&RecEvent::FrameIn {
-                    conn: 0,
-                    body: body.to_vec(),
-                });
-            }
+            self.recorder.record_with(|| RecEvent::FrameIn {
+                conn: 0,
+                body: body.to_vec(),
+            });
             let msg = match ClusterToJob::decode(body) {
                 Ok(m) => m,
                 Err(e) => {
-                    if let Some(t) = &self.tracer {
-                        t.record_detail(
-                            TraceStage::TransportError,
-                            CauseId::NONE,
-                            &format!("malformed budgeter frame: {e}"),
-                        );
-                        t.dump_postmortem("endpoint-malformed-frame");
-                    }
+                    self.link_fault("endpoint-malformed-frame", || {
+                        format!("malformed budgeter frame: {e}")
+                    });
                     continue;
                 }
             };
             match msg {
                 ClusterToJob::SetPowerCap { cap, cause } => {
-                    if let Some(t) = &self.tracer {
-                        t.record_job(
-                            TraceStage::CapRx,
-                            CauseId(cause),
-                            self.job.0,
-                            Some(cap.value()),
-                        );
-                    }
+                    self.tracer.record_job(
+                        TraceStage::CapRx,
+                        CauseId(cause),
+                        self.job.0,
+                        Some(cap.value()),
+                    );
                     self.adopt_cap(cap, cause, now);
                 }
                 ClusterToJob::ResumeAck { cap, cause } => {
-                    if let Some(t) = &self.tracer {
-                        t.record_job(
-                            TraceStage::Resume,
-                            CauseId(cause),
-                            self.job.0,
-                            Some(cap.value()),
-                        );
-                    }
+                    self.tracer.record_job(
+                        TraceStage::Resume,
+                        CauseId(cause),
+                        self.job.0,
+                        Some(cap.value()),
+                    );
                     // A non-positive cap means the budgeter has nothing
                     // on record (e.g. it restarted); keep the believed
                     // cap until the next rebalance re-caps us.
@@ -368,14 +345,26 @@ impl JobEndpoint {
         Ok(())
     }
 
+    /// A malformed frame or corrupt length prefix from the budgeter must
+    /// not kill the job: trace `detail`, dump a `reason` postmortem, keep
+    /// the last-known cap and carry on driving the agent.
+    fn link_fault(&self, reason: &str, detail: impl FnOnce() -> String) {
+        self.tracer.record_with(
+            TraceStage::TransportError,
+            CauseId::NONE,
+            None,
+            None,
+            detail,
+        );
+        self.tracer.dump_postmortem(reason);
+    }
+
     /// Record an outbound frame into the endpoint flight recorder.
     fn rec_tx(&self, frame: &bytes::Bytes) {
-        if let Some(rec) = &self.recorder {
-            rec.record(&RecEvent::DecisionTx {
-                conn: 0,
-                frame: frame.to_vec(),
-            });
-        }
+        self.recorder.record_with(|| RecEvent::DecisionTx {
+            conn: 0,
+            frame: frame.to_vec(),
+        });
     }
 
     /// Adopt a budgeter-supplied cap and apply it promptly.
@@ -392,18 +381,14 @@ impl JobEndpoint {
     fn on_disconnect(&mut self, now: Seconds) {
         if !self.disconnect_dumped {
             self.disconnect_dumped = true;
-            if let Some(rec) = &self.recorder {
-                rec.record(&RecEvent::ConnClosed { conn: 0 });
-            }
-            if let Some(t) = &self.tracer {
-                t.record_job(
-                    TraceStage::Disconnect,
-                    CauseId(self.budget_cause),
-                    self.job.0,
-                    self.budget_cap.map(|c| c.value()),
-                );
-                t.dump_postmortem("budgeter-disconnect");
-            }
+            self.recorder.record(&RecEvent::ConnClosed { conn: 0 });
+            self.tracer.record_job(
+                TraceStage::Disconnect,
+                CauseId(self.budget_cause),
+                self.job.0,
+                self.budget_cap.map(|c| c.value()),
+            );
+            self.tracer.dump_postmortem("budgeter-disconnect");
         }
         if self.session.retry.enabled() {
             self.state = SessionState::Reconnecting { attempt: 0 };
@@ -418,14 +403,12 @@ impl JobEndpoint {
         self.state = SessionState::Gone;
         self.next_attempt_at = None;
         self.metrics.sessions_gone.inc();
-        if let Some(t) = &self.tracer {
-            t.record_detail(
-                TraceStage::Disconnect,
-                CauseId(self.budget_cause),
-                "session gone: reconnect attempts exhausted",
-            );
-            t.dump_postmortem("session-gone");
-        }
+        self.tracer.record_detail(
+            TraceStage::Disconnect,
+            CauseId(self.budget_cause),
+            "session gone: reconnect attempts exhausted",
+        );
+        self.tracer.dump_postmortem("session-gone");
     }
 
     /// Attempt one reconnect if its backoff deadline has passed.
@@ -446,14 +429,12 @@ impl JobEndpoint {
                 self.next_attempt_at = None;
                 self.disconnect_dumped = false;
                 self.metrics.session_reconnects.inc();
-                if let Some(t) = &self.tracer {
-                    t.record_job(
-                        TraceStage::Reconnect,
-                        CauseId(self.budget_cause),
-                        self.job.0,
-                        self.budget_cap.map(|c| c.value()),
-                    );
-                }
+                self.tracer.record_job(
+                    TraceStage::Reconnect,
+                    CauseId(self.budget_cause),
+                    self.job.0,
+                    self.budget_cap.map(|c| c.value()),
+                );
             }
             Err(_) if attempt >= self.session.retry.max_attempts => self.go_gone(),
             Err(_) => {
@@ -475,9 +456,7 @@ impl JobEndpoint {
             opts = opts.faults(p.clone());
         }
         let mut stream = self.session.addr.dial(opts)?;
-        if let Some(rec) = &self.recorder {
-            rec.record(&RecEvent::ConnOpen { conn: 0 });
-        }
+        self.recorder.record(&RecEvent::ConnOpen { conn: 0 });
         let resume = JobToCluster::Resume {
             job: self.job,
             type_name: self.session.announced_type.clone(),
@@ -502,14 +481,12 @@ impl JobEndpoint {
             let cap = self.modeler.recommend_cap(budget);
             self.endpoint
                 .write_policy(AgentPolicy::caused(cap, self.budget_cause));
-            if let Some(t) = &self.tracer {
-                t.record_job(
-                    TraceStage::PolicyWrite,
-                    CauseId(self.budget_cause),
-                    self.job.0,
-                    Some(cap.value()),
-                );
-            }
+            self.tracer.record_job(
+                TraceStage::PolicyWrite,
+                CauseId(self.budget_cause),
+                self.job.0,
+                Some(cap.value()),
+            );
             self.metrics.policies_applied.inc();
             let (job, telemetry) = (self.job, &self.metrics.telemetry);
             self.metrics
@@ -539,14 +516,12 @@ impl JobEndpoint {
         }
         self.last_sample_sent_at = Some(now);
         self.metrics.samples_forwarded.inc();
-        if let Some(t) = &self.tracer {
-            t.record_job(
-                TraceStage::SampleTx,
-                CauseId(s.cause),
-                self.job.0,
-                Some(s.power.value()),
-            );
-        }
+        self.tracer.record_job(
+            TraceStage::SampleTx,
+            CauseId(s.cause),
+            self.job.0,
+            Some(s.power.value()),
+        );
         let frame = JobToCluster::Sample(EpochSample {
             job: self.job,
             epoch_count: s.epoch_count,

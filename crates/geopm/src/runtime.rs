@@ -34,7 +34,7 @@ pub struct JobRuntime {
     elapsed: Seconds,
     done: bool,
     step_hist: Option<Histogram>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
 }
 
 impl JobRuntime {
@@ -101,7 +101,7 @@ impl JobRuntime {
                 elapsed: Seconds::ZERO,
                 done: false,
                 step_hist: None,
-                tracer: None,
+                tracer: Tracer::off(),
             },
             modeler,
         )
@@ -116,7 +116,7 @@ impl JobRuntime {
     /// Record an `msr_write` trace event each time a policy broadcast
     /// actually programs `PKG_POWER_LIMIT` on a node.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
+        self.tracer = tracer.clone();
     }
 
     /// The job id.
@@ -148,14 +148,12 @@ impl JobRuntime {
                     let before = self.agents[idx].writes_issued();
                     self.agents[idx].adjust(&mut self.ios[idx], &policy)?;
                     if self.agents[idx].writes_issued() > before {
-                        if let Some(t) = &self.tracer {
-                            t.record_job(
-                                TraceStage::MsrWrite,
-                                CauseId(policy.cause),
-                                self.job.0,
-                                Some(policy.node_cap.value()),
-                            );
-                        }
+                        self.tracer.record_job(
+                            TraceStage::MsrWrite,
+                            CauseId(policy.cause),
+                            self.job.0,
+                            Some(policy.node_cap.value()),
+                        );
                     }
                 }
                 self.last_policy_seq = seq;

@@ -100,7 +100,7 @@ pub struct PowerModeler {
     /// successful refit (the stale curve would re-trigger forever).
     awaiting_refit: bool,
     instruments: Option<Instruments>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     /// Causal-trace id of the cap in force over the observations feeding
     /// the next retrain (`0` = untraced).
     cause: u64,
@@ -123,7 +123,7 @@ impl PowerModeler {
             phase_changes: 0,
             awaiting_refit: false,
             instruments: None,
-            tracer: None,
+            tracer: Tracer::off(),
             cause: 0,
         }
     }
@@ -142,7 +142,7 @@ impl PowerModeler {
     /// Record a causal-trace event for each accepted retrain, closing the
     /// observation loop of the trace: `decision → … → retrain`.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
+        self.tracer = tracer.clone();
     }
 
     /// Note the budgeter decision whose cap the modeler is currently
@@ -231,13 +231,13 @@ impl PowerModeler {
                     i.retrains.inc();
                     i.fit_residual.observe((1.0 - f.r2).max(0.0));
                 }
-                if let Some(t) = &self.tracer {
-                    t.record_detail(
-                        TraceStage::Retrain,
-                        CauseId(self.cause),
-                        &format!("obs={} r2={:.4}", self.obs.len(), f.r2),
-                    );
-                }
+                self.tracer.record_with(
+                    TraceStage::Retrain,
+                    CauseId(self.cause),
+                    None,
+                    None,
+                    || format!("obs={} r2={:.4}", self.obs.len(), f.r2),
+                );
                 self.epochs_since_fit = 0;
                 self.awaiting_refit = false;
                 if let Some(d) = &mut self.drift {

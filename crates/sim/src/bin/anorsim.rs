@@ -86,14 +86,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         None => Telemetry::new(),
     };
     let tracer = match args.get("trace") {
-        Some(dir) => Some(Tracer::to_dir(dir)?),
-        None => None,
+        Some(dir) => Tracer::to_dir(dir)?,
+        None => Tracer::off(),
     };
     let mut sim = TabularSim::new(cfg.clone(), target, &variation, schedule, None);
     sim.attach_telemetry(&telemetry);
-    if let Some(t) = &tracer {
-        sim.attach_tracer(t);
-    }
+    sim.attach_tracer(&tracer);
     match args.get("history-cap") {
         Some(cap) => sim.record_history_capped(cap.parse::<usize>()?),
         None => sim.record_history(true),
@@ -178,14 +176,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let summary = telemetry.write_artifacts()?;
         println!("{summary}");
     }
-    if let Some(t) = &tracer {
-        t.flush()?;
-        if let Some(dir) = t.dir() {
-            println!(
-                "anorsim: trace written to {}",
-                dir.join("trace.jsonl").display()
-            );
-        }
+    tracer.flush()?;
+    if let Some(dir) = tracer.dir() {
+        println!(
+            "anorsim: trace written to {}",
+            dir.join("trace.jsonl").display()
+        );
     }
     Ok(())
 }

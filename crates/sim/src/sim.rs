@@ -169,7 +169,7 @@ pub struct TabularSim {
     tracking_frozen: bool,
     instruments: Option<SimInstruments>,
     telemetry: Option<Telemetry>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     cause: u64,
     observe_pending: bool,
     /// Differential-testing mode: run the legacy per-tick algorithm
@@ -245,7 +245,7 @@ impl TabularSim {
             tracking_frozen: false,
             instruments: None,
             telemetry: None,
-            tracer: None,
+            tracer: Tracer::off(),
             cause: 0,
             observe_pending: false,
             tick_oracle: false,
@@ -278,7 +278,7 @@ impl TabularSim {
     /// under the new caps. The tabular simulator has no wire, so its
     /// chains never contain `cap_tx`/`cap_rx` hops.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
+        self.tracer = tracer.clone();
     }
 
     /// Switch the engine into (or out of) *tick-oracle* mode: the
@@ -462,15 +462,13 @@ impl TabularSim {
         self.energy += measured * dt;
         if self.observe_pending {
             self.observe_pending = false;
-            if let Some(t) = &self.tracer {
-                t.record_full(
-                    TraceStage::SampleRx,
-                    CauseId(self.cause),
-                    None,
-                    Some(measured.value()),
-                    None,
-                );
-            }
+            self.tracer.record_full(
+                TraceStage::SampleRx,
+                CauseId(self.cause),
+                None,
+                Some(measured.value()),
+                None,
+            );
         }
         // Drain events due at this tick. Completions are validated
         // against the job's generation (a re-cap since scheduling makes
@@ -667,7 +665,7 @@ impl TabularSim {
         self.tracking_frozen
             && !self.record_history
             && self.instruments.is_none()
-            && self.tracer.is_none()
+            && !self.tracer.is_on()
             && !self.observe_pending
             && !self.sched_dirty
             && !self.caps_dirty
@@ -975,7 +973,8 @@ impl TabularSim {
         if changed.is_empty() {
             return;
         }
-        if let Some(t) = self.tracer.clone() {
+        if self.tracer.is_on() {
+            let t = &self.tracer;
             let cause = t.next_cause();
             self.cause = cause.0;
             self.observe_pending = true;

@@ -2,21 +2,21 @@
 //!
 //! The paper's debugging story (§7.2) leans on GEOPM's per-node trace
 //! files; this crate gives the reproduction the equivalent for the
-//! cluster tier and above: a lock-cheap metrics registry, RAII span
-//! timing for control-loop stages, and pluggable sinks (a JSONL event
-//! log, a Prometheus-style text exposition dump, and an end-of-run
-//! summary table).
+//! cluster tier and above: a lock-cheap metrics registry, RAII timers
+//! for control-loop stages, and pluggable sinks (a JSONL event log, a
+//! Prometheus-style text exposition dump, and an end-of-run summary
+//! table).
 //!
 //! # Usage
 //!
 //! ```
-//! use anor_telemetry::Telemetry;
+//! use anor_telemetry::{Telemetry, Timer};
 //!
 //! let t = Telemetry::new(); // in-memory; Telemetry::to_dir(..) adds a JSONL file
 //! let frames = t.counter("transport_frames_total", &[("dir", "rx")]);
 //! frames.inc();
 //! {
-//!     let _timer = t.timer("budgeter_rebalance_seconds", &[]);
+//!     let _timer = Timer::start(t.histogram("budgeter_rebalance_seconds", &[]));
 //!     // ... redistribute ...
 //! }
 //! t.event("job_started", &[("job", 7u64.into()), ("type", "bt.D.81".into())]);
@@ -27,7 +27,10 @@
 //! `Telemetry` is an `Arc`-backed handle: clone it freely into every
 //! component. Handles returned by `counter`/`gauge`/`histogram` are
 //! themselves cheap atomics meant to be cached at construction time, so
-//! steady-state recording takes no lock.
+//! steady-state recording takes no lock. The causal [`Tracer`] and the
+//! [`FlightRecorder`] follow the same idiom: every component holds one,
+//! off by default ([`Tracer::off`], [`FlightRecorder::off`]), never an
+//! `Option`.
 
 pub mod ops;
 pub mod recorder;
@@ -48,7 +51,7 @@ pub use sink::{
     parse_line, read_events, render_line, Event, EventLog, Value, DEFAULT_ROTATE_BYTES,
     MEMORY_EVENT_CAP, ROTATE_KEEP,
 };
-pub use span::{Span, Timer};
+pub use span::Timer;
 pub use trace::{
     read_trace, CauseId, SpanId, TraceEvent, TraceId, TraceScan, TraceStage, Tracer,
     DEFAULT_RING_CAPACITY,
@@ -169,19 +172,6 @@ impl Telemetry {
     /// Snapshot every registered series.
     pub fn snapshot(&self) -> Vec<Snapshot> {
         self.inner.registry.snapshot()
-    }
-
-    // ---- timing -----------------------------------------------------
-
-    /// Time a scope into the named histogram (no event emitted).
-    pub fn timer(&self, name: &str, labels: &[(&str, &str)]) -> Timer {
-        Timer::new(self.histogram(name, labels))
-    }
-
-    /// Time a scope into `<name>_seconds` *and* emit a `span` event
-    /// with the duration and fields when it closes.
-    pub fn span(&self, name: &str, fields: &[(&str, Value)]) -> Span {
-        Span::new(self.clone(), name, fields)
     }
 
     // ---- events -----------------------------------------------------

@@ -29,7 +29,9 @@
 //! [`FlightRecorder::record`] never blocks the control loop: the sink
 //! mutex is only ever `try_lock`ed and a contended or failed append is
 //! *dropped and counted* ([`FlightRecorder::dropped`]), mirroring the
-//! JSONL sink's drop accounting. Files are size-rotated like the JSONL
+//! JSONL sink's drop accounting. An off recorder ([`FlightRecorder::off`])
+//! returns at once, and [`FlightRecorder::record_with`] builds its event
+//! only when the recorder is on. Files are size-rotated like the JSONL
 //! sink; each rotation segment restarts with a fresh header whose
 //! `segment` index increments, and replay refuses to `--verify` a
 //! recording whose first available segment is not 0 (state before the
@@ -433,14 +435,23 @@ struct RecorderInner {
     path: PathBuf,
 }
 
-/// Shared handle to an active flight recording. Cloning is an `Arc`
-/// bump; [`FlightRecorder::record`] never blocks (see module docs).
-#[derive(Debug, Clone)]
+/// Shared handle to a flight recording. Cloning is an `Arc` bump;
+/// [`FlightRecorder::record`] never blocks (see module docs). A recorder
+/// is either on ([`FlightRecorder::create`]) or off
+/// ([`FlightRecorder::off`], also its `Default`): an off recorder writes
+/// nothing, reads 0 on its counters and has no path.
+#[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    inner: Arc<RecorderInner>,
+    /// `None` when off.
+    inner: Option<Arc<RecorderInner>>,
 }
 
 impl FlightRecorder {
+    /// The off recorder: every recording call returns at once.
+    pub fn off() -> Self {
+        FlightRecorder { inner: None }
+    }
+
     /// Create a recording at `path` with the default rotation threshold.
     pub fn create(path: impl AsRef<Path>, meta: RecordingMeta) -> std::io::Result<Self> {
         FlightRecorder::create_with_rotation(path, meta, DEFAULT_RECORDING_ROTATE_BYTES)
@@ -461,51 +472,69 @@ impl FlightRecorder {
         }
         let writer = BinWriter::create(path, meta, max_bytes)?;
         Ok(FlightRecorder {
-            inner: Arc::new(RecorderInner {
+            inner: Some(Arc::new(RecorderInner {
                 recsink: Mutex::new(writer),
                 written: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
                 start: Instant::now(),
                 path: path.to_path_buf(),
-            }),
+            })),
         })
     }
 
     /// Append one event, stamped with monotonic time. Never blocks: a
     /// contended sink or failed write drops the record and counts it.
     pub fn record(&self, event: &RecEvent) {
-        let ts = self.inner.start.elapsed().as_nanos() as u64;
-        let Some(mut recsink) = self.inner.recsink.try_lock() else {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let ts = inner.start.elapsed().as_nanos() as u64;
+        let Some(mut recsink) = inner.recsink.try_lock() else {
+            inner.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
         let ok = recsink.write_record(ts, event).is_ok();
         drop(recsink);
         if ok {
-            self.inner.written.fetch_add(1, Ordering::Relaxed);
+            inner.written.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Flush buffered records to disk.
+    /// [`FlightRecorder::record`] with an event that is built only when
+    /// the recorder is on: the form for events that copy wire bytes.
+    pub fn record_with(&self, event: impl FnOnce() -> RecEvent) {
+        if self.inner.is_some() {
+            self.record(&event());
+        }
+    }
+
+    /// Flush buffered records to disk (a no-op when off).
     pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.recsink.lock().writer.flush()
+        match &self.inner {
+            Some(inner) => inner.recsink.lock().writer.flush(),
+            None => Ok(()),
+        }
     }
 
     /// Records appended successfully.
     pub fn written(&self) -> u64 {
-        self.inner.written.load(Ordering::Relaxed)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.written.load(Ordering::Relaxed))
     }
 
     /// Records dropped (sink contention or I/O failure).
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
     }
 
-    /// The active segment's path.
-    pub fn path(&self) -> &Path {
-        &self.inner.path
+    /// The active segment's path (`None` when off).
+    pub fn path(&self) -> Option<&Path> {
+        self.inner.as_ref().map(|i| i.path.as_path())
     }
 }
 
@@ -702,6 +731,7 @@ mod tests {
         rec.flush().unwrap();
         assert_eq!(rec.written(), events.len() as u64);
         assert_eq!(rec.dropped(), 0);
+        assert_eq!(rec.path(), Some(path.as_path()));
 
         let loaded = read_recording(&path).unwrap();
         assert_eq!(loaded.header.version, RECORDING_VERSION);
@@ -719,6 +749,24 @@ mod tests {
         let ts: Vec<u64> = loaded.events.iter().map(|r| r.ts_nanos).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn off_recorder_writes_nothing_and_builds_no_event() {
+        let rec = FlightRecorder::default();
+        let built = std::cell::Cell::new(0);
+        rec.record(&RecEvent::ConnOpen { conn: 0 });
+        rec.record_with(|| {
+            built.set(built.get() + 1);
+            RecEvent::FrameIn {
+                conn: 0,
+                body: vec![1, 2, 3],
+            }
+        });
+        assert_eq!(built.get(), 0, "an off recorder must not build events");
+        assert_eq!((rec.written(), rec.dropped()), (0, 0));
+        assert_eq!(rec.path(), None);
+        rec.flush().unwrap();
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! RAII timing guards for control-loop stages.
 
 use crate::registry::Histogram;
-use crate::Telemetry;
 use std::time::Instant;
 
 /// Times a scope into a histogram on drop. Cheap: two `Instant` reads
@@ -11,126 +10,38 @@ use std::time::Instant;
 pub struct Timer {
     hist: Histogram,
     start: Instant,
-    stopped: bool,
 }
 
 impl Timer {
-    /// Start timing into a cached histogram handle — the hot-loop
-    /// variant of [`Telemetry::timer`](crate::Telemetry::timer), which
-    /// avoids the registry lookup entirely.
+    /// Start timing into a cached histogram handle.
     pub fn start(hist: Histogram) -> Self {
-        Timer::new(hist)
-    }
-
-    pub(crate) fn new(hist: Histogram) -> Self {
         Timer {
             hist,
             start: Instant::now(),
-            stopped: false,
         }
-    }
-
-    /// Stop early and return the elapsed seconds.
-    pub fn stop(mut self) -> f64 {
-        self.stopped = true;
-        let dt = self.start.elapsed().as_secs_f64();
-        self.hist.observe(dt);
-        dt
     }
 }
 
 impl Drop for Timer {
     fn drop(&mut self) {
-        if !self.stopped {
-            self.hist.observe(self.start.elapsed().as_secs_f64());
-        }
-    }
-}
-
-/// A named span: times a scope into `<name>_seconds` *and* emits a
-/// `span` event with the duration and the caller's fields on drop.
-#[must_use = "a Span measures until it is dropped"]
-#[derive(Debug)]
-pub struct Span {
-    telemetry: Telemetry,
-    name: String,
-    fields: Vec<(String, crate::Value)>,
-    hist: Histogram,
-    start: Instant,
-}
-
-impl Span {
-    pub(crate) fn new(telemetry: Telemetry, name: &str, fields: &[(&str, crate::Value)]) -> Self {
-        let hist = telemetry.histogram(&format!("{name}_seconds"), &[]);
-        Span {
-            telemetry,
-            name: name.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            hist,
-            start: Instant::now(),
-        }
-    }
-
-    /// Attach another field before the span closes.
-    pub fn record(&mut self, key: &str, value: impl Into<crate::Value>) {
-        self.fields.push((key.to_string(), value.into()));
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let dt = self.start.elapsed().as_secs_f64();
-        self.hist.observe(dt);
-        let mut fields: Vec<(&str, crate::Value)> = Vec::with_capacity(self.fields.len() + 2);
-        fields.push(("span", crate::Value::Str(self.name.clone())));
-        fields.push(("dur_s", crate::Value::F64(dt)));
-        for (k, v) in &self.fields {
-            fields.push((k.as_str(), v.clone()));
-        }
-        self.telemetry.event("span", &fields);
+        self.hist.observe(self.start.elapsed().as_secs_f64());
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Timer;
     use crate::Telemetry;
 
     #[test]
     fn timer_observes_on_drop() {
         let t = Telemetry::new();
         {
-            let _timer = t.timer("stage_seconds", &[]);
+            let _timer = Timer::start(t.histogram("stage_seconds", &[]));
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let h = t.histogram("stage_seconds", &[]);
         assert_eq!(h.count(), 1);
         assert!(h.max() >= 0.002, "timed {}", h.max());
-    }
-
-    #[test]
-    fn timer_stop_returns_elapsed() {
-        let t = Telemetry::new();
-        let timer = t.timer("stage_seconds", &[]);
-        let dt = timer.stop();
-        assert!(dt >= 0.0);
-        assert_eq!(t.histogram("stage_seconds", &[]).count(), 1);
-    }
-
-    #[test]
-    fn span_emits_event_and_histogram() {
-        let t = Telemetry::new();
-        {
-            let mut span = t.span("rebalance", &[("policy", "even-slowdown".into())]);
-            span.record("jobs", 3u64);
-        }
-        assert_eq!(t.histogram("rebalance_seconds", &[]).count(), 1);
-        let lines = t.memory_event_lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("\"span\":\"rebalance\""));
-        assert!(lines[0].contains("\"policy\":\"even-slowdown\""));
-        assert!(lines[0].contains("\"jobs\":3"));
     }
 }

@@ -13,10 +13,12 @@
 //! Recording is always cheap: a [`Tracer`] keeps a bounded ring of the
 //! most recent [`TraceEvent`]s (the **flight recorder**) behind one short
 //! mutex hold, and optionally streams every event to `trace.jsonl` when
-//! built with [`Tracer::to_dir`]. On an endpoint disconnect or protocol
-//! error the owner calls [`Tracer::dump_postmortem`], which snapshots the
-//! ring to a `postmortem-*.jsonl` file so failures come with the last few
-//! thousand events of context.
+//! built with [`Tracer::to_dir`]. [`Tracer::off`] records nothing, and
+//! [`Tracer::record_with`] formats its detail only when the tracer is
+//! on, so components trace unconditionally. On an endpoint disconnect or
+//! protocol error the owner calls [`Tracer::dump_postmortem`], which
+//! snapshots the ring to a `postmortem-*.jsonl` file so failures come
+//! with the last few thousand events of context.
 
 use crate::sink::{parse_line, Event, Value};
 use parking_lot::Mutex;
@@ -299,21 +301,24 @@ struct TracerInner {
     sink_errors: AtomicU64,
 }
 
-/// The shared tracing handle. Cloning is an `Arc` bump; the default
-/// in-memory tracer keeps only the flight-recorder ring so every
-/// component can record unconditionally.
-#[derive(Clone, Debug)]
+/// The shared tracing handle. Cloning is an `Arc` bump. A tracer is
+/// either on ([`Tracer::new`], [`Tracer::with_capacity`],
+/// [`Tracer::to_dir`]) or off ([`Tracer::off`], also its `Default`). An
+/// off tracer records nothing, mints [`CauseId::NONE`], dumps no
+/// postmortem and reads 0 on every counter, so every component holds a
+/// `Tracer` and records unconditionally.
+#[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    inner: Arc<TracerInner>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
-    }
+    /// `None` when off.
+    inner: Option<Arc<TracerInner>>,
 }
 
 impl Tracer {
+    /// The off tracer: every recording call returns at once.
+    pub fn off() -> Self {
+        Tracer { inner: None }
+    }
+
     /// In-memory tracer: flight recorder only, no file sink.
     pub fn new() -> Self {
         Tracer::with_capacity(DEFAULT_RING_CAPACITY)
@@ -321,20 +326,7 @@ impl Tracer {
 
     /// In-memory tracer with an explicit ring depth.
     pub fn with_capacity(capacity: usize) -> Self {
-        Tracer {
-            inner: Arc::new(TracerInner {
-                trace_id: TraceId(seed_id()),
-                start: Instant::now(),
-                epoch: unix_now(),
-                span_seq: AtomicU64::new(0),
-                cause_seq: AtomicU64::new(0),
-                ring: Mutex::new(Ring::new(capacity)),
-                sink: Mutex::new(None),
-                dir: None,
-                postmortems: AtomicU64::new(0),
-                sink_errors: AtomicU64::new(0),
-            }),
-        }
+        Tracer::on(capacity, None, None)
     }
 
     /// Tracer streaming every event to `<dir>/trace.jsonl` (created if
@@ -343,56 +335,60 @@ impl Tracer {
     pub fn to_dir(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let file = File::create(dir.join("trace.jsonl"))?;
-        Ok(Tracer {
-            inner: Arc::new(TracerInner {
+        let sink = BufWriter::new(File::create(dir.join("trace.jsonl"))?);
+        Ok(Tracer::on(DEFAULT_RING_CAPACITY, Some(sink), Some(dir)))
+    }
+
+    fn on(capacity: usize, sink: Option<BufWriter<File>>, dir: Option<PathBuf>) -> Self {
+        Tracer {
+            inner: Some(Arc::new(TracerInner {
                 trace_id: TraceId(seed_id()),
                 start: Instant::now(),
                 epoch: unix_now(),
                 span_seq: AtomicU64::new(0),
                 cause_seq: AtomicU64::new(0),
-                ring: Mutex::new(Ring::new(DEFAULT_RING_CAPACITY)),
-                sink: Mutex::new(Some(BufWriter::new(file))),
-                dir: Some(dir),
+                ring: Mutex::new(Ring::new(capacity)),
+                sink: Mutex::new(sink),
+                dir,
                 postmortems: AtomicU64::new(0),
                 sink_errors: AtomicU64::new(0),
-            }),
-        })
+            })),
+        }
+    }
+
+    /// Whether this tracer records (`false` only for [`Tracer::off`]).
+    pub fn is_on(&self) -> bool {
+        self.inner.is_some()
     }
 
     /// The trace directory, when configured via [`Tracer::to_dir`].
     pub fn dir(&self) -> Option<&Path> {
-        self.inner.dir.as_deref()
+        self.inner.as_ref()?.dir.as_deref()
     }
 
-    /// This tracer's session id.
+    /// This tracer's session id (`TraceId(0)` when off).
     pub fn trace_id(&self) -> TraceId {
-        self.inner.trace_id
+        self.inner.as_ref().map_or(TraceId(0), |i| i.trace_id)
     }
 
-    /// Seconds since the tracer was created.
+    /// Seconds since the tracer was created (0 when off).
     pub fn elapsed(&self) -> f64 {
-        self.inner.start.elapsed().as_secs_f64()
-    }
-
-    /// The event timestamp: UNIX seconds, advanced by the monotonic
-    /// clock since creation. Wall-anchored so traces written by
-    /// separate processes on one host (`anord` + `anor-job`) join into
-    /// meaningful cross-process latencies, monotonic so in-process
-    /// deltas never go backwards on clock adjustment.
-    fn now(&self) -> f64 {
-        self.inner.epoch + self.inner.start.elapsed().as_secs_f64()
+        self.inner
+            .as_ref()
+            .map_or(0.0, |i| i.start.elapsed().as_secs_f64())
     }
 
     /// Mint the next cause id (stamped on a budgeter rebalance
-    /// decision). Never returns [`CauseId::NONE`].
+    /// decision). Never [`CauseId::NONE`] when on; always it when off.
     pub fn next_cause(&self) -> CauseId {
-        CauseId(self.inner.cause_seq.fetch_add(1, Ordering::Relaxed) + 1)
+        self.inner.as_ref().map_or(CauseId::NONE, |i| {
+            CauseId(i.cause_seq.fetch_add(1, Ordering::Relaxed) + 1)
+        })
     }
 
     /// Record an event with no job/watts payload.
     pub fn record(&self, stage: TraceStage, cause: CauseId) -> SpanId {
-        self.record_full(stage, cause, None, None, None)
+        self.push(stage, cause, None, None, || None)
     }
 
     /// Record a job-scoped event carrying an optional watts value.
@@ -403,12 +399,12 @@ impl Tracer {
         job: u64,
         watts: Option<f64>,
     ) -> SpanId {
-        self.record_full(stage, cause, Some(job), watts, None)
+        self.push(stage, cause, Some(job), watts, || None)
     }
 
     /// Record an annotated event (errors, disconnect reasons).
     pub fn record_detail(&self, stage: TraceStage, cause: CauseId, detail: &str) -> SpanId {
-        self.record_full(stage, cause, None, None, Some(detail.to_string()))
+        self.push(stage, cause, None, None, || Some(detail.to_string()))
     }
 
     /// The fully general recording entry point.
@@ -420,51 +416,92 @@ impl Tracer {
         watts: Option<f64>,
         detail: Option<String>,
     ) -> SpanId {
-        let span = SpanId(self.inner.span_seq.fetch_add(1, Ordering::Relaxed));
+        self.push(stage, cause, job, watts, || detail)
+    }
+
+    /// [`Tracer::record_full`] with a detail that is formatted only when
+    /// the tracer is on: the form for annotations built per event.
+    pub fn record_with(
+        &self,
+        stage: TraceStage,
+        cause: CauseId,
+        job: Option<u64>,
+        watts: Option<f64>,
+        detail: impl FnOnce() -> String,
+    ) -> SpanId {
+        self.push(stage, cause, job, watts, || Some(detail()))
+    }
+
+    /// Every recording call lands here. Returns the event's span id
+    /// (`SpanId(0)` when off, without calling `detail`).
+    fn push(
+        &self,
+        stage: TraceStage,
+        cause: CauseId,
+        job: Option<u64>,
+        watts: Option<f64>,
+        detail: impl FnOnce() -> Option<String>,
+    ) -> SpanId {
+        let Some(inner) = &self.inner else {
+            return SpanId(0);
+        };
+        let span = SpanId(inner.span_seq.fetch_add(1, Ordering::Relaxed));
         let ev = TraceEvent {
             span,
-            ts: self.now(),
+            // The event timestamp: UNIX seconds, advanced by the
+            // monotonic clock since creation. Wall-anchored so traces
+            // written by separate processes on one host (`anord` +
+            // `anor-job`) join into meaningful cross-process latencies,
+            // monotonic so in-process deltas never go backwards on clock
+            // adjustment.
+            ts: inner.epoch + inner.start.elapsed().as_secs_f64(),
             stage,
             cause,
             job,
             watts,
-            detail,
+            detail: detail(),
         };
-        if let Some(w) = &mut *self.inner.sink.lock() {
-            if writeln!(w, "{}", ev.render(self.inner.trace_id)).is_err() {
-                self.inner.sink_errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(w) = &mut *inner.sink.lock() {
+            if writeln!(w, "{}", ev.render(inner.trace_id)).is_err() {
+                inner.sink_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.inner.ring.lock().push(ev);
+        inner.ring.lock().push(ev);
         span
     }
 
     /// Events recorded so far (including any the ring has overwritten).
     pub fn recorded(&self) -> u64 {
-        self.inner.ring.lock().pushed
+        self.inner.as_ref().map_or(0, |i| i.ring.lock().pushed)
     }
 
     /// Lines that failed to reach the file sink.
     pub fn sink_errors(&self) -> u64 {
-        self.inner.sink_errors.load(Ordering::Relaxed)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.sink_errors.load(Ordering::Relaxed))
     }
 
     /// Oldest-to-newest copy of the flight-recorder contents.
     pub fn ring_snapshot(&self) -> Vec<TraceEvent> {
-        self.inner.ring.lock().snapshot()
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.ring.lock().snapshot())
     }
 
     /// Events currently held by the flight recorder (≤ its capacity).
     /// One short lock hold and a length read — cheap enough for a
     /// status endpoint to poll.
     pub fn ring_depth(&self) -> usize {
-        self.inner.ring.lock().buf.len()
+        self.inner.as_ref().map_or(0, |i| i.ring.lock().buf.len())
     }
 
-    /// Flush the streaming sink (no-op for in-memory tracers).
+    /// Flush the streaming sink (no-op for in-memory and off tracers).
     pub fn flush(&self) -> std::io::Result<()> {
-        if let Some(w) = &mut *self.inner.sink.lock() {
-            w.flush()?;
+        if let Some(inner) = &self.inner {
+            if let Some(w) = &mut *inner.sink.lock() {
+                w.flush()?;
+            }
         }
         Ok(())
     }
@@ -474,10 +511,11 @@ impl Tracer {
     /// on endpoint disconnects and protocol errors so every failure
     /// comes with its recent event history. Returns the file written, or
     /// `None` when the tracer has no directory (the dump is still
-    /// counted).
+    /// counted) or is off (nothing is counted).
     pub fn dump_postmortem(&self, reason: &str) -> Option<PathBuf> {
-        let n = self.inner.postmortems.fetch_add(1, Ordering::Relaxed);
-        let dir = self.inner.dir.as_ref()?;
+        let inner = self.inner.as_ref()?;
+        let n = inner.postmortems.fetch_add(1, Ordering::Relaxed);
+        let dir = inner.dir.as_ref()?;
         let safe: String = reason
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
@@ -486,7 +524,7 @@ impl Tracer {
         let snapshot = self.ring_snapshot();
         let mut out = String::with_capacity(snapshot.len() * 96);
         for ev in &snapshot {
-            out.push_str(&ev.render(self.inner.trace_id));
+            out.push_str(&ev.render(inner.trace_id));
             out.push('\n');
         }
         // Keep trace.jsonl current too, so the postmortem and the main
@@ -495,7 +533,7 @@ impl Tracer {
         match std::fs::write(&path, out) {
             Ok(()) => Some(path),
             Err(_) => {
-                self.inner.sink_errors.fetch_add(1, Ordering::Relaxed);
+                inner.sink_errors.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -503,7 +541,9 @@ impl Tracer {
 
     /// Postmortem dumps requested so far.
     pub fn postmortems(&self) -> u64 {
-        self.inner.postmortems.load(Ordering::Relaxed)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.postmortems.load(Ordering::Relaxed))
     }
 }
 
@@ -694,6 +734,37 @@ mod tests {
         assert_eq!(pm_scan.events.len(), 2);
         assert_eq!(t.postmortems(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn off_tracer_records_nothing_and_builds_no_detail() {
+        let built = std::cell::Cell::new(0);
+        let detail = || {
+            built.set(built.get() + 1);
+            "obs=12 r2=0.9".to_string()
+        };
+        let t = Tracer::default();
+        assert!(!t.is_on());
+        assert_eq!(t.next_cause(), CauseId::NONE);
+        t.record(TraceStage::Decision, CauseId(1));
+        t.record_job(TraceStage::CapTx, CauseId(1), 3, Some(210.0));
+        t.record_detail(TraceStage::TransportError, CauseId::NONE, "bad tag 9");
+        t.record_with(TraceStage::Retrain, CauseId(1), None, None, detail);
+        assert_eq!(built.get(), 0, "an off tracer must not build details");
+        assert_eq!((t.recorded(), t.ring_depth()), (0, 0));
+        assert!(t.ring_snapshot().is_empty());
+        assert!(t.dump_postmortem("peer gone").is_none());
+        assert_eq!(t.postmortems(), 0, "an off tracer counts no dump");
+        assert!(t.dir().is_none());
+        t.flush().unwrap();
+        // The same calls on an on tracer record, and build the detail once.
+        let on = Tracer::new();
+        on.record_with(TraceStage::Retrain, on.next_cause(), None, None, detail);
+        assert_eq!(built.get(), 1);
+        assert_eq!(
+            on.ring_snapshot()[0].detail.as_deref(),
+            Some("obs=12 r2=0.9")
+        );
     }
 
     #[test]
