@@ -21,12 +21,13 @@
 //!
 //! The simulator caps jobs, not nodes: every node of a running job runs
 //! at the job's cap. So the job table holds a running job's cap, per-node
-//! draw, nominal progress rate, anchor tick and completion-check ceiling,
-//! and the node table holds only what differs per node: the job id, the
+//! draw, nominal progress rate, anchor tick, completion-check ceiling and
+//! slowest node, and the node table holds only what differs per node: the
 //! performance coefficient, the anchored progress, the cap the node keeps
 //! while idle, and the idle bit. A node's rate is its job's nominal rate
 //! over its coefficient ([`progress_rate`]), recomputed when read, so a
-//! re-cap rewrites one job row and one progress column.
+//! re-cap rewrites one job row and one progress column. Which job a busy
+//! node runs is read from the job table's allocations.
 //!
 //! Progress is *anchored*, not integrated: a node stores the progress it
 //! had at its job's last state transition (job start or re-cap), the job
@@ -293,18 +294,13 @@ fn span(nodes: &Range<u32>) -> Range<usize> {
     nodes.start as usize..nodes.end as usize
 }
 
-/// Sentinel in the node table's job column for "idle".
-const NO_JOB: u64 = u64::MAX;
-
 /// Struct-of-arrays node table: one dense column per attribute plus an
 /// idle-node bitset. All indexing is confined to this type; callers pass
 /// [`NodeId`]s, or ranges of them, minted by the table itself
-/// ([`collect_idle`](Self::collect_idle)). A busy node's cap, draw, rate
-/// and anchor tick are its job's, read from the [`JobTable`].
+/// ([`collect_idle`](Self::collect_idle)). A busy node's job, cap, draw,
+/// rate and anchor tick are its job's, read from the [`JobTable`].
 #[derive(Debug, Clone)]
 pub struct NodeTable {
-    /// Executing job per node (`NO_JOB` = idle).
-    job: Vec<u64>,
     /// The cap the node keeps while idle: its last job's cap, or TDP
     /// before its first job. A busy node runs at its job's cap instead.
     cap: Vec<Watts>,
@@ -331,7 +327,6 @@ impl NodeTable {
             }
         }
         NodeTable {
-            job: vec![NO_JOB; n],
             cap: vec![tdp; n],
             perf_coeff: (0..n).map(|i| coeff(NodeId(i as u32))).collect(),
             anchor_progress: vec![0.0; n],
@@ -341,17 +336,18 @@ impl NodeTable {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.job.len()
+        self.perf_coeff.len()
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.job.is_empty()
+        self.perf_coeff.is_empty()
     }
 
     /// Is the node idle?
     pub fn is_idle(&self, n: NodeId) -> bool {
-        self.job[n.index()] == NO_JOB
+        let i = n.index();
+        self.idle_bits[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// The cap the node keeps while idle (see the field docs). A job that
@@ -439,15 +435,24 @@ impl NodeTable {
         found
     }
 
-    /// Start `job` on the nodes of `range` from zero progress. Each node
-    /// keeps its cap until the job is first capped.
-    pub fn assign(&mut self, range: Range<u32>, job: JobId) {
-        let s = span(&range);
-        self.job[s.clone()].fill(job.0);
-        self.anchor_progress[s.clone()].fill(0.0);
-        for i in s {
-            self.idle_bits[i / 64] &= !(1u64 << (i % 64));
+    /// Start a job on the nodes of `ranges` from zero progress. Each node
+    /// keeps its cap until the job is first capped. Returns the job's
+    /// slowest node, found in the same pass: the largest coefficient, the
+    /// first in node order on ties (see [`JobTable::slowest`]). An empty
+    /// allocation has no slowest node; it returns node 0.
+    pub fn assign(&mut self, ranges: &[Range<u32>]) -> NodeId {
+        let (mut slow, mut slow_coeff) = (0, f64::NEG_INFINITY);
+        for r in ranges {
+            let s = span(r);
+            self.anchor_progress[s.clone()].fill(0.0);
+            for i in s {
+                self.idle_bits[i / 64] &= !(1u64 << (i % 64));
+                if self.perf_coeff[i] > slow_coeff {
+                    (slow, slow_coeff) = (i, self.perf_coeff[i]);
+                }
+            }
         }
+        NodeId(slow as u32)
     }
 
     /// Release the nodes of `range` at completion: idle again with zero
@@ -455,7 +460,6 @@ impl NodeTable {
     /// job never capped, leaves each node's cap as it was).
     pub fn release(&mut self, range: Range<u32>, cap: Option<Watts>) {
         let s = span(&range);
-        self.job[s.clone()].fill(NO_JOB);
         if let Some(cap) = cap {
             self.cap[s.clone()].fill(cap);
         }
@@ -466,9 +470,10 @@ impl NodeTable {
     }
 
     /// Materialize the full table as rows, with progress evaluated at
-    /// `tick`. Idle rows draw `idle_power`; busy rows take their cap and
-    /// draw from `jobs`, or, for a job not yet capped, from the cap
-    /// the node kept and the job's type in `catalog`.
+    /// `tick`: every row idle first, at its kept cap and `idle_power`,
+    /// then each running job's nodes overwritten. A busy row takes its
+    /// cap and draw from `jobs`, or, for a job not yet capped, from the
+    /// cap the node kept and the job's type in `catalog`.
     pub fn rows(
         &self,
         jobs: &JobTable,
@@ -477,40 +482,36 @@ impl NodeTable {
         tick: u64,
         dt: f64,
     ) -> Vec<NodeRow> {
-        (0..self.len())
-            .map(|i| {
-                let perf_coeff = self.perf_coeff[i];
-                if self.job[i] == NO_JOB {
-                    return NodeRow {
-                        job: None,
-                        cap: self.cap[i],
-                        power: idle_power,
-                        perf_coeff,
-                        progress: 0.0,
-                        rate: 0.0,
-                    };
-                }
-                let j = JobId(self.job[i]);
+        let mut rows: Vec<NodeRow> = self
+            .cap
+            .iter()
+            .zip(&self.perf_coeff)
+            .map(|(&cap, &perf_coeff)| NodeRow {
+                power: idle_power,
+                ..NodeRow::idle(perf_coeff, cap)
+            })
+            .collect();
+        for j in (0..jobs.len() as u64).map(JobId) {
+            if !jobs.is_running(j) {
+                continue;
+            }
+            let ticks = jobs.ticks_since_anchor(j, tick);
+            let spec = &catalog[jobs.type_id(j)];
+            for i in jobs.node_ids(j).map(NodeId::index) {
                 let (cap, power, nominal) = match jobs.cap(j) {
                     Some(cap) => (cap, jobs.power(j), jobs.nominal(j)),
                     None => {
-                        let spec = &catalog[jobs.type_id(j)];
                         let kept = self.cap[i];
                         (kept, node_power(spec, kept), nominal_rate(spec, kept))
                     }
                 };
-                let rate = nominal / perf_coeff;
-                let ticks = jobs.ticks_since_anchor(j, tick);
-                NodeRow {
-                    job: Some(j),
-                    cap,
-                    power,
-                    perf_coeff,
-                    progress: progress_at(self.anchor_progress[i], rate, dt, ticks),
-                    rate,
-                }
-            })
-            .collect()
+                let row = &mut rows[i];
+                row.rate = nominal / row.perf_coeff;
+                row.progress = progress_at(self.anchor_progress[i], row.rate, dt, ticks);
+                (row.job, row.cap, row.power) = (Some(j), cap, power);
+            }
+        }
+        rows
     }
 }
 
@@ -523,7 +524,8 @@ const NO_TIME: f64 = f64::NAN;
 /// history without per-row Vecs, at one entry per run of consecutive
 /// nodes rather than one per node. A running job's cap, per-node draw,
 /// nominal rate and anchor tick live here too: every node of the job
-/// shares them.
+/// shares them. So does its slowest node, which answers the job's
+/// completion checks and QoS-risk reads alone ([`slowest`](Self::slowest)).
 #[derive(Debug, Clone, Default)]
 pub struct JobTable {
     type_id: Vec<JobTypeId>,
@@ -556,6 +558,9 @@ pub struct JobTable {
     /// aid, not physics: it never enters progress/power arithmetic or the
     /// state hash.
     ceiling: Vec<f64>,
+    /// The job's slowest node (see [`slowest`](Self::slowest)); node 0
+    /// until the job starts.
+    slow: Vec<NodeId>,
 }
 
 impl JobTable {
@@ -591,6 +596,7 @@ impl JobTable {
         self.nominal.push(0.0);
         self.anchor_tick.push(0);
         self.ceiling.push(0.0);
+        self.slow.push(NodeId(0));
         id
     }
 
@@ -621,14 +627,23 @@ impl JobTable {
         !self.start[j.0 as usize].is_nan() && self.end[j.0 as usize].is_nan()
     }
 
-    /// Record the job's start at `tick`: timestamp plus its node
-    /// allocation as ascending node-id `ranges` (appended to the shared
-    /// arena). The nodes' anchors are taken now; the job stays uncapped
-    /// until the capping stage first caps it.
-    pub fn set_started(&mut self, j: JobId, at: Seconds, ranges: &[Range<u32>], tick: u64) {
+    /// Record the job's start at `tick`: timestamp, its node allocation
+    /// as ascending node-id `ranges` (appended to the shared arena) and
+    /// its `slow`est node, as [`NodeTable::assign`] returned it. The
+    /// nodes' anchors are taken now; the job stays uncapped until the
+    /// capping stage first caps it.
+    pub fn set_started(
+        &mut self,
+        j: JobId,
+        at: Seconds,
+        ranges: &[Range<u32>],
+        slow: NodeId,
+        tick: u64,
+    ) {
         let i = j.0 as usize;
         self.start[i] = at.value();
         self.anchor_tick[i] = tick;
+        self.slow[i] = slow;
         self.range_off[i] = self.ranges.len();
         self.range_len[i] = ranges.len() as u32;
         self.ranges.extend_from_slice(ranges);
@@ -724,6 +739,19 @@ impl JobTable {
     /// Record the ceiling a completion check was scheduled against.
     pub fn set_ceiling(&mut self, j: JobId, v: f64) {
         self.ceiling[j.0 as usize] = v;
+    }
+
+    /// The job's slowest node: the largest performance coefficient in its
+    /// allocation, the first in node order on ties. Every node of a job
+    /// is anchored at 0 on the same tick, and every re-anchor applies the
+    /// same nominal rate, step and tick count to all of them. A larger
+    /// coefficient gives a rate no higher (rounding is monotone), and
+    /// [`progress_at`] is non-decreasing in its anchor and its rate. So
+    /// at every tick this node's progress is, bit for bit, the least of
+    /// the job's nodes, and its [`crossing_ticks`] at any one nominal
+    /// rate ceiling is the latest (`None` if any node's is).
+    pub fn slowest(&self, j: JobId) -> NodeId {
+        self.slow[j.0 as usize]
     }
 
     /// Materialize one row.
@@ -949,8 +977,11 @@ mod tests {
         let mut picked = Vec::new();
         assert_eq!(t.collect_idle(3, &mut picked), 3);
         assert_eq!(picked, runs(&[(0, 3)]));
-        t.assign(0..3, j);
-        jobs.set_started(j, Seconds(5.0), &picked, 5);
+        // Equal coefficients: the first node is the slowest.
+        let slow = t.assign(&picked);
+        assert_eq!(slow, NodeId(0));
+        jobs.set_started(j, Seconds(5.0), &picked, slow, 5);
+        assert_eq!(jobs.slowest(j), NodeId(0));
         assert!(!t.is_idle(NodeId(0)) && !t.is_idle(NodeId(2)));
         // The idle scan now starts at node 3.
         assert_eq!(t.collect_idle(1, &mut picked), 1);
@@ -981,19 +1012,26 @@ mod tests {
             (rows[0].cap, rows[0].power, rows[0].rate),
             (Watts(150.0), Watts(150.0), 0.001)
         );
-        // Release: idle again, the job's cap kept, zero progress.
-        t.release(0..1, jobs.cap(j));
-        assert!(t.is_idle(NodeId(0)));
+        // Completion: idle again, the job's cap kept, zero progress.
+        jobs.set_end(j, Seconds(12.0));
+        t.release(0..3, jobs.cap(j));
+        assert!(t.is_idle(NodeId(0)) && t.is_idle(NodeId(2)));
         assert_eq!(t.cap(NodeId(0)), Watts(150.0));
         let rows = t.rows(&jobs, &cat, Watts(90.0), 99, 1.0);
+        assert_eq!(rows[0].job, None);
         assert_eq!(rows[0].power, Watts(90.0));
         assert_eq!((rows[0].progress, rows[0].rate), (0.0, 0.0));
-        // A job released before any cap leaves the node's cap alone.
-        t.release(1..2, None);
-        assert_eq!(t.cap(NodeId(1)), Watts(280.0));
+        // A job released before any cap leaves its nodes' caps alone.
+        let k = jobs.push_queued(spec.id, Seconds(20.0));
+        let slow = t.assign(&runs(&[(3, 4)]));
+        jobs.set_started(k, Seconds(20.0), &runs(&[(3, 4)]), slow, 20);
+        assert_eq!(t.rows(&jobs, &cat, Watts(90.0), 20, 1.0)[3].job, Some(k));
+        jobs.set_end(k, Seconds(21.0));
+        t.release(3..4, None);
+        assert_eq!(t.cap(NodeId(3)), Watts(280.0));
         // Released nodes are the first idle run again.
-        assert_eq!(t.collect_idle(usize::MAX, &mut picked), 129);
-        assert_eq!(picked, vec![0..2, 3..130]);
+        assert_eq!(t.collect_idle(usize::MAX, &mut picked), 130);
+        assert_eq!(picked, runs(&[(0, 130)]));
     }
 
     #[test]
@@ -1017,7 +1055,7 @@ mod tests {
         let b = t.push_queued(JobTypeId(1), Seconds(2.0));
         assert_eq!((a, b), (JobId(0), JobId(1)));
         assert!(!t.is_running(a));
-        t.set_started(a, Seconds(3.0), &[4..6, 9..10], 3);
+        t.set_started(a, Seconds(3.0), &[4..6, 9..10], NodeId(5), 3);
         assert!(t.is_running(a));
         // Uncapped until first capped, anchored at the start tick.
         assert_eq!(t.cap(a), None);
@@ -1031,6 +1069,7 @@ mod tests {
         t.set_ceiling(a, 0.004);
         assert_eq!(t.ceiling(a), 0.004);
         assert_eq!(t.ranges_of(a), &[4..6, 9..10]);
+        assert_eq!(t.slowest(a), NodeId(5));
         assert_eq!(t.node_count(a), 3);
         assert_eq!(t.node_count(b), 0);
         assert!(t.ranges_of(b).is_empty());
@@ -1192,7 +1231,7 @@ mod tests {
     fn fragmented(n: u32, seed: u64) -> NodeTable {
         let mut rng = proptest::test_runner::TestRng::new(seed);
         let mut t = NodeTable::build(n, Watts(280.0), |_| 1.0);
-        t.assign(0..n, JobId(0));
+        t.assign(&runs(&[(0, n)]));
         let mut i = 0;
         while i < n {
             let len = (1 + rng.below(150) as u32).min(n - i);
@@ -1202,6 +1241,19 @@ mod tests {
             i += len;
         }
         t
+    }
+
+    /// Ascending, disjoint node-id runs within `0..n`, with gaps: empty
+    /// only when the random first id is `n` or more.
+    fn random_runs(n: u32, rng: &mut proptest::test_runner::TestRng) -> Vec<Range<u32>> {
+        let mut ranges = Vec::new();
+        let mut i = rng.below(4) as u32;
+        while i < n {
+            let end = (i + 1 + rng.below(90) as u32).min(n);
+            ranges.push(i..end);
+            i = end + 1 + rng.below(40) as u32;
+        }
+        ranges
     }
 
     proptest! {
@@ -1245,13 +1297,7 @@ mod tests {
             for a in &mut t.anchor_progress {
                 *a = if rng.below(8) == 0 { 1.0 } else { rng.unit_f64() };
             }
-            let mut ranges = Vec::new();
-            let mut i = rng.below(4) as u32;
-            while i < n {
-                let end = (i + 1 + rng.below(90) as u32).min(n);
-                ranges.push(i..end);
-                i = end + 1 + rng.below(40) as u32;
-            }
+            let ranges = random_runs(n, &mut rng);
             let before = t.anchor_progress.clone();
             let mut expect = before.clone();
             let mut expect_busy = Watts(busy);
@@ -1265,6 +1311,57 @@ mod tests {
             for (i, (a, e)) in t.anchor_progress.iter().zip(&expect).enumerate() {
                 assert_eq!(a.to_bits(), e.to_bits(), "node {i}");
             }
+        }
+
+        /// The node `assign` picks is the first of the largest
+        /// coefficient, and after any sequence of re-anchors its progress
+        /// is, bit for bit, the least of the job's nodes, and its crossing
+        /// at a rate ceiling the latest: `None` exactly when some node's
+        /// is. Coefficients include 0.1 floors and copies of the maximum;
+        /// re-anchors include zero-tick steps; ceilings include zero and
+        /// ones whose crossings lie near `u64::MAX` ticks.
+        #[test]
+        fn slowest_node_reads_the_least_progress_and_latest_crossing(
+            n in 1u32..300,
+            seed in any::<u64>(),
+            dt in 0.05f64..2.0,
+            reanchors in 0u64..12,
+            query in 0u64..600,
+        ) {
+            let mut rng = proptest::test_runner::TestRng::new(seed);
+            let mut coeff: Vec<f64> = (0..n)
+                .map(|_| if rng.below(6) == 0 { 0.1 } else { 0.1 + 2.9 * rng.unit_f64() })
+                .collect();
+            let top = coeff.iter().copied().fold(0.1, f64::max);
+            for _ in 0..rng.below(4) {
+                coeff[rng.below(n as u64) as usize] = top;
+            }
+            let mut t = NodeTable::build(n, Watts(280.0), |i| coeff[i.index()]);
+            let mut ranges = random_runs(n, &mut rng);
+            if ranges.is_empty() {
+                ranges.push(0..n);
+            }
+            let ids: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).map(|i| i as usize).collect();
+            let slow = t.assign(&ranges).index();
+            let largest = ids.iter().map(|&i| coeff[i]).fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(Some(&slow), ids.iter().find(|&&i| coeff[i] == largest));
+            for _ in 0..reanchors {
+                let nominal = 1e-5 + 1e-3 * rng.unit_f64();
+                let ticks = if rng.below(4) == 0 { 0 } else { rng.below(300) };
+                t.reanchor(&ranges, nominal, dt, ticks, Watts::ZERO, Watts::ZERO);
+            }
+            let nominal = 1e-5 + 1e-3 * rng.unit_f64();
+            let progress = |i: usize| t.progress(NodeId(i as u32), nominal, dt, query);
+            let least = ids.iter().map(|&i| progress(i)).fold(f64::INFINITY, f64::min);
+            assert_eq!(progress(slow).to_bits(), least.to_bits());
+            let ceiling = match rng.below(6) {
+                0 => 0.0,
+                1 => 1e-20 + 2e-19 * rng.unit_f64(),
+                _ => 1e-5 + 2e-2 * rng.unit_f64(),
+            };
+            let crossing = |i: usize| crossing_ticks(progress(i), ceiling / coeff[i], dt);
+            let every: Option<Vec<u64>> = ids.iter().map(|&i| crossing(i)).collect();
+            assert_eq!(crossing(slow), every.and_then(|ks| ks.into_iter().max()));
         }
     }
 }

@@ -99,7 +99,7 @@ proptest! {
         policy_index in 0usize..4,
         nodes in 8u32..=200,
         arrivals in proptest::collection::vec((0u32..300, 0usize..6), 1..24),
-        sigma in 0.0f64..0.3,
+        sigma in 0.0f64..1.5,
         avg_per_node in 120.0f64..320.0,
         steps in 50usize..360,
         walk_seed in 0u64..1000,
