@@ -35,9 +35,13 @@ impl PerformanceVariation {
     }
 
     /// Draw coefficients for `nodes` nodes from `N(1, sigma)`, floored at
-    /// 0.1 so no node is pathologically fast.
+    /// 0.1 so no node is pathologically fast. `sigma` must be finite and
+    /// non-negative, so every coefficient is finite and at least 0.1.
     pub fn with_sigma(nodes: usize, sigma: f64, seed: u64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
+        assert!(
+            sigma >= 0.0 && sigma.is_finite(),
+            "sigma must be finite and non-negative"
+        );
         if sigma == 0.0 {
             return PerformanceVariation::none(nodes);
         }
@@ -120,6 +124,12 @@ mod tests {
     fn coeff_out_of_range_defaults_to_nominal() {
         let v = PerformanceVariation::with_sigma(4, 0.2, 1);
         assert_eq!(v.coeff(NodeId(100)), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_sigma_is_rejected() {
+        PerformanceVariation::with_sigma(4, f64::INFINITY, 1);
     }
 
     #[test]

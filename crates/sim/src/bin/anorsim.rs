@@ -30,7 +30,7 @@ use anor_platform::PerformanceVariation;
 use anor_policy::BudgetPolicy;
 use anor_sim::{dump_tables, write_history_csv, SimConfig, TabularSim};
 use anor_telemetry::{Telemetry, Tracer};
-use anor_types::{QosDegradation, Seconds, Watts};
+use anor_types::{AnorError, QosDegradation, Seconds, Watts};
 use std::io::Write;
 
 fn main() {
@@ -42,16 +42,36 @@ fn main() {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::from_env()?;
-    let nodes: u32 = args.get_or("nodes", 1000)?;
-    let utilization: f64 = args.get_or("utilization", 0.75)?;
-    let horizon = Seconds(args.get_or("horizon-secs", 7200.0)?);
-    let variation_pct: f64 = args.get_or("variation-pct", 0.0)?;
+    let positive = |v: f64| v.is_finite() && v > 0.0;
+    let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+    let nodes: u32 = option(&args, "nodes", 1000, "at least 1", |n| n >= 1)?;
+    let in_unit = |u: f64| (0.0..=1.0).contains(&u);
+    let utilization = option(&args, "utilization", 0.75, "in [0, 1]", in_unit)?;
+    let horizon = Seconds(option(
+        &args,
+        "horizon-secs",
+        7200.0,
+        "finite and > 0",
+        positive,
+    )?);
+    let variation_pct = option(&args, "variation-pct", 0.0, "finite and >= 0", non_negative)?;
     let seed: u64 = args.get_or("seed", 11)?;
     let policy: BudgetPolicy = args.get("policy").unwrap_or("uniform").parse()?;
     // Scale job footprints with cluster size, like the paper's 25×.
     let scale = (nodes as f64 / 40.0).round().max(1.0) as u32;
     let catalog = anor_types::standard_catalog().scale_nodes(scale);
     let types = catalog.long_running();
+    if let Some(spec) = types
+        .iter()
+        .map(|&id| &catalog[id])
+        .find(|t| t.nodes > nodes)
+    {
+        return Err(AnorError::config(format!(
+            "option --nodes: {nodes} nodes cannot hold a {} job ({} nodes)",
+            spec.name, spec.nodes
+        ))
+        .into());
+    }
     let cfg = SimConfig {
         total_nodes: nodes,
         idle_power: Watts(90.0),
@@ -68,11 +88,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .map(|&id| cfg.catalog[id].max_draw.value())
         .sum::<f64>()
         / cfg.types.len() as f64;
-    let avg = Watts(args.get_or(
+    let avg_default = 0.88 * nodes as f64 * (utilization * mean_draw + (1.0 - utilization) * 90.0);
+    let avg = Watts(option(
+        &args,
         "avg-watts",
-        0.88 * nodes as f64 * (utilization * mean_draw + (1.0 - utilization) * 90.0),
+        avg_default,
+        "finite and > 0",
+        positive,
     )?);
-    let reserve = Watts(args.get_or("reserve-watts", avg.value() * 0.12)?);
+    let reserve_default = avg.value() * 0.12;
+    let reserve = Watts(option(
+        &args,
+        "reserve-watts",
+        reserve_default,
+        "finite and >= 0",
+        non_negative,
+    )?);
     let schedule = poisson_schedule(&cfg.catalog, &cfg.types, utilization, nodes, horizon, seed);
     let target = PowerTarget {
         avg,
@@ -93,7 +124,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     sim.attach_telemetry(&telemetry);
     sim.attach_tracer(&tracer);
     match args.get("history-cap") {
-        Some(cap) => sim.record_history_capped(cap.parse::<usize>()?),
+        Some(_) => sim.record_history_capped(args.get_or("history-cap", 0)?),
         None => sim.record_history(true),
     }
 
@@ -102,7 +133,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p)?)),
         None => None,
     };
-    let dump_every: u64 = args.get_or("tables-every", 60)?;
+    let dump_every: u64 = option(&args, "tables-every", 60, "at least 1", |k| k >= 1)?;
 
     eprintln!(
         "anorsim: {nodes} nodes, util {utilization}, policy {}, bid {avg:.0} ± {reserve:.0}",
@@ -184,4 +215,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+/// Option `--{key}` parsed (`default` when absent), or a config error
+/// saying it must be `need` unless `ok` accepts it.
+fn option<T: std::str::FromStr + std::fmt::Display + Copy>(
+    args: &Args,
+    key: &str,
+    default: T,
+    need: &str,
+    ok: impl Fn(T) -> bool,
+) -> Result<T, AnorError> {
+    let value = args.get_or(key, default)?;
+    if ok(value) {
+        return Ok(value);
+    }
+    Err(AnorError::config(format!(
+        "option --{key}: {value} is out of range (must be {need})"
+    )))
 }

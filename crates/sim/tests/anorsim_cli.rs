@@ -65,3 +65,42 @@ fn anorsim_rejects_bad_policy() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown policy"));
 }
+
+#[test]
+fn anorsim_rejects_out_of_range_numbers_as_config_errors() {
+    for (opt, value) in [
+        ("--nodes", "0"),
+        ("--nodes", "1"), // smaller than a two-node job
+        ("--utilization", "-1"),
+        ("--utilization", "1.5"),
+        ("--utilization", "nan"),
+        ("--horizon-secs", "inf"),
+        ("--horizon-secs", "nan"),
+        ("--horizon-secs", "-5"),
+        ("--horizon-secs", "0"),
+        ("--variation-pct", "-5"),
+        ("--variation-pct", "nan"),
+        ("--variation-pct", "inf"),
+        ("--avg-watts", "nan"),
+        ("--avg-watts", "0"),
+        ("--reserve-watts", "-100"),
+        ("--tables-every", "0"),
+        ("--history-cap", "x"),
+    ] {
+        // A small, short run, so a value that slipped through would
+        // still finish quickly and fail the assertions below.
+        let mut args = vec!["--nodes", "40", "--horizon-secs", "60"];
+        match args.iter().position(|a| *a == opt) {
+            Some(i) => args[i + 1] = value,
+            None => args.extend([opt, value]),
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_anorsim"))
+            .args(&args)
+            .output()
+            .expect("run anorsim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{opt} {value}: {stderr}");
+        assert!(stderr.contains("config error"), "{opt} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{opt} {value}: {stderr}");
+    }
+}
