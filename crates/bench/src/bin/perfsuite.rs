@@ -60,7 +60,7 @@
 //! system time of every thread, read from `/proc/self/stat` around the
 //! K-run batch (10 ms resolution over the batch, 0 where unavailable).
 //! When the prior PR's trajectory file exists (`--baseline`, default
-//! `BENCH_PR19.json`), medians that slowed by more than 10% are flagged
+//! `BENCH_PR20.json`), medians that slowed by more than 10% are flagged
 //! as `PERF REGRESSION` lines.
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
@@ -402,12 +402,12 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR20.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR21.json".to_string());
     let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR19.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR20.json".to_string());
     let runs = args
         .iter()
         .position(|a| a == "--runs")

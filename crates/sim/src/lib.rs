@@ -12,10 +12,11 @@
 //! It simulates a 1000-node cluster in demand-response scenarios with
 //! per-node performance variation (Section 6.4 / Fig. 11):
 //!
-//! * [`table`] — the node table (idle/job, progress, the cap a node
-//!   keeps while idle) and job table (queue/start/end timestamps, the
-//!   job's nodes as node-id ranges, and a running job's cap, draw and
-//!   rate, which all its nodes share);
+//! * [`table`] — the node table (idle bit, coefficient, progress, the
+//!   cap a node keeps while idle) and job table (queue/start/end
+//!   timestamps, the job's nodes as node-id ranges, a running job's cap,
+//!   draw and rate, which all its nodes share, and its slowest node,
+//!   which answers its completion and QoS-risk reads);
 //! * [`sim`] — the event-driven engine behind the per-second update
 //!   loop: node update → cluster view → schedule + cap → history append,
 //!   with each stage memoized between events;
