@@ -60,15 +60,15 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "==> perf smoke: perfsuite --quick"
 PERF_JSON="$SMOKE_DIR/bench.json"
-PERF_OUT="$(./target/release/perfsuite --quick --runs 1 --out "$PERF_JSON" \
-    --baseline BENCH_PR21.json)"
+PERF_OUT="$(./target/release/perfsuite --quick --runs 1 --out "$PERF_JSON")"
 grep -q '"bench"' "$PERF_JSON" && grep -q '"median_s"' "$PERF_JSON" \
     || { echo "perf smoke: $PERF_JSON is missing bench results"; cat "$PERF_JSON"; exit 1; }
 # Advisory regression table: perfsuite compares the quick run against the
-# checked-in baseline and prints one PERF REGRESSION line per bench whose
-# median is >10% over baseline. Wall-clock on shared runners is noisy
-# (quick scenarios are also smaller than the baseline's full runs), so
-# the table is a warning surface, never a gate — this step always exits 0.
+# newest checked-in BENCH_PR<N>.json and prints one PERF REGRESSION line
+# per bench whose median is >10% over baseline. Wall-clock on shared
+# runners is noisy (quick scenarios are also smaller than the baseline's
+# full runs), so the table is a warning surface, never a gate — this step
+# always exits 0.
 PERF_REGRESSIONS="$(echo "$PERF_OUT" | grep '^PERF REGRESSION' || true)"
 if [ -n "$PERF_REGRESSIONS" ]; then
     echo "    WARN: perf smoke flagged >10% median regressions (advisory only):"

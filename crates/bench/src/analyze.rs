@@ -430,6 +430,23 @@ pub fn parse_bench_file(text: &str) -> Result<Vec<BenchRow>, String> {
     Ok(rows)
 }
 
+/// The PR number of the newest `BENCH_PR<N>.json` among `file_names`
+/// (0 when there is none). perfsuite compares against that file and
+/// writes the next one, so no PR edits the ledger names by hand.
+pub fn newest_ledger<S: AsRef<str>>(file_names: impl IntoIterator<Item = S>) -> u32 {
+    file_names
+        .into_iter()
+        .filter_map(|name| {
+            name.as_ref()
+                .strip_prefix("BENCH_PR")?
+                .strip_suffix(".json")?
+                .parse::<u32>()
+                .ok()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Compare a perfsuite run against a prior PR's trajectory file and
 /// describe every benchmark whose median slowed by more than
 /// `threshold` (fractional: 0.10 flags >10% regressions). Benches
@@ -664,6 +681,20 @@ mod tests {
         assert_eq!(rows[0].stddev_s, Some(0.02));
         assert!(parse_bench_file("{}").is_err());
         assert!(parse_bench_file(r#"[{"median_s": 1.0}]"#).is_err());
+    }
+
+    #[test]
+    fn newest_ledger_is_the_highest_pr_number() {
+        let names = [
+            "BENCH_PR9.json",
+            "BENCH_PR21.json",
+            "BENCH_PR4.json",
+            "BENCH_PR22.json.tmp",
+            "BENCH_PRx.json",
+            "README.md",
+        ];
+        assert_eq!(newest_ledger(names), 21);
+        assert_eq!(newest_ledger(["Cargo.toml"]), 0);
     }
 
     #[test]

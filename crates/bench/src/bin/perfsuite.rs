@@ -59,12 +59,13 @@
 //! shrinks the fig11 scenario), plus the mean CPU time per run: user +
 //! system time of every thread, read from `/proc/self/stat` around the
 //! K-run batch (10 ms resolution over the batch, 0 where unavailable).
-//! When the prior PR's trajectory file exists (`--baseline`, default
-//! `BENCH_PR20.json`), medians that slowed by more than 10% are flagged
-//! as `PERF REGRESSION` lines.
+//! `--out` defaults to `BENCH_PR<N+1>.json` and `--baseline` to
+//! `BENCH_PR<N>.json`, where `BENCH_PR<N>.json` is the newest trajectory
+//! file in the working directory. When the baseline exists, medians that
+//! slowed by more than 10% are flagged as `PERF REGRESSION` lines.
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
-use anor_bench::analyze::{flag_regressions, parse_bench_file, BenchRow};
+use anor_bench::analyze::{flag_regressions, newest_ledger, parse_bench_file, BenchRow};
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor_cluster::{
     recorder_meta, replay, run_load, BudgetPolicy, EmulatedCluster, EmulatorConfig, FramedStream,
@@ -398,16 +399,21 @@ fn write_json(path: &str, results: &[BenchResult]) -> std::io::Result<()> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
+    // Defaults: compare against the newest ledger in the working
+    // directory and write the next one.
+    let newest = std::fs::read_dir(".").map_or(0, |dir| {
+        newest_ledger(dir.filter_map(|e| e.ok()?.file_name().into_string().ok()))
+    });
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR21.json".to_string());
+        .unwrap_or_else(|| format!("BENCH_PR{}.json", newest + 1));
     let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR20.json".to_string());
+        .unwrap_or_else(|| format!("BENCH_PR{newest}.json"));
     let runs = args
         .iter()
         .position(|a| a == "--runs")

@@ -31,8 +31,8 @@ use crate::transport::{
 };
 use anor_policy::JobView;
 use anor_telemetry::{
-    BuildInfo, CauseId, Counter, FlightRecorder, Gauge, Histogram, RecEvent, Telemetry, Timer,
-    TraceStage, Tracer,
+    BuildInfo, CauseId, Counter, FlightRecorder, Gauge, Histogram, RecEvent, Telemetry, TraceStage,
+    Tracer,
 };
 use anor_types::msg::{ClusterToJob, JobToCluster};
 use anor_types::{AnorError, Catalog, JobId, Result, Seconds, Watts};
@@ -167,6 +167,58 @@ impl JobEntry {
     /// Counted into the assignment? Done jobs and expired leases are not.
     fn holds_lease(&self) -> bool {
         self.done.is_none() && !self.state.is_gone()
+    }
+}
+
+/// Every registered job, split so that the per-pump walks (lease ticks,
+/// redistribution, audits) visit live jobs only, however many have
+/// finished. Each id sits in at most one of the two tables.
+#[derive(Debug, Default)]
+struct JobTable {
+    /// Jobs still running, plus any done job owed reclaimed watts (the
+    /// audit must keep counting those).
+    live: BTreeMap<JobId, JobEntry>,
+    /// Done jobs owed nothing: read by id and by `/status` only.
+    finished: BTreeMap<JobId, JobEntry>,
+}
+
+impl JobTable {
+    fn get(&self, job: JobId) -> Option<&JobEntry> {
+        self.live.get(&job).or_else(|| self.finished.get(&job))
+    }
+
+    /// The job's entry, live or finished: a late frame for a finished
+    /// job still updates it.
+    fn get_mut(&mut self, job: JobId) -> Option<&mut JobEntry> {
+        match self.live.get_mut(&job) {
+            Some(e) => Some(e),
+            None => self.finished.get_mut(&job),
+        }
+    }
+
+    /// Register `job` live, replacing any entry under its id.
+    fn register(&mut self, job: JobId, entry: JobEntry) {
+        self.finished.remove(&job);
+        self.live.insert(job, entry);
+    }
+
+    /// Move `job` to the finished table once it is done and owed no
+    /// reclaimed watts.
+    fn retire(&mut self, job: JobId) {
+        let settled = self
+            .live
+            .get(&job)
+            .is_some_and(|e| e.done.is_some() && e.reclaimed.is_none());
+        if settled {
+            if let Some(e) = self.live.remove(&job) {
+                self.finished.insert(job, e);
+            }
+        }
+    }
+
+    /// Every entry, live ones first (callers sort by id).
+    fn all(&self) -> impl Iterator<Item = (&JobId, &JobEntry)> {
+        self.live.iter().chain(&self.finished)
     }
 }
 
@@ -407,7 +459,7 @@ impl BudgeterBuilder {
         Ok(ClusterBudgeter {
             cfg: self.cfg,
             transport,
-            jobs: BTreeMap::new(),
+            jobs: JobTable::default(),
             completed: Vec::new(),
             metrics: BudgeterMetrics::new(&telemetry),
             telemetry,
@@ -451,6 +503,16 @@ impl AuditKind {
     }
 }
 
+/// What a control pass's decide phase concluded.
+enum Decision {
+    /// No job holds a lease: nothing to assign.
+    Idle,
+    /// Caps assigned, but none moved past the resend threshold.
+    Hold,
+    /// These caps moved past the threshold and go out under the cause.
+    Resend(CauseId, Vec<(JobId, Watts)>),
+}
+
 /// The budgeter daemon (pump-driven).
 #[derive(Debug)]
 pub struct ClusterBudgeter {
@@ -463,7 +525,7 @@ pub struct ClusterBudgeter {
     // audits, status snapshots) visits jobs in JobId order: the audit's
     // float sums and the recorded decision stream must not depend on
     // hasher seeding.
-    jobs: BTreeMap<JobId, JobEntry>,
+    jobs: JobTable,
     completed: Vec<(JobId, Seconds)>,
     telemetry: Telemetry,
     metrics: BudgeterMetrics,
@@ -520,7 +582,9 @@ impl ClusterBudgeter {
     /// changed caps, audit the watts-conservation invariants, and publish
     /// a status snapshot when a [`StatusBoard`] is attached.
     pub fn pump(&mut self, busy_budget: Watts) -> Result<()> {
-        let _timer = Timer::start(self.metrics.pump.clone());
+        // One clock read per phase boundary: consecutive stamps, so the
+        // six phases partition the pump time.
+        let started = Instant::now();
         self.pumps += 1;
         self.last_budget = busy_budget;
         self.recorder.record(&RecEvent::PumpStart {
@@ -529,30 +593,54 @@ impl ClusterBudgeter {
         });
         // Phase: ingest (minus the model-observe time carved out below).
         self.model_observe_s = 0.0;
-        let ingest_started = Instant::now();
-        self.accept_new()?;
-        self.ingest()?;
-        let ingest_s = (ingest_started.elapsed().as_secs_f64() - self.model_observe_s).max(0.0);
+        if let Err(e) = self.accept_new().and_then(|()| self.ingest()) {
+            self.metrics.pump.observe(started.elapsed().as_secs_f64());
+            return Err(e);
+        }
+        let ingested = Instant::now();
+        let ingest_s = ((ingested - started).as_secs_f64() - self.model_observe_s).max(0.0);
         self.metrics.phase_ingest.observe(ingest_s);
         self.metrics
             .phase_model_observe
             .observe(self.model_observe_s);
         // Phase: lease-audit.
-        let lease_started = Instant::now();
         self.tick_leases();
+        let leased = Instant::now();
         self.metrics
             .phase_lease_audit
-            .observe(lease_started.elapsed().as_secs_f64());
-        // Phases decide + actuate are observed inside redistribute.
-        let out = self.redistribute(busy_budget);
-        self.metrics.active_jobs.set(self.active_jobs() as f64);
+            .observe((leased - ingested).as_secs_f64());
+        // Phase: decide.
+        let decision = self.decide(busy_budget);
+        let decided = Instant::now();
+        self.metrics
+            .phase_decide
+            .observe((decided - leased).as_secs_f64());
+        // Phase: actuate (nothing to do unless a cap moved).
+        let rebalanced = !matches!(decision, Decision::Idle);
+        let (out, actuated) = match decision {
+            Decision::Resend(cause, changed) => (self.actuate(cause, changed), Instant::now()),
+            Decision::Idle | Decision::Hold => (Ok(()), decided),
+        };
+        self.metrics
+            .phase_actuate
+            .observe((actuated - decided).as_secs_f64());
+        // Latency of an actual rebalance (decide plus actuate); passes
+        // with no lease holder are not observed, so the percentiles
+        // describe real redistribution work.
+        if rebalanced {
+            self.metrics
+                .rebalance
+                .observe((actuated - leased).as_secs_f64());
+        }
         // Phase: invariant-audit (including status publication).
-        let audit_started = Instant::now();
+        self.metrics.active_jobs.set(self.active_jobs() as f64);
         self.audit(busy_budget);
         self.publish_status();
+        let audited = Instant::now();
         self.metrics
             .phase_invariant_audit
-            .observe(audit_started.elapsed().as_secs_f64());
+            .observe((audited - actuated).as_secs_f64());
+        self.metrics.pump.observe((audited - started).as_secs_f64());
         out
     }
 
@@ -671,7 +759,7 @@ impl ClusterBudgeter {
                     ],
                 );
                 let view = self.resolve_view(job, &type_name, nodes)?;
-                self.jobs.insert(job, JobEntry::new(view, id));
+                self.jobs.register(job, JobEntry::new(view, id));
             }
             JobToCluster::Resume {
                 job,
@@ -694,16 +782,16 @@ impl ClusterBudgeter {
                     job.0,
                     Some(believed_cap.value()),
                 );
-                if !self.jobs.contains_key(&job) {
+                if self.jobs.get(job).is_none() {
                     // No record of this job (the daemon restarted,
                     // or it was evicted): re-register from the
                     // resume announcement as if it were a Hello.
                     let view = self.resolve_view(job, &type_name, nodes)?;
-                    self.jobs.insert(job, JobEntry::new(view, id));
+                    self.jobs.register(job, JobEntry::new(view, id));
                 }
                 let mut restored = None;
                 let mut ack_cap = Watts(-1.0);
-                if let Some(e) = self.jobs.get_mut(&job) {
+                if let Some(e) = self.jobs.get_mut(job) {
                     e.conn = id;
                     e.missed_pumps = 0;
                     e.state = SessionState::Connected;
@@ -712,6 +800,8 @@ impl ClusterBudgeter {
                         ack_cap = cap;
                     }
                 }
+                // A done job that was owed watts is owed nothing now.
+                self.jobs.retire(job);
                 if let Some(w) = restored {
                     let g = &self.metrics.watts_reclaimed;
                     g.set((g.get() - w.value()).max(0.0));
@@ -745,7 +835,7 @@ impl ClusterBudgeter {
                     s.job.0,
                     Some(s.avg_power.value()),
                 );
-                if let Some(e) = self.jobs.get_mut(&s.job) {
+                if let Some(e) = self.jobs.get_mut(s.job) {
                     e.missed_pumps = 0;
                     e.samples_seen += 1;
                     let per_node = s.avg_power / e.view.nodes as f64;
@@ -788,7 +878,7 @@ impl ClusterBudgeter {
                 let observe_started = Instant::now();
                 self.tracer
                     .record_job(TraceStage::ModelRx, CauseId(cause), job.0, None);
-                if let Some(e) = self.jobs.get_mut(&job) {
+                if let Some(e) = self.jobs.get_mut(job) {
                     e.missed_pumps = 0;
                     e.models_seen += 1;
                     // The "per-job retrain count" the summary
@@ -812,10 +902,11 @@ impl ClusterBudgeter {
                     "budgeter_job_done",
                     &[("job", job.0.into()), ("elapsed_s", elapsed.value().into())],
                 );
-                if let Some(e) = self.jobs.get_mut(&job) {
+                if let Some(e) = self.jobs.get_mut(job) {
                     e.missed_pumps = 0;
                     e.done = Some(elapsed);
                 }
+                self.jobs.retire(job);
                 self.completed.push((job, elapsed));
             }
         }
@@ -830,6 +921,7 @@ impl ClusterBudgeter {
             .record(&RecEvent::ConnClosed { conn: conn.value() });
         let lost: Vec<JobId> = self
             .jobs
+            .live
             .iter()
             .filter(|(_, e)| e.conn == conn && e.done.is_none() && e.state.is_connected())
             .map(|(&id, _)| id)
@@ -845,14 +937,16 @@ impl ClusterBudgeter {
             // The lease keeps these jobs' watts reserved: mark them
             // reconnecting and start the miss countdown.
             for id in lost {
-                if let Some(e) = self.jobs.get_mut(&id) {
+                if let Some(e) = self.jobs.live.get_mut(&id) {
                     e.state = SessionState::Reconnecting { attempt: 0 };
                 }
             }
         } else {
             // Pre-lease behaviour: a lost connection strands its jobs
-            // immediately.
-            self.jobs.retain(|_, e| e.conn != conn || e.done.is_some());
+            // immediately (finished jobs stay on record).
+            self.jobs
+                .live
+                .retain(|_, e| e.conn != conn || e.done.is_some());
         }
         self.transport.release(conn);
     }
@@ -875,14 +969,14 @@ impl ClusterBudgeter {
 
     /// Advance the lease countdown for every disconnected job; expire
     /// leases whose miss budget ran out, reclaiming their watts into the
-    /// pool (the very next redistribute pass hands them to the surviving
+    /// pool (the same pass's decide phase hands them to the surviving
     /// jobs).
     fn tick_leases(&mut self) {
         if !self.lease.enabled {
             return;
         }
         let mut expired: Vec<(JobId, Watts)> = Vec::new();
-        for (&id, e) in self.jobs.iter_mut() {
+        for (&id, e) in self.jobs.live.iter_mut() {
             if !e.holds_lease() {
                 continue;
             }
@@ -928,47 +1022,34 @@ impl ClusterBudgeter {
         }
     }
 
-    fn redistribute(&mut self, busy_budget: Watts) -> Result<()> {
-        let decide_started = Instant::now();
-        // Ids and views in one pass over the map, so they stay aligned
-        // and come out in `JobId` order. Expired leases are excluded:
-        // their watts are back in the pool.
-        let (ids, views): (Vec<JobId>, Vec<JobView>) = self
-            .jobs
-            .iter()
-            .filter(|(_, e)| e.holds_lease())
-            .map(|(&id, e)| (id, e.view.clone()))
-            .unzip();
-        if ids.is_empty() {
-            self.metrics
-                .phase_decide
-                .observe(decide_started.elapsed().as_secs_f64());
-            self.metrics.phase_actuate.observe(0.0);
-            return Ok(());
+    /// The decide phase: assign `busy_budget` over the lease holders and
+    /// pick the caps that moved past the resend threshold.
+    fn decide(&mut self, busy_budget: Watts) -> Decision {
+        // Ids, last caps and views in one pass over the live table, so
+        // they stay aligned and come out in `JobId` order. Expired leases
+        // are excluded: their watts are back in the pool.
+        let mut held: Vec<(JobId, Option<Watts>)> = Vec::with_capacity(self.jobs.live.len());
+        let mut views: Vec<JobView> = Vec::with_capacity(self.jobs.live.len());
+        for (&id, e) in self.jobs.live.iter().filter(|(_, e)| e.holds_lease()) {
+            held.push((id, e.last_cap));
+            views.push(e.view.clone());
         }
-        // Latency of an actual rebalance; empty passes are not observed
-        // so the percentiles describe real redistribution work.
-        let _timer = Timer::start(self.metrics.rebalance.clone());
+        if views.is_empty() {
+            return Decision::Idle;
+        }
         let caps = self.cfg.policy.assign(busy_budget, &views, &[]);
         // Which caps moved enough to resend?
-        let changed: Vec<(JobId, Watts)> = ids
-            .iter()
+        let threshold = self.cfg.recap_threshold.value();
+        let changed: Vec<(JobId, Watts)> = held
+            .into_iter()
             .zip(caps)
-            .filter(|(id, cap)| {
-                self.jobs.get(id).is_some_and(|e| {
-                    e.last_cap.is_none_or(|prev| {
-                        (prev - *cap).abs().value() > self.cfg.recap_threshold.value()
-                    })
-                })
+            .filter(|((_, last), cap)| {
+                last.is_none_or(|prev| (prev - *cap).abs().value() > threshold)
             })
-            .map(|(id, cap)| (*id, cap))
+            .map(|((id, _), cap)| (id, cap))
             .collect();
         if changed.is_empty() {
-            self.metrics
-                .phase_decide
-                .observe(decide_started.elapsed().as_secs_f64());
-            self.metrics.phase_actuate.observe(0.0);
-            return Ok(());
+            return Decision::Hold;
         }
         // One decision id covers every cap this rebalance re-issues; a
         // pass that re-sends nothing mints nothing (no phantom orphans).
@@ -994,12 +1075,13 @@ impl ClusterBudgeter {
         };
         self.recorder
             .record(&RecEvent::CauseMinted { cause: cause.0 });
-        self.metrics
-            .phase_decide
-            .observe(decide_started.elapsed().as_secs_f64());
-        let actuate_started = Instant::now();
+        Decision::Resend(cause, changed)
+    }
+
+    /// The actuate phase: record and send each moved cap under `cause`.
+    fn actuate(&mut self, cause: CauseId, changed: Vec<(JobId, Watts)>) -> Result<()> {
         for (id, cap) in changed {
-            let Some(entry) = self.jobs.get_mut(&id) else {
+            let Some(entry) = self.jobs.live.get_mut(&id) else {
                 continue;
             };
             entry.last_cap = Some(cap);
@@ -1017,9 +1099,6 @@ impl ClusterBudgeter {
                 )?;
             }
         }
-        self.metrics
-            .phase_actuate
-            .observe(actuate_started.elapsed().as_secs_f64());
         Ok(())
     }
 
@@ -1048,7 +1127,7 @@ impl ClusterBudgeter {
     /// trace record, and dumps one postmortem per invariant kind.
     fn audit(&mut self, busy_budget: Watts) {
         let mut violations: Vec<(AuditKind, String)> = Vec::new();
-        for (&id, e) in &self.jobs {
+        for (&id, e) in &self.jobs.live {
             if e.reclaimed.is_some() && !e.state.is_gone() {
                 violations.push((
                     AuditKind::DoubleCount,
@@ -1090,6 +1169,7 @@ impl ClusterBudgeter {
         }
         let owed: f64 = self
             .jobs
+            .live
             .values()
             .filter_map(|e| e.reclaimed)
             .fold(0.0, |acc, w| acc + w.value());
@@ -1127,7 +1207,7 @@ impl ClusterBudgeter {
         let mut allocated = 0.0;
         let mut floor = 0.0;
         let mut nodes_total = 0.0;
-        for e in self.jobs.values().filter(|e| e.holds_lease()) {
+        for e in self.jobs.live.values().filter(|e| e.holds_lease()) {
             let nodes = f64::from(e.view.nodes);
             nodes_total += nodes;
             floor += e.view.cap_range.min.value() * nodes;
@@ -1162,7 +1242,7 @@ impl ClusterBudgeter {
     pub fn status_snapshot(&self) -> StatusSnapshot {
         let mut jobs: Vec<JobStatus> = self
             .jobs
-            .iter()
+            .all()
             .map(|(&id, e)| JobStatus {
                 job: id.0,
                 state: e.state.label().to_string(),
@@ -1237,16 +1317,20 @@ impl ClusterBudgeter {
     /// test harness.
     #[doc(hidden)]
     pub fn corrupt_for_audit(&mut self, job: JobId, skew: Watts) {
-        if let Some(e) = self.jobs.get_mut(&job) {
+        // Owed watts keep an entry live, where the audit walks.
+        if let Some(e) = self.jobs.finished.remove(&job) {
+            self.jobs.live.insert(job, e);
+        }
+        if let Some(e) = self.jobs.live.get_mut(&job) {
             e.reclaimed = Some(skew);
             e.last_cap = Some(e.last_cap.unwrap_or(Watts::ZERO) + skew);
         }
     }
 
     /// Test-only: run the auditor against the *current* state, without
-    /// the pump's redistribute pass first. An inflated cap planted by
-    /// [`ClusterBudgeter::corrupt_for_audit`] is corrected by the next
-    /// redistribute (which is itself the conservation mechanism working),
+    /// the pump's decide and actuate phases first. An inflated cap
+    /// planted by [`ClusterBudgeter::corrupt_for_audit`] is corrected by
+    /// the next rebalance (which is itself the conservation mechanism working),
     /// so proving the conservation tripwire fires requires presenting the
     /// corrupted state to the auditor directly.
     #[doc(hidden)]
@@ -1256,45 +1340,47 @@ impl ClusterBudgeter {
 
     /// Jobs currently registered, not done, and holding a live lease.
     pub fn active_jobs(&self) -> usize {
-        self.jobs.values().filter(|e| e.holds_lease()).count()
+        self.jobs.live.values().filter(|e| e.holds_lease()).count()
     }
 
     /// The last cap sent per job, sorted by job id.
     pub fn job_caps(&self) -> Vec<(JobId, Option<Watts>)> {
         let mut v: Vec<(JobId, Option<Watts>)> =
-            self.jobs.iter().map(|(&id, e)| (id, e.last_cap)).collect();
+            self.jobs.all().map(|(&id, e)| (id, e.last_cap)).collect();
         v.sort_unstable_by_key(|(id, _)| *id);
         v
     }
 
     /// Samples and models ingested for a job (telemetry for tests).
     pub fn job_traffic(&self, job: JobId) -> Option<(u64, u64)> {
-        self.jobs.get(&job).map(|e| (e.samples_seen, e.models_seen))
+        self.jobs.get(job).map(|e| (e.samples_seen, e.models_seen))
     }
 
     /// The believed curve currently used for a job.
     pub fn believed_view(&self, job: JobId) -> Option<&JobView> {
-        self.jobs.get(&job).map(|e| &e.view)
+        self.jobs.get(job).map(|e| &e.view)
     }
 
     /// The budgeter's belief about the session carrying a job.
     pub fn job_session(&self, job: JobId) -> Option<SessionState> {
-        self.jobs.get(&job).map(|e| e.state)
+        self.jobs.get(job).map(|e| e.state)
     }
 
     /// Session belief per registered job, sorted by job id.
     pub fn session_states(&self) -> Vec<(JobId, SessionState)> {
         let mut v: Vec<(JobId, SessionState)> =
-            self.jobs.iter().map(|(&id, e)| (id, e.state)).collect();
+            self.jobs.all().map(|(&id, e)| (id, e.state)).collect();
         v.sort_unstable_by_key(|(id, _)| *id);
         v
     }
 
     /// Watts currently reclaimed from expired leases and not yet restored
     /// (the double-count invariant: reclaimed + allocated == budget is
-    /// checked by summing this against live assignments).
+    /// checked by summing this against live assignments). Only live
+    /// entries can be owed any.
     pub fn reclaimed_watts(&self) -> Watts {
         self.jobs
+            .live
             .values()
             .filter_map(|e| e.reclaimed)
             .fold(Watts::ZERO, |acc, w| acc + w)
@@ -1814,6 +1900,123 @@ mod tests {
         }
         assert_eq!(b.job_caps(), vec![(JobId(1), Some(Watts(200.0)))]);
         assert_eq!(b.invariant_violations(), 0);
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_pump_walks_but_stay_on_record() {
+        let (mut b, addr) =
+            ClusterBudgeter::builder(BudgeterConfig::new(BudgetPolicy::Uniform, false))
+                .listener(Listener::in_process())
+                .bind()
+                .unwrap();
+        let budget = Watts(600.0);
+        let mut clients: Vec<FramedStream> = (1..=3).map(|_| connect(&addr)).collect();
+        for (job, client) in (1..).zip(&mut clients) {
+            client.send(hello(job, "mg.D.32", 1)).unwrap();
+        }
+        b.pump(budget).unwrap();
+        assert_eq!(b.active_jobs(), 3);
+        let sample = |job: u64| {
+            JobToCluster::Sample(EpochSample {
+                job: JobId(job),
+                epoch_count: 1,
+                energy: Joules(10.0),
+                avg_power: Watts(150.0),
+                avg_cap: Watts(160.0),
+                timestamp: Seconds(1.0),
+                cause: 0,
+            })
+            .encode()
+        };
+        let done = |job: u64, elapsed: f64| {
+            JobToCluster::Done {
+                job: JobId(job),
+                elapsed: Seconds(elapsed),
+            }
+            .encode()
+        };
+        let cap_of_1 = b.job_caps()[0].1;
+        assert!(cap_of_1.is_some());
+        clients[0].send(sample(1)).unwrap();
+        clients[0].send(done(1, 50.0)).unwrap();
+        b.pump(budget).unwrap();
+        let finished_only = |b: &ClusterBudgeter| {
+            !b.jobs.live.contains_key(&JobId(1)) && b.jobs.get(JobId(1)).is_some()
+        };
+        assert!(finished_only(&b), "a done job leaves the live table");
+        assert_eq!(b.active_jobs(), 2);
+
+        // Every by-id and listing read still reports the finished job.
+        let caps = b.job_caps();
+        assert_eq!(
+            caps.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        assert_eq!(caps[0].1, cap_of_1, "a finished job keeps its last cap");
+        assert_eq!(
+            b.session_states(),
+            [1, 2, 3].map(|j| (JobId(j), SessionState::Connected))
+        );
+        assert_eq!(b.job_traffic(JobId(1)), Some((1, 0)));
+        assert_eq!(b.believed_view(JobId(1)).map(|v| v.nodes), Some(1));
+        let snap = b.status_snapshot();
+        let listed: Vec<(u64, bool)> = snap.jobs.iter().map(|j| (j.job, j.done)).collect();
+        assert_eq!(listed, [(1, true), (2, false), (3, false)]);
+        assert_eq!((snap.active_jobs, snap.completed), (2, 1));
+
+        // A late sample and a duplicate Done update the finished entry.
+        clients[0].send(sample(1)).unwrap();
+        clients[0].send(done(1, 60.0)).unwrap();
+        b.pump(budget).unwrap();
+        assert_eq!(b.job_traffic(JobId(1)), Some((2, 0)));
+        assert_eq!(
+            b.completed(),
+            &[(JobId(1), Seconds(50.0)), (JobId(1), Seconds(60.0))]
+        );
+        assert!(finished_only(&b));
+
+        // A Resume for the finished job is acked with its last cap and
+        // leaves it finished.
+        let mut revived = connect(&addr);
+        revived
+            .send(
+                JobToCluster::Resume {
+                    job: JobId(1),
+                    type_name: "mg.D.32".into(),
+                    nodes: 1,
+                    believed_cap: Watts(100.0),
+                    cause: 9,
+                }
+                .encode(),
+            )
+            .unwrap();
+        b.pump(budget).unwrap();
+        let acks: Vec<ClusterToJob> = revived
+            .recv_frames()
+            .unwrap()
+            .into_iter()
+            .map(|f| ClusterToJob::decode(f).unwrap())
+            .collect();
+        let cap = cap_of_1.unwrap();
+        assert_eq!(acks, [ClusterToJob::ResumeAck { cap, cause: 9 }]);
+        assert!(finished_only(&b));
+        assert_eq!(b.active_jobs(), 2);
+
+        // Owed watts planted on a finished job bring it back where the
+        // audit walks.
+        let violations = b.invariant_violations();
+        b.corrupt_for_audit(JobId(1), Watts(5.0));
+        b.audit_now(budget);
+        assert!(b.invariant_violations() > violations);
+        assert!(b.jobs.live.contains_key(&JobId(1)));
+
+        // A Hello that reuses the id registers a fresh, live job.
+        revived.send(hello(1, "mg.D.32", 1)).unwrap();
+        b.pump(budget).unwrap();
+        assert!(b.jobs.live.contains_key(&JobId(1)) && !b.jobs.finished.contains_key(&JobId(1)));
+        assert_eq!(b.active_jobs(), 3);
+        assert_eq!(b.job_traffic(JobId(1)), Some((0, 0)));
+        assert!(!b.status_snapshot().jobs[0].done);
     }
 
     #[test]

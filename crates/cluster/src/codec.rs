@@ -19,7 +19,7 @@ use crate::session::{corrupt_byte, FaultKind, FaultPlan};
 use anor_telemetry::{Counter, Telemetry};
 use anor_types::msg::{take_frame, MAX_FRAME_LEN};
 use anor_types::{AnorError, Result};
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -341,7 +341,7 @@ impl FramedStream {
                     if let Some(m) = &self.metrics {
                         m.bytes_tx.add(n as u64);
                     }
-                    let _ = self.outbuf.split_to(n);
+                    self.outbuf.advance(n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -409,8 +409,10 @@ impl FramedStream {
                 None => break,
             }
         }
-        if let Some(m) = &self.metrics {
-            m.frames_rx.add(frames.len() as u64);
+        if !frames.is_empty() {
+            if let Some(m) = &self.metrics {
+                m.frames_rx.add(frames.len() as u64);
+            }
         }
         Ok(frames)
     }

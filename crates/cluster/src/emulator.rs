@@ -502,28 +502,30 @@ impl EmulatedCluster {
                 pending.push(idx);
                 next_arrival += 1;
             }
-            // 2. Start pending jobs when nodes are free (FCFS).
-            let mut still_pending = Vec::new();
-            for idx in pending.drain(..) {
+            // 2. Start pending jobs when nodes are free (FCFS); the rest
+            // stay queued in order.
+            let mut i = 0;
+            while i < pending.len() {
+                let idx = pending[i];
                 let setup = &setups[idx];
                 let wanted = setup.nodes.unwrap_or(self.true_spec(setup)?.nodes) as usize;
-                if wanted <= pool.len() {
-                    let nodes: Vec<Node> = pool.drain(..wanted).collect();
-                    if cfg.setup_teardown.value() > 0.0 {
-                        starting.push(HeldJob {
-                            setup_idx: idx,
-                            nodes,
-                            remaining: cfg.setup_teardown,
-                            held_since: now,
-                        });
-                        continue;
-                    }
-                    active.push(self.start_job(setups, idx, nodes, &addr, now, now)?);
-                } else {
-                    still_pending.push(idx);
+                if wanted > pool.len() {
+                    i += 1;
+                    continue;
                 }
+                pending.remove(i);
+                let nodes: Vec<Node> = pool.drain(..wanted).collect();
+                if cfg.setup_teardown.value() > 0.0 {
+                    starting.push(HeldJob {
+                        setup_idx: idx,
+                        nodes,
+                        remaining: cfg.setup_teardown,
+                        held_since: now,
+                    });
+                    continue;
+                }
+                active.push(self.start_job(setups, idx, nodes, &addr, now, now)?);
             }
-            pending = still_pending;
             // 2b. Advance batch setup/teardown holds.
             let mut still_starting = Vec::new();
             for mut h in starting.drain(..) {
@@ -587,55 +589,55 @@ impl EmulatedCluster {
             for a in &mut active {
                 a.endpoint.pump(now)?;
             }
-            // 7. Retire finished jobs.
-            let mut still_active = Vec::new();
-            for mut a in active.drain(..) {
-                if a.runtime.is_done() {
-                    let elapsed = a.runtime.elapsed();
-                    a.endpoint.finish(elapsed)?;
-                    reports[a.setup_idx] = Some(a.runtime.report());
-                    let setup = &setups[a.setup_idx];
-                    let spec = self.true_spec(setup)?;
-                    telemetry.event(
-                        "job_done",
-                        &[
-                            ("t_virtual", now.value().into()),
-                            ("job", (a.setup_idx as u64).into()),
-                            ("type", setup.true_type.as_str().into()),
-                            ("elapsed_s", elapsed.value().into()),
-                            (
-                                "slowdown",
-                                (elapsed.value() / spec.time_uncapped.value()).into(),
-                            ),
-                        ],
-                    );
-                    results[a.setup_idx] = Some(JobResult {
-                        job: JobId(a.setup_idx as u64),
-                        true_type: setup.true_type.clone(),
-                        announced: setup.announced.clone(),
-                        submit: setup.submit,
-                        start: a.started_at,
-                        elapsed,
-                        slowdown: elapsed.value() / spec.time_uncapped.value(),
-                    });
-                    let idx = a.setup_idx;
-                    let nodes = a.runtime.into_nodes();
-                    if cfg.setup_teardown.value() > 0.0 {
-                        finishing.push(HeldJob {
-                            setup_idx: idx,
-                            nodes,
-                            remaining: cfg.setup_teardown,
-                            held_since: now,
-                        });
-                    } else {
-                        pool.extend(nodes);
-                    }
-                    done_count += 1;
-                } else {
-                    still_active.push(a);
+            // 7. Retire finished jobs, keeping the survivors in order.
+            let mut i = 0;
+            while i < active.len() {
+                if !active[i].runtime.is_done() {
+                    i += 1;
+                    continue;
                 }
+                let mut a = active.remove(i);
+                let elapsed = a.runtime.elapsed();
+                a.endpoint.finish(elapsed)?;
+                reports[a.setup_idx] = Some(a.runtime.report());
+                let setup = &setups[a.setup_idx];
+                let spec = self.true_spec(setup)?;
+                telemetry.event(
+                    "job_done",
+                    &[
+                        ("t_virtual", now.value().into()),
+                        ("job", (a.setup_idx as u64).into()),
+                        ("type", setup.true_type.as_str().into()),
+                        ("elapsed_s", elapsed.value().into()),
+                        (
+                            "slowdown",
+                            (elapsed.value() / spec.time_uncapped.value()).into(),
+                        ),
+                    ],
+                );
+                results[a.setup_idx] = Some(JobResult {
+                    job: JobId(a.setup_idx as u64),
+                    true_type: setup.true_type.clone(),
+                    announced: setup.announced.clone(),
+                    submit: setup.submit,
+                    start: a.started_at,
+                    elapsed,
+                    slowdown: elapsed.value() / spec.time_uncapped.value(),
+                });
+                let idx = a.setup_idx;
+                let nodes = a.runtime.into_nodes();
+                if cfg.setup_teardown.value() > 0.0 {
+                    finishing.push(HeldJob {
+                        setup_idx: idx,
+                        nodes,
+                        remaining: cfg.setup_teardown,
+                        held_since: now,
+                    });
+                } else {
+                    pool.extend(nodes);
+                }
+                done_count += 1;
             }
-            active = still_active;
             active_gauge.set(active.len() as f64);
             free_gauge.set(pool.len() as f64);
             drop(tick_timer);
@@ -953,6 +955,41 @@ mod tests {
                 .get()
                 >= 2,
             "endpoint traffic must be counted"
+        );
+    }
+
+    #[test]
+    fn pump_phases_partition_the_pump_time() {
+        let telemetry = Telemetry::new();
+        let cfg = EmulatorConfig::paper(BudgetPolicy::EvenSlowdown, true)
+            .with_telemetry(telemetry.clone());
+        EmulatedCluster::new(cfg)
+            .run_static(
+                &[JobSetup::known("bt.D.81"), JobSetup::known("sp.D.81")],
+                Watts(840.0),
+            )
+            .unwrap();
+        let pump = telemetry.histogram("budgeter_pump_seconds", &[]);
+        let phases: f64 = [
+            "ingest",
+            "lease-audit",
+            "model-observe",
+            "decide",
+            "actuate",
+            "invariant-audit",
+        ]
+        .iter()
+        .map(|p| {
+            telemetry
+                .histogram("pump_phase_seconds", &[("phase", p)])
+                .sum()
+        })
+        .sum();
+        assert!(pump.count() > 100, "{} pumps", pump.count());
+        assert!(
+            (phases - pump.sum()).abs() <= 1e-9 * pump.sum(),
+            "phases sum to {phases} s of {} s pumped",
+            pump.sum()
         );
     }
 

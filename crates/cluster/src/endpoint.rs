@@ -11,7 +11,7 @@
 use crate::codec::{FramedStream, StreamOptions, TransportMetrics};
 use crate::session::{FaultPlan, RetryPolicy, SessionState};
 use crate::transport::Addr;
-use anor_geopm::{AgentPolicy, EndpointModeler};
+use anor_geopm::{AgentPolicy, AgentSample, EndpointModeler};
 use anor_model::{ModelSource, PowerModeler};
 use anor_telemetry::{
     CauseId, Counter, FlightRecorder, Gauge, RecEvent, Telemetry, TraceStage, Tracer,
@@ -271,7 +271,7 @@ impl JobEndpoint {
                         self.metrics.models_pushed.inc();
                     }
                 }
-                self.forward_sample(now, false)?;
+                self.forward_sample(now, sample, false)?;
             }
         }
         // Periodic policy refresh (lets the dither alternate). The
@@ -338,7 +338,11 @@ impl JobEndpoint {
                         self.adopt_cap(cap, cause, now);
                     }
                 }
-                ClusterToJob::RequestSample => self.forward_sample(now, true)?,
+                ClusterToJob::RequestSample => {
+                    if let Some((sample, _)) = self.endpoint.read_sample() {
+                        self.forward_sample(now, sample, true)?;
+                    }
+                }
                 ClusterToJob::Shutdown => self.shutdown_requested = true,
             }
         }
@@ -498,15 +502,14 @@ impl JobEndpoint {
         }
     }
 
-    fn forward_sample(&mut self, now: Seconds, force: bool) -> Result<()> {
+    /// Send `s` up unless the link is down or (without `force`) a sample
+    /// went up less than a sample interval ago.
+    fn forward_sample(&mut self, now: Seconds, s: AgentSample, force: bool) -> Result<()> {
         if !self.state.is_connected() {
             // Samples taken during an outage are not spooled: the cap is
             // re-synced on resume and fresh samples follow immediately.
             return Ok(());
         }
-        let Some((s, _)) = self.endpoint.read_sample() else {
-            return Ok(());
-        };
         let due = force
             || self
                 .last_sample_sent_at

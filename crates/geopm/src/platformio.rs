@@ -75,12 +75,12 @@ impl PlatformIo {
     pub fn advance(&mut self, dt: Seconds) -> NodeStepReport {
         let report = self.node.step(dt);
         // Unwrap energy strictly from the 32-bit counters, as GEOPM must.
-        let counters = self.node.energy_counters();
         let mut delta = Joules::ZERO;
-        for (prev, curr) in self.prev_counters.iter().zip(&counters) {
-            delta += energy_delta(*prev, *curr);
+        for (prev, pkg) in self.prev_counters.iter_mut().zip(self.node.packages()) {
+            let curr = pkg.read_energy_counter();
+            delta += energy_delta(*prev, curr);
+            *prev = curr;
         }
-        self.prev_counters = counters;
         self.energy_unwrapped += delta;
         self.last_power = if dt.value() > 0.0 {
             delta / dt

@@ -144,7 +144,7 @@ impl JobRuntime {
         // 1. Policy propagation (only on change, in tree broadcast order).
         if let Some((policy, seq)) = self.endpoint.read_policy() {
             if seq != self.last_policy_seq {
-                for idx in self.tree.broadcast_order() {
+                for &idx in self.tree.broadcast_order() {
                     let before = self.agents[idx].writes_issued();
                     self.agents[idx].adjust(&mut self.ios[idx], &policy)?;
                     if self.agents[idx].writes_issued() > before {
@@ -167,13 +167,12 @@ impl JobRuntime {
         }
         self.elapsed += dt;
         // 3. Sample aggregation up the tree.
-        let samples: Vec<AgentSample> = self
-            .agents
-            .iter_mut()
-            .zip(&self.ios)
-            .map(|(a, io)| a.sample(io))
-            .collect();
-        let agg = AgentTree::aggregate(&samples);
+        let agg = AgentTree::aggregate(
+            self.agents
+                .iter_mut()
+                .zip(&self.ios)
+                .map(|(a, io)| a.sample(io)),
+        );
         self.last_sample = agg;
         self.endpoint.write_sample(agg);
         self.done = all_done;

@@ -16,10 +16,12 @@ use crate::agent::AgentSample;
 
 /// A balanced k-ary tree over a job's agent instances. Node `0` is the
 /// root (the instance attached to the endpoint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgentTree {
     node_count: usize,
     fanout: usize,
+    /// Breadth-first broadcast order, fixed with the tree at launch.
+    order: Vec<usize>,
 }
 
 impl AgentTree {
@@ -30,7 +32,17 @@ impl AgentTree {
     pub fn new(node_count: usize, fanout: usize) -> Self {
         assert!(node_count >= 1, "a job runs on at least one node");
         assert!(fanout >= 1, "fanout must be at least 1");
-        AgentTree { node_count, fanout }
+        let mut tree = AgentTree {
+            node_count,
+            fanout,
+            order: Vec::with_capacity(node_count),
+        };
+        let mut queue = std::collections::VecDeque::from([0usize]);
+        while let Some(i) = queue.pop_front() {
+            tree.order.push(i);
+            queue.extend(tree.children(i));
+        }
+        tree
     }
 
     /// Tree with the default fanout.
@@ -82,25 +94,20 @@ impl AgentTree {
     }
 
     /// The order in which a breadth-first policy broadcast visits agents.
-    pub fn broadcast_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.node_count);
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        while let Some(i) = queue.pop_front() {
-            order.push(i);
-            queue.extend(self.children(i));
-        }
-        order
+    pub fn broadcast_order(&self) -> &[usize] {
+        &self.order
     }
 
     /// Aggregate per-node samples into the job-level sample the root
     /// reports through the endpoint.
-    pub fn aggregate(samples: &[AgentSample]) -> AgentSample {
-        assert!(!samples.is_empty(), "aggregate of zero samples");
+    pub fn aggregate(samples: impl IntoIterator<Item = AgentSample>) -> AgentSample {
         let mut out = AgentSample {
             epoch_count: u64::MAX,
             ..AgentSample::default()
         };
+        let mut count = 0usize;
         for s in samples {
+            count += 1;
             out.epoch_count = out.epoch_count.min(s.epoch_count);
             out.energy += s.energy;
             out.power += s.power;
@@ -110,6 +117,7 @@ impl AgentTree {
             // the traced cause over any untraced (zero) stragglers.
             out.cause = out.cause.max(s.cause);
         }
+        assert!(count > 0, "aggregate of zero samples");
         out
     }
 }
@@ -126,7 +134,7 @@ mod tests {
         assert_eq!(t.parent(0), None);
         assert!(t.children(0).is_empty());
         assert_eq!(t.broadcast_messages(), 0);
-        assert_eq!(t.broadcast_order(), vec![0]);
+        assert_eq!(t.broadcast_order(), [0]);
     }
 
     #[test]
@@ -145,7 +153,7 @@ mod tests {
     fn broadcast_order_visits_everyone_once() {
         for n in [1, 2, 5, 16, 50] {
             let t = AgentTree::balanced(n);
-            let mut order = t.broadcast_order();
+            let mut order = t.broadcast_order().to_vec();
             assert_eq!(order.len(), n);
             order.sort_unstable();
             assert!(order.iter().enumerate().all(|(i, &x)| i == x));
@@ -201,7 +209,7 @@ mod tests {
                 cause: 0,
             },
         ];
-        let a = AgentTree::aggregate(&samples);
+        let a = AgentTree::aggregate(samples);
         assert_eq!(a.epoch_count, 10);
         assert_eq!(a.energy, Joules(190.0));
         assert_eq!(a.power, Watts(390.0));
@@ -212,7 +220,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero samples")]
     fn aggregate_empty_panics() {
-        AgentTree::aggregate(&[]);
+        AgentTree::aggregate([]);
     }
 
     #[test]

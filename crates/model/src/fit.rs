@@ -76,8 +76,11 @@ fn least_squares(points: &[(Watts, Seconds)], basis: &[&dyn Fn(f64) -> f64]) -> 
     }
     let mut ata = vec![vec![0.0; k]; k];
     let mut atb = vec![0.0; k];
+    let mut phi = vec![0.0; k];
     for &(p, t) in points {
-        let phi: Vec<f64> = basis.iter().map(|f| f(p.value())).collect();
+        for (slot, f) in phi.iter_mut().zip(basis) {
+            *slot = f(p.value());
+        }
         for i in 0..k {
             for j in 0..k {
                 ata[i][j] += phi[i] * phi[j];
@@ -103,12 +106,34 @@ pub fn distinct_caps(points: &[(Watts, Seconds)]) -> usize {
     n
 }
 
+/// `distinct_caps(points) >= k`, without allocating or sorting: `k`
+/// min-scans, each taking the least cap more than 1 W above the level
+/// the previous scan opened, which is the level the sorted scan of
+/// [`distinct_caps`] opens next. NaN never qualifies, as there.
+pub fn has_distinct_caps(points: &[(Watts, Seconds)], k: usize) -> bool {
+    let mut last = f64::NEG_INFINITY;
+    for _ in 0..k {
+        let mut next: Option<f64> = None;
+        for (p, _) in points {
+            let c = p.value();
+            if c - last > 1.0 && next.is_none_or(|n| c < n) {
+                next = Some(c);
+            }
+        }
+        match next {
+            Some(c) => last = c,
+            None => return false,
+        }
+    }
+    true
+}
+
 /// Fit the paper's 3-parameter quadratic `T = A·P² + B·P + C`.
 ///
 /// Requires ≥ 3 observations at ≥ 3 distinct cap levels; otherwise the
 /// normal equations are singular.
 pub fn fit_quadratic(points: &[(Watts, Seconds)]) -> Result<FitResult> {
-    if distinct_caps(points) < 3 {
+    if !has_distinct_caps(points, 3) {
         return Err(AnorError::model(
             "quadratic fit needs 3 distinct cap levels",
         ));
@@ -143,7 +168,7 @@ pub fn fit_quadratic(points: &[(Watts, Seconds)]) -> Result<FitResult> {
 /// basis `[1, x²]`. Negative fitted sensitivity is clamped to zero (more
 /// power never hurts in this family).
 pub fn fit_anchored(points: &[(Watts, Seconds)], range: CapRange) -> Result<FitResult> {
-    if distinct_caps(points) < 2 {
+    if !has_distinct_caps(points, 2) {
         return Err(AnorError::model("anchored fit needs 2 distinct cap levels"));
     }
     let span = range.span().value();
@@ -169,7 +194,7 @@ pub fn fit_anchored(points: &[(Watts, Seconds)], range: CapRange) -> Result<FitR
 
 /// Fit a straight line `T = B·P + C` (model-order ablation baseline).
 pub fn fit_linear(points: &[(Watts, Seconds)]) -> Result<FitResult> {
-    if distinct_caps(points) < 2 {
+    if !has_distinct_caps(points, 2) {
         return Err(AnorError::model("linear fit needs 2 distinct cap levels"));
     }
     let coeffs = least_squares(points, &[&|p: f64| p, &|_p: f64| 1.0])?;

@@ -88,6 +88,11 @@ pub struct PowerModeler {
     window: EpochWindow,
     /// `(avg cap, seconds-per-epoch)` observations.
     obs: Vec<(Watts, Seconds)>,
+    /// Do `obs` hold at least 3 distinct cap levels (as
+    /// [`fit::distinct_caps`] counts them)? `None` after a change to
+    /// `obs` that could move the answer, until a cap recommendation asks:
+    /// one scan per change at most, and none while no one asks.
+    identified: Option<bool>,
     curve: PowerCurve,
     source: ModelSource,
     epochs_since_fit: u64,
@@ -113,6 +118,7 @@ impl PowerModeler {
             cfg,
             window: EpochWindow::new(),
             obs: Vec::new(),
+            identified: None,
             curve: default,
             source: ModelSource::Default,
             epochs_since_fit: 0,
@@ -192,6 +198,7 @@ impl PowerModeler {
                 && d.observe(&self.curve, observation.avg_cap, observation.per_epoch())
             {
                 self.obs.clear();
+                self.identified = None;
                 self.epochs_since_fit = 0;
                 self.phase_changes += 1;
                 self.awaiting_refit = true;
@@ -201,11 +208,17 @@ impl PowerModeler {
                 d.reset();
             }
         }
-        if self.obs.len() == self.cfg.max_observations {
+        let evicted = self.obs.len() == self.cfg.max_observations;
+        if evicted {
             self.obs.remove(0);
         }
         self.obs
             .push((observation.avg_cap, observation.per_epoch()));
+        // A pushed observation can add cap levels but never remove one,
+        // so only an eviction can undo a `Some(true)`.
+        if evicted || self.identified != Some(true) {
+            self.identified = None;
+        }
         self.epochs_since_fit += observation.epochs;
         self.epochs_seen += observation.epochs;
         if self.epochs_since_fit >= self.cfg.retrain_epochs {
@@ -274,12 +287,19 @@ impl PowerModeler {
         fit::distinct_caps(&self.obs)
     }
 
+    /// At least 3 distinct cap levels observed? Cached in `identified`.
+    fn identified(&mut self) -> bool {
+        *self
+            .identified
+            .get_or_insert_with(|| fit::has_distinct_caps(&self.obs, 3))
+    }
+
     /// Convert a budgeted cap into the cap to actually enforce. While the
     /// model is under-identified (fewer than 3 distinct observed caps and
     /// dithering enabled), alternate ±dither around the budget — zero
     /// mean, so the job's average power still meets the budget.
     pub fn recommend_cap(&mut self, budget: Watts) -> Watts {
-        let needs_data = self.cfg.dither_fraction > 0.0 && self.distinct_caps() < 3;
+        let needs_data = self.cfg.dither_fraction > 0.0 && !self.identified();
         if !needs_data {
             return self.cfg.cap_range.clamp(budget);
         }
@@ -537,6 +557,55 @@ mod tests {
         assert!(
             telemetry.counter("model_dither_flips_total", &[]).get() >= 1,
             "dither transitions must be counted"
+        );
+    }
+
+    #[test]
+    fn identified_flag_follows_eviction_and_drift_resets() {
+        use crate::drift::DriftDetector;
+        let phase_a = PowerCurve::from_anchor(Seconds(1.0), 0.1, CapRange::paper_node());
+        let phase_b = PowerCurve::from_anchor(Seconds(2.5), 0.8, CapRange::paper_node());
+        let mut c = cfg();
+        c.max_observations = 6;
+        let mut m = PowerModeler::with_default(c, default_is_like())
+            .with_drift_detection(DriftDetector::paper());
+        let (mut t, mut count) = (0.0, 0u64);
+        m.observe(count, Seconds(t), Watts(150.0));
+        // One epoch per observation; the cached flag must equal a fresh
+        // count after every change to the buffer.
+        let mut step = |m: &mut PowerModeler, curve: &PowerCurve, cap: f64| {
+            t += curve.time_at(Watts(cap)).value();
+            count += 1;
+            let changes = m.phase_changes();
+            m.observe(count, Seconds(t), Watts(cap));
+            assert_eq!(m.identified(), m.distinct_caps() >= 3, "{count} epochs");
+            if m.phase_changes() > changes {
+                assert!(!m.identified(), "a drift reset keeps one observation");
+            }
+        };
+        for cap in [150.0, 210.0, 270.0] {
+            step(&mut m, &phase_a, cap);
+        }
+        assert!(m.identified());
+        // Six epochs at one cap evict the other two levels.
+        for _ in 0..6 {
+            step(&mut m, &phase_a, 210.0);
+        }
+        assert!(!m.identified(), "eviction left one cap level");
+        for _ in 0..8 {
+            for cap in [150.0, 210.0, 270.0] {
+                step(&mut m, &phase_a, cap);
+            }
+        }
+        assert!(m.is_fitted() && m.identified());
+        for _ in 0..20 {
+            for cap in [150.0, 210.0, 270.0] {
+                step(&mut m, &phase_b, cap);
+            }
+        }
+        assert!(
+            m.phase_changes() >= 1,
+            "the phase change must reset the buffer"
         );
     }
 

@@ -12,7 +12,6 @@
 //! | `PKG_ENERGY_STATUS` | `0x611` | RO | wrapping 32-bit counter in energy units |
 
 use anor_types::{AnorError, Joules, Result, Watts};
-use std::collections::HashMap;
 
 /// RAPL unit register address.
 pub const MSR_RAPL_POWER_UNIT: u32 = 0x606;
@@ -47,7 +46,10 @@ pub enum Access {
 /// A simulated MSR register file for one CPU package.
 #[derive(Debug, Clone)]
 pub struct MsrFile {
-    regs: HashMap<u32, (Access, u64)>,
+    /// `(address, access, value)` per allowlisted register, each address
+    /// once. An allowlist holds a handful of registers, so a linear
+    /// search beats hashing the address on every access.
+    regs: Vec<(u32, Access, u64)>,
     /// Successful software writes through the allowlist (hardware-side
     /// `hw_store`s excluded) — the auditable actuation count causal
     /// tracing reconciles against.
@@ -59,47 +61,51 @@ impl MsrFile {
     /// `PKG_POWER_LIMIT` starts at TDP with the enable bit set;
     /// `PKG_ENERGY_STATUS` starts at zero.
     pub fn rapl(tdp: Watts) -> Self {
-        let mut regs = HashMap::new();
-        regs.insert(
-            MSR_RAPL_POWER_UNIT,
-            (Access::ReadOnly, RAPL_POWER_UNIT_VALUE),
-        );
-        regs.insert(
-            MSR_PKG_POWER_LIMIT,
+        let regs = vec![
+            (MSR_RAPL_POWER_UNIT, Access::ReadOnly, RAPL_POWER_UNIT_VALUE),
             (
+                MSR_PKG_POWER_LIMIT,
                 Access::ReadWrite,
                 encode_power_limit(tdp) | PKG_POWER_LIMIT_ENABLE,
             ),
-        );
-        regs.insert(MSR_PKG_ENERGY_STATUS, (Access::ReadOnly, 0));
-        // POWER_INFO: TDP in power units in bits [14:0].
-        regs.insert(
-            MSR_PKG_POWER_INFO,
-            (Access::ReadOnly, encode_power_limit(tdp)),
-        );
+            (MSR_PKG_ENERGY_STATUS, Access::ReadOnly, 0),
+            // POWER_INFO: TDP in power units in bits [14:0].
+            (
+                MSR_PKG_POWER_INFO,
+                Access::ReadOnly,
+                encode_power_limit(tdp),
+            ),
+        ];
         MsrFile { regs, writes: 0 }
+    }
+
+    fn reg(&self, addr: u32) -> Option<&(u32, Access, u64)> {
+        self.regs.iter().find(|r| r.0 == addr)
+    }
+
+    fn reg_mut(&mut self, addr: u32) -> Option<&mut (u32, Access, u64)> {
+        self.regs.iter_mut().find(|r| r.0 == addr)
     }
 
     /// Read a register; errors on addresses outside the allowlist (the
     /// msr-safe module would return `EPERM`).
     pub fn read(&self, addr: u32) -> Result<u64> {
-        self.regs
-            .get(&addr)
-            .map(|&(_, v)| v)
+        self.reg(addr)
+            .map(|&(_, _, v)| v)
             .ok_or_else(|| AnorError::platform(format!("MSR {addr:#x} not in allowlist")))
     }
 
     /// Write a register; errors on unknown addresses and on read-only
     /// registers.
     pub fn write(&mut self, addr: u32, value: u64) -> Result<()> {
-        match self.regs.get_mut(&addr) {
+        match self.reg_mut(addr) {
             None => Err(AnorError::platform(format!(
                 "MSR {addr:#x} not in allowlist"
             ))),
-            Some((Access::ReadOnly, _)) => {
+            Some((_, Access::ReadOnly, _)) => {
                 Err(AnorError::platform(format!("MSR {addr:#x} is read-only")))
             }
-            Some((Access::ReadWrite, v)) => {
+            Some((_, Access::ReadWrite, v)) => {
                 *v = value;
                 self.writes += 1;
                 Ok(())
@@ -115,7 +121,7 @@ impl MsrFile {
     /// Privileged hardware-side update of a register, bypassing the
     /// allowlist (how the simulated silicon advances the energy counter).
     pub(crate) fn hw_store(&mut self, addr: u32, value: u64) {
-        if let Some((_, v)) = self.regs.get_mut(&addr) {
+        if let Some((_, _, v)) = self.reg_mut(addr) {
             *v = value;
         }
     }
@@ -201,20 +207,27 @@ pub fn parse_allowlist(r: impl std::io::BufRead) -> Result<Vec<(u32, u64)>> {
 impl MsrFile {
     /// Build a register file from an allowlist (entries outside the
     /// simulated RAPL register set are accepted but read as zero, like
-    /// untouched MSRs). A non-zero write mask grants write access.
+    /// untouched MSRs). A non-zero write mask grants write access; when
+    /// an address is listed twice, the later line wins.
     pub fn from_allowlist(entries: &[(u32, u64)], tdp: Watts) -> Self {
         let defaults = MsrFile::rapl(tdp);
-        let mut regs = HashMap::new();
+        let mut file = MsrFile {
+            regs: Vec::with_capacity(entries.len()),
+            writes: 0,
+        };
         for &(addr, mask) in entries {
             let access = if mask != 0 {
                 Access::ReadWrite
             } else {
                 Access::ReadOnly
             };
-            let value = defaults.regs.get(&addr).map(|&(_, v)| v).unwrap_or(0);
-            regs.insert(addr, (access, value));
+            let value = defaults.read(addr).unwrap_or(0);
+            match file.reg_mut(addr) {
+                Some(reg) => *reg = (addr, access, value),
+                None => file.regs.push((addr, access, value)),
+            }
         }
-        MsrFile { regs, writes: 0 }
+        file
     }
 }
 
@@ -331,6 +344,30 @@ mod tests {
         assert_eq!(f.read(0x1a0).unwrap(), 7);
         // Registers not in the allowlist stay inaccessible.
         assert!(f.read(MSR_PKG_ENERGY_STATUS).is_err());
+    }
+
+    #[test]
+    fn duplicate_allowlist_line_overrides_the_earlier_one() {
+        let entries = [
+            (MSR_PKG_POWER_LIMIT, 0x87ff),
+            (MSR_PKG_ENERGY_STATUS, 0),
+            (MSR_PKG_POWER_LIMIT, 0),
+        ];
+        let mut f = MsrFile::from_allowlist(&entries, Watts(140.0));
+        assert!(
+            f.write(MSR_PKG_POWER_LIMIT, 0).is_err(),
+            "the later RO line wins"
+        );
+        assert_eq!(
+            decode_power_limit(f.read(MSR_PKG_POWER_LIMIT).unwrap()),
+            Watts(140.0)
+        );
+        let entries = [(MSR_PKG_POWER_LIMIT, 0), (MSR_PKG_POWER_LIMIT, 0x87ff)];
+        let mut f = MsrFile::from_allowlist(&entries, Watts(140.0));
+        assert!(
+            f.write(MSR_PKG_POWER_LIMIT, 0).is_ok(),
+            "the later RW line wins"
+        );
     }
 
     #[test]

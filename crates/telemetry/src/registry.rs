@@ -161,8 +161,14 @@ impl Histogram {
         c.counts[idx].fetch_add(1, Ordering::Relaxed);
         c.total.fetch_add(1, Ordering::Relaxed);
         c.sum.update(|s| s + v);
-        c.min.update(|m| m.min(v));
-        c.max.update(|m| m.max(v));
+        // Most observations set no new extreme: a plain load rules them
+        // out, and the CAS loop runs only when one might.
+        if v < c.min.get() {
+            c.min.update(|m| m.min(v));
+        }
+        if v > c.max.get() {
+            c.max.update(|m| m.max(v));
+        }
     }
 
     pub fn count(&self) -> u64 {
