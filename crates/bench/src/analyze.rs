@@ -8,6 +8,7 @@
 //! decision's effect is observed back at the cluster tier and folded
 //! into a model (actuation → first observation → retrain).
 
+use anor_telemetry::json::{self, Json};
 use anor_telemetry::{TraceEvent, TraceStage};
 use std::collections::BTreeMap;
 
@@ -401,7 +402,7 @@ pub struct BenchRow {
 /// schema (no `min_s`/`stddev_s`) so older trajectory files stay
 /// comparable.
 pub fn parse_bench_file(text: &str) -> Result<Vec<BenchRow>, String> {
-    let v = anor_cluster::parse_json(text).map_err(|e| e.to_string())?;
+    let v = json::parse(text)?;
     let arr = v
         .as_array()
         .ok_or_else(|| "expected a JSON array of bench rows".to_string())?;
@@ -409,22 +410,19 @@ pub fn parse_bench_file(text: &str) -> Result<Vec<BenchRow>, String> {
     for (i, row) in arr.iter().enumerate() {
         let bench = row
             .get("bench")
-            .and_then(anor_cluster::Json::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("row {i}: missing `bench`"))?
             .to_string();
         let median_s = row
             .get("median_s")
-            .and_then(anor_cluster::Json::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("row {i}: missing `median_s`"))?;
         rows.push(BenchRow {
             bench,
-            jobs: row
-                .get("jobs")
-                .and_then(anor_cluster::Json::as_u64)
-                .unwrap_or(1),
+            jobs: row.get("jobs").and_then(Json::as_u64).unwrap_or(1),
             median_s,
-            min_s: row.get("min_s").and_then(anor_cluster::Json::as_f64),
-            stddev_s: row.get("stddev_s").and_then(anor_cluster::Json::as_f64),
+            min_s: row.get("min_s").and_then(Json::as_f64),
+            stddev_s: row.get("stddev_s").and_then(Json::as_f64),
         });
     }
     Ok(rows)

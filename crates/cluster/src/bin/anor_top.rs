@@ -20,8 +20,8 @@
 //! screen under a "disconnected, retrying" banner until the daemon
 //! answers again.
 
-use anor_cluster::status::{parse_json, Json};
 use anor_cluster::Args;
+use anor_telemetry::json::{self, Json};
 use anor_telemetry::ops::http_get;
 use std::time::Duration;
 
@@ -58,7 +58,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     print!("\x1b[2J");
     loop {
         let outcome = match http_get(&addr, "/status", timeout) {
-            Ok((200, body)) => match parse_json(&body) {
+            Ok((200, body)) => match json::parse(&body) {
                 Ok(v) => Ok(render(&v)),
                 Err(e) => Err(format!("malformed /status JSON: {e}")),
             },

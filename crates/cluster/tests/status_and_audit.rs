@@ -5,11 +5,11 @@
 //! `/health`, `/metrics` and `/status` off a live budgeter.
 
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
-use anor_cluster::status::{parse_json, Json};
 use anor_cluster::{
     BudgetPolicy, EmulatedCluster, EmulatorConfig, FaultPlan, JobSetup, LeaseConfig, RetryPolicy,
     SessionState, StatusBoard, StreamOptions,
 };
+use anor_telemetry::json::{self, Json};
 use anor_telemetry::ops::{http_get, OpsServer, StatusProvider};
 use anor_telemetry::{Telemetry, Tracer};
 use anor_types::msg::JobToCluster;
@@ -110,7 +110,7 @@ fn lease_expiry_and_resume_stay_audit_clean() {
         .encode()
     };
     let job_row = |job: u64| -> Json {
-        let v = parse_json(&board.render_json()).unwrap();
+        let v = json::parse(&board.render_json()).unwrap();
         v.get("jobs")
             .and_then(Json::as_array)
             .and_then(|jobs| {
@@ -144,7 +144,7 @@ fn lease_expiry_and_resume_stay_audit_clean() {
         row.get("reclaimed").and_then(Json::as_f64).unwrap_or(0.0) > 0.0,
         "board must show the reclaimed watts"
     );
-    let v = parse_json(&board.render_json()).unwrap();
+    let v = json::parse(&board.render_json()).unwrap();
     assert!(
         v.get("reclaimed_watts")
             .and_then(Json::as_f64)
@@ -180,7 +180,7 @@ fn lease_expiry_and_resume_stay_audit_clean() {
     for (invariant, count) in violation_counts(&telemetry) {
         assert_eq!(count, 0, "invariant `{invariant}` violated {count}x");
     }
-    let v = parse_json(&board.render_json()).unwrap();
+    let v = json::parse(&board.render_json()).unwrap();
     assert_eq!(
         v.get("invariant_violations").and_then(Json::as_u64),
         Some(0)
@@ -344,7 +344,7 @@ fn ops_endpoint_serves_live_budgeter_state() {
 
     let (code, body) = http_get(&ops_addr, "/status", timeout).unwrap();
     assert_eq!(code, 200);
-    let v = parse_json(&body).unwrap();
+    let v = json::parse(&body).unwrap();
     assert!(v.get("pumps").and_then(Json::as_u64).unwrap_or(0) > 0);
     assert_eq!(v.get("active_jobs").and_then(Json::as_u64), Some(1));
     assert_eq!(

@@ -7,11 +7,12 @@
 //! ```
 //!
 //! `ts` is seconds since telemetry start (wall clock); emitters on a
-//! virtual clock add their own `t_virtual` field. The hand-rolled
-//! writer/parser below covers exactly this flat shape — no nesting, no
-//! arrays — which keeps the crate dependency-free while still giving
-//! experiments a machine-readable trail.
+//! virtual clock add their own `t_virtual` field. [`parse_line`] reads
+//! this flat shape — no nesting, no arrays — through [`crate::json`],
+//! which keeps the crate dependency-free while still giving experiments
+//! a machine-readable trail.
 
+use crate::json::{self, Json};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -117,32 +118,9 @@ impl Event {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Append `s` as a quoted, escaped JSON string.
-pub(crate) fn append_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
-
 fn value_into(out: &mut String, v: &Value) {
     match v {
-        Value::Str(s) => append_json_string(out, s),
+        Value::Str(s) => json::push_str(out, s),
         Value::F64(x) if x.is_finite() => {
             let _ = write!(out, "{x}");
         }
@@ -161,13 +139,12 @@ fn value_into(out: &mut String, v: &Value) {
 /// Serialize one event line (no trailing newline).
 pub fn render_line(ts: f64, event: &str, fields: &[(&str, Value)]) -> String {
     let mut out = String::with_capacity(64);
-    let _ = write!(out, "{{\"ts\":{ts:.6},\"event\":\"");
-    escape_into(&mut out, event);
-    out.push('"');
+    let _ = write!(out, "{{\"ts\":{ts:.6},\"event\":");
+    json::push_str(&mut out, event);
     for (k, v) in fields {
-        out.push_str(",\"");
-        escape_into(&mut out, k);
-        out.push_str("\":");
+        out.push(',');
+        json::push_str(&mut out, k);
+        out.push(':');
         value_into(&mut out, v);
     }
     out.push('}');
@@ -351,131 +328,33 @@ fn bad(line_no: usize, msg: &str) -> std::io::Error {
     )
 }
 
-/// Parse one flat JSON object line.
+/// Parse one flat JSON object line: a numeric `ts`, a string `event`
+/// and scalar fields. A whole number below 9e15 reads back as `U64`, or
+/// `I64` when negative; `null` reads back as `F64(NaN)`.
 pub fn parse_line(line: &str, line_no: usize) -> std::io::Result<Event> {
-    let mut chars = line.char_indices().peekable();
+    let Json::Obj(pairs) = json::parse(line).map_err(|e| bad(line_no, &e))? else {
+        return Err(bad(line_no, "not a JSON object"));
+    };
     let mut fields: BTreeMap<String, Value> = BTreeMap::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn expect(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-        want: char,
-        line_no: usize,
-    ) -> std::io::Result<()> {
-        skip_ws(chars);
-        match chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            other => Err(bad(line_no, &format!("expected `{want}`, got {other:?}"))),
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-        line_no: usize,
-    ) -> std::io::Result<String> {
-        expect(chars, '"', line_no)?;
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, c) = chars
-                                .next()
-                                .ok_or_else(|| bad(line_no, "truncated \\u escape"))?;
-                            code = code * 16
-                                + c.to_digit(16)
-                                    .ok_or_else(|| bad(line_no, "bad \\u escape"))?;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| bad(line_no, "bad \\u code point"))?,
-                        );
-                    }
-                    other => return Err(bad(line_no, &format!("bad escape {other:?}"))),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err(bad(line_no, "unterminated string")),
-            }
-        }
-    }
-
-    expect(&mut chars, '{', line_no)?;
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        return Err(bad(line_no, "event object is empty"));
-    }
-    loop {
-        let key = parse_string(&mut chars, line_no)?;
-        expect(&mut chars, ':', line_no)?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some((_, '"')) => Value::Str(parse_string(&mut chars, line_no)?),
-            Some((_, 't')) | Some((_, 'f')) | Some((_, 'n')) => {
-                let mut word = String::new();
-                while let Some((_, c)) = chars.next_if(|(_, c)| c.is_ascii_alphabetic()) {
-                    word.push(c);
-                }
-                match word.as_str() {
-                    "true" => Value::Bool(true),
-                    "false" => Value::Bool(false),
-                    "null" => Value::F64(f64::NAN),
-                    other => return Err(bad(line_no, &format!("bad literal `{other}`"))),
-                }
-            }
-            Some(_) => {
-                let mut num = String::new();
-                while let Some((_, c)) = chars.next_if(|(_, c)| {
-                    c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-                }) {
-                    num.push(c);
-                }
-                let v: f64 = num
-                    .parse()
-                    .map_err(|_| bad(line_no, &format!("bad number `{num}`")))?;
-                if v.fract() == 0.0 && v.abs() < 9.0e15 && !num.contains(['.', 'e', 'E']) {
-                    if num.starts_with('-') {
-                        Value::I64(v as i64)
-                    } else {
-                        Value::U64(v as u64)
-                    }
+    for (key, v) in pairs {
+        let value = match v {
+            Json::Str(s) => Value::Str(s),
+            Json::Bool(b) => Value::Bool(b),
+            Json::Null => Value::F64(f64::NAN),
+            Json::Num(x) if x.fract() == 0.0 && x.abs() < 9.0e15 => {
+                if x.is_sign_negative() {
+                    Value::I64(x as i64)
                 } else {
-                    Value::F64(v)
+                    Value::U64(x as u64)
                 }
             }
-            None => return Err(bad(line_no, "truncated object")),
+            Json::Num(x) => Value::F64(x),
+            Json::Arr(_) | Json::Obj(_) => {
+                return Err(bad(line_no, &format!("field `{key}` is not a scalar")))
+            }
         };
         fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            other => {
-                return Err(bad(
-                    line_no,
-                    &format!("expected `,` or `}}`, got {other:?}"),
-                ))
-            }
-        }
     }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err(bad(line_no, "trailing bytes after object"));
-    }
-
     let ts = fields
         .remove("ts")
         .and_then(|v| v.as_f64())

@@ -212,7 +212,7 @@ impl TraceEvent {
         }
         if let Some(d) = &self.detail {
             out.push_str(",\"detail\":");
-            crate::sink::append_json_string(&mut out, d);
+            crate::json::push_str(&mut out, d);
         }
         out.push('}');
         out

@@ -9,7 +9,8 @@
 //! ```
 
 use anor::cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
-use anor::cluster::{parse_json, BudgetPolicy, Json, StatusBoard, StreamOptions};
+use anor::cluster::{BudgetPolicy, StatusBoard, StreamOptions};
+use anor::telemetry::json::{self, Json};
 use anor::telemetry::ops::{http_get, OpsServer, StatusProvider};
 use anor::telemetry::Telemetry;
 use anor::types::msg::JobToCluster;
@@ -76,7 +77,7 @@ fn main() {
     }
 
     let (_, status) = http_get(&status_addr, "/status", timeout).expect("GET /status");
-    let v = parse_json(&status).expect("well-formed /status JSON");
+    let v = json::parse(&status).expect("well-formed /status JSON");
     let u = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
     let f = |k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
     println!(
