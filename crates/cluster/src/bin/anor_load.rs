@@ -44,7 +44,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         transport: TransportOptions {
             kind,
             shards: args.get_or("shards", 2)?,
-            conn_queue_depth: args.get_or("queue-depth", 64)?,
         },
         drivers: args.get_or("drivers", 2)?,
         ..LoadConfig::default()

@@ -29,10 +29,10 @@
 //! `--record <dir>` (and optional `--seed N` stamped into the header),
 //! every inbound frame, connection/lease transition and emitted cap
 //! decision is flight-recorded to `<dir>/anord.rec` for `anor-replay`.
-//! With `--transport reactor` (plus optional `--shards N` and
-//! `--queue-depth D`), the connection plane is the sharded non-blocking
-//! reactor for thousands-of-endpoints fan-in; decisions are byte-
-//! identical to the default blocking plane.
+//! With `--transport reactor` (plus optional `--shards N`), the
+//! connection plane is the sharded non-blocking reactor for
+//! thousands-of-endpoints fan-in; decisions are byte-identical to the
+//! default blocking plane.
 //!
 //! Prints `anord listening on <addr>` once ready (machine-readable for
 //! launchers, ditto `anord status on <addr>`), then a completion line
@@ -83,19 +83,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         Some(dir) => Tracer::to_dir(dir)?,
         None => Tracer::off(),
     };
-    // Connection plane: --transport reactor --shards N --queue-depth D
-    // runs the sharded reactor for high endpoint fan-in; the default
-    // blocking plane polls sockets inline on the pump thread.
+    // Connection plane: --transport reactor --shards N runs the sharded
+    // reactor for high endpoint fan-in; the default blocking plane polls
+    // sockets inline on the pump thread.
     let transport: TransportKind = args.get("transport").unwrap_or("blocking").parse()?;
     let shards: usize = args.get_or("shards", 2)?;
-    let queue_depth: usize = args.get_or("queue-depth", 64)?;
     let cfg = BudgeterConfig::new(policy, feedback);
     let mut builder = ClusterBudgeter::builder(cfg.clone())
         .addr(listen)
         .telemetry(telemetry.clone())
         .transport(transport)
         .shards(shards)
-        .conn_queue_depth(queue_depth)
         .tracer(&tracer);
     if let Some(plan) = args.fault_plan()? {
         builder = builder.faults(plan);

@@ -21,11 +21,17 @@ use crate::transport::{Addr, Listener};
 use anor_aqa::{PowerTarget, TrackingRecorder};
 use anor_geopm::{JobReport, JobRuntime};
 use anor_model::{DriftDetector, ModelerConfig, PowerModeler};
-use anor_platform::{Node, PerformanceVariation, Phase};
+use anor_platform::{Node, Phase};
 use anor_telemetry::{FlightRecorder, Telemetry, Timer, Tracer};
 use anor_types::{AnorError, Catalog, JobId, NodeId, Result, Seconds, Watts};
 
 pub use crate::budgeter::BudgetPolicy;
+
+/// Virtual tick.
+const TICK: Seconds = Seconds(0.5);
+
+/// Idle CPU power per node.
+const IDLE_POWER: Watts = Watts(90.0);
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -34,21 +40,13 @@ pub struct EmulatorConfig {
     pub nodes: u32,
     /// Budget distribution policy.
     pub policy: BudgetPolicy,
-    /// Fold job-tier model feedback into the budgeter's views?
+    /// Fold job-tier model feedback into the budgeter's views? Feedback
+    /// runs also dither their caps, which makes the model identifiable.
     pub feedback: bool,
-    /// Virtual tick.
-    pub tick: Seconds,
-    /// Idle CPU power per node.
-    pub idle_power: Watts,
     /// Job-type catalog.
     pub catalog: Catalog,
     /// Determinism seed.
     pub seed: u64,
-    /// Enable the modeler's exploratory cap dither (only useful together
-    /// with `feedback`).
-    pub dither: bool,
-    /// Per-node performance-variation σ (0 = nominal hardware).
-    pub variation_sigma: f64,
     /// Override the modeler's retrain threshold (paper default: 10
     /// epochs). Used by the ablation benches.
     pub retrain_epochs: Option<u64>,
@@ -88,12 +86,8 @@ impl EmulatorConfig {
             nodes: 16,
             policy,
             feedback,
-            tick: Seconds(0.5),
-            idle_power: Watts(90.0),
             catalog: anor_types::standard_catalog(),
             seed: 1,
-            dither: feedback,
-            variation_sigma: 0.0,
             retrain_epochs: None,
             dither_fraction: None,
             setup_teardown: Seconds::ZERO,
@@ -308,7 +302,7 @@ impl EmulatedCluster {
     fn modeler_for(&self, believed: &anor_types::JobTypeSpec) -> PowerModeler {
         let mut mcfg = ModelerConfig::paper();
         mcfg.cap_range = believed.cap_range;
-        if !self.cfg.dither {
+        if !self.cfg.feedback {
             mcfg.dither_fraction = 0.0;
         }
         if let Some(n) = self.cfg.retrain_epochs {
@@ -399,21 +393,8 @@ impl EmulatedCluster {
             });
         }
         let cfg = &self.cfg;
-        let variation = if cfg.variation_sigma > 0.0 {
-            PerformanceVariation::with_sigma(cfg.nodes as usize, cfg.variation_sigma, cfg.seed)
-        } else {
-            PerformanceVariation::none(cfg.nodes as usize)
-        };
         // Node pool.
-        let mut pool: Vec<Node> = (0..cfg.nodes)
-            .map(|i| {
-                Node::new(
-                    NodeId(i),
-                    anor_platform::NodeConfig::paper(),
-                    variation.coeff(NodeId(i)),
-                )
-            })
-            .collect();
+        let mut pool: Vec<Node> = (0..cfg.nodes).map(|i| Node::paper(NodeId(i))).collect();
         // Budgeter daemon on an in-process listener. It stays on the
         // blocking plane: reactor shards read on their own schedule, not
         // the virtual clock's, so a frame could land a pass late.
@@ -529,7 +510,7 @@ impl EmulatedCluster {
             // 2b. Advance batch setup/teardown holds.
             let mut still_starting = Vec::new();
             for mut h in starting.drain(..) {
-                h.remaining -= cfg.tick;
+                h.remaining -= TICK;
                 if h.remaining.value() > 0.0 {
                     still_starting.push(h);
                     continue;
@@ -546,7 +527,7 @@ impl EmulatedCluster {
             starting = still_starting;
             let mut still_finishing = Vec::new();
             for mut h in finishing.drain(..) {
-                h.remaining -= cfg.tick;
+                h.remaining -= TICK;
                 if h.remaining.value() > 0.0 {
                     still_finishing.push(h);
                 } else {
@@ -556,9 +537,9 @@ impl EmulatedCluster {
             finishing = still_finishing;
             // 3. Advance hardware and workloads.
             for a in &mut active {
-                a.runtime.step(cfg.tick)?;
+                a.runtime.step(TICK)?;
             }
-            now += cfg.tick;
+            now += TICK;
             // 4. Pump job-tier endpoints.
             for a in &mut active {
                 a.endpoint.pump(now)?;
@@ -570,7 +551,7 @@ impl EmulatedCluster {
                 .chain(&finishing)
                 .map(|h| h.nodes.len())
                 .sum();
-            let idle_power = cfg.idle_power * (pool.len() + held_nodes) as f64;
+            let idle_power = IDLE_POWER * (pool.len() + held_nodes) as f64;
             let measured = busy_power + idle_power;
             measured_gauge.set(measured.value());
             let busy_budget = match &mode {

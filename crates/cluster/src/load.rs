@@ -369,8 +369,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
         .telemetry(telemetry.clone())
         .lease(LeaseConfig::after_misses(cfg.lease_miss_pumps))
         .transport(cfg.transport.kind)
-        .shards(cfg.transport.shards)
-        .conn_queue_depth(cfg.transport.conn_queue_depth);
+        .shards(cfg.transport.shards);
     if let Some(plan) = cfg.faults.clone() {
         builder = builder.faults(plan);
     }

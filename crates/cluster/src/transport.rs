@@ -38,14 +38,15 @@
 //!
 //! ## Backpressure
 //!
-//! *Ingress* is soft-bounded: once a connection's inbox holds
-//! `conn_queue_depth` undrained frames the shard stops reading its
+//! *Ingress* is soft-bounded: once a connection's inbox holds its queue
+//! depth (`CONN_QUEUE_DEPTH`, 64, in the daemon) of undrained frames the
+//! shard stops reading its
 //! socket, so the kernel's receive window closes and TCP pushes back on
 //! the peer. No inbound frame is ever dropped — the bound is the queue
 //! depth plus at most one socket-buffer sweep.
 //!
 //! *Egress* is hard-bounded: a connection whose unflushed outbound bytes
-//! exceed `conn_queue_depth × 256` has its new frames dropped and counted
+//! exceed the queue depth × 256 has its new frames dropped and counted
 //! (`transport_backpressure_drops_total`) instead of queued. A slow or
 //! stalled endpoint therefore costs a counter, never unbounded memory —
 //! and the decision that produced the frame is still recorded, because
@@ -65,10 +66,14 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Egress budget per queue-depth slot, in bytes: a connection may hold
-/// `conn_queue_depth × 256` unflushed outbound bytes before new frames
-/// are dropped. Control frames are tens of bytes, so the default depth
+/// queue depth × 256 unflushed outbound bytes before new frames are
+/// dropped. Control frames are tens of bytes, so the daemon's depth
 /// tolerates a long cap backlog before backpressure bites.
 pub const EGRESS_BYTES_PER_SLOT: usize = 256;
+
+/// The reactor plane's per-connection queue depth in the daemon, in
+/// frames (ingress soft bound) and `× 256` bytes (egress hard bound).
+const CONN_QUEUE_DEPTH: usize = 64;
 
 /// A stable connection identity: the accept-order index of the
 /// connection, never reused for the lifetime of the daemon. Leases,
@@ -146,9 +151,6 @@ pub struct TransportOptions {
     /// Reactor shard count (ignored by the blocking plane; clamped to at
     /// least 1).
     pub shards: usize,
-    /// Per-connection bounded-queue depth, in frames (ingress soft
-    /// bound) and `× 256` bytes (egress hard bound).
-    pub conn_queue_depth: usize,
 }
 
 impl Default for TransportOptions {
@@ -156,7 +158,6 @@ impl Default for TransportOptions {
         TransportOptions {
             kind: TransportKind::Blocking,
             shards: 2,
-            conn_queue_depth: 64,
         }
     }
 }
@@ -480,7 +481,7 @@ pub fn build_transport(
             metrics,
             faults,
             opts.shards,
-            opts.conn_queue_depth,
+            CONN_QUEUE_DEPTH,
         )?),
     })
 }

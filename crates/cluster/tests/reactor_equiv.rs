@@ -229,7 +229,6 @@ fn chaos_storm_audits_clean_on_the_reactor() {
         transport: TransportOptions {
             kind: TransportKind::Reactor,
             shards: 3,
-            conn_queue_depth: 64,
         },
         ..LoadConfig::default()
     };
