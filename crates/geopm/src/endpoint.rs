@@ -13,21 +13,16 @@
 //! Section 7.2 describes.
 
 use crate::agent::{AgentPolicy, AgentSample};
-use anor_telemetry::{Counter, Histogram, Telemetry};
+use anor_telemetry::{Counter, Telemetry};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Cached handles for the mailbox's round-trip series (attached via
+/// Cached handles for the mailbox's write counters (attached via
 /// [`EndpointModeler::attach_telemetry`]).
 #[derive(Debug)]
 struct Instruments {
     policy_writes: Counter,
     sample_writes: Counter,
-    /// Wall-clock from a policy write to its first read by the agents.
-    policy_roundtrip: Histogram,
-    /// Wall-clock from a sample write to its first read by the modeler.
-    sample_roundtrip: Histogram,
 }
 
 #[derive(Debug, Default)]
@@ -37,10 +32,6 @@ struct Shared {
     sample: Option<AgentSample>,
     sample_seq: u64,
     agent_attached: bool,
-    policy_written: Option<Instant>,
-    policy_seen_seq: u64,
-    sample_written: Option<Instant>,
-    sample_seen_seq: u64,
     instruments: Option<Instruments>,
 }
 
@@ -71,14 +62,12 @@ pub fn endpoint_pair() -> (EndpointModeler, EndpointAgent) {
 }
 
 impl EndpointModeler {
-    /// Record this mailbox's policy/sample round-trips and write counts
-    /// into `telemetry`. Both halves share the instruments.
+    /// Count this mailbox's policy and sample writes into `telemetry`.
+    /// Both halves share the counters.
     pub fn attach_telemetry(&self, telemetry: &Telemetry) {
         let instruments = Instruments {
             policy_writes: telemetry.counter("endpoint_policy_writes_total", &[]),
             sample_writes: telemetry.counter("endpoint_sample_writes_total", &[]),
-            policy_roundtrip: telemetry.histogram("endpoint_policy_roundtrip_seconds", &[]),
-            sample_roundtrip: telemetry.histogram("endpoint_sample_roundtrip_seconds", &[]),
         };
         self.shared.lock().instruments = Some(instruments);
     }
@@ -88,7 +77,6 @@ impl EndpointModeler {
         let mut s = self.shared.lock();
         s.policy = Some(policy);
         s.policy_seq += 1;
-        s.policy_written = Some(Instant::now());
         if let Some(i) = &s.instruments {
             i.policy_writes.inc();
         }
@@ -97,13 +85,7 @@ impl EndpointModeler {
     /// Latest sample the agents published, with its sequence number
     /// (None before the first sample).
     pub fn read_sample(&self) -> Option<(AgentSample, u64)> {
-        let mut s = self.shared.lock();
-        if s.sample.is_some() && s.sample_seq != s.sample_seen_seq {
-            s.sample_seen_seq = s.sample_seq;
-            if let (Some(at), Some(i)) = (s.sample_written, &s.instruments) {
-                i.sample_roundtrip.observe(at.elapsed().as_secs_f64());
-            }
-        }
+        let s = self.shared.lock();
         s.sample.map(|smp| (smp, s.sample_seq))
     }
 
@@ -123,13 +105,7 @@ impl EndpointModeler {
 impl EndpointAgent {
     /// Latest policy the modeler published, with its sequence number.
     pub fn read_policy(&self) -> Option<(AgentPolicy, u64)> {
-        let mut s = self.shared.lock();
-        if s.policy.is_some() && s.policy_seq != s.policy_seen_seq {
-            s.policy_seen_seq = s.policy_seq;
-            if let (Some(at), Some(i)) = (s.policy_written, &s.instruments) {
-                i.policy_roundtrip.observe(at.elapsed().as_secs_f64());
-            }
-        }
+        let s = self.shared.lock();
         s.policy.map(|p| (p, s.policy_seq))
     }
 
@@ -138,7 +114,6 @@ impl EndpointAgent {
         let mut s = self.shared.lock();
         s.sample = Some(sample);
         s.sample_seq += 1;
-        s.sample_written = Some(Instant::now());
         if let Some(i) = &s.instruments {
             i.sample_writes.inc();
         }
@@ -221,7 +196,6 @@ mod tests {
         modeler.attach_telemetry(&telemetry);
         modeler.write_policy(AgentPolicy::capped(Watts(180.0)));
         agent.read_policy().unwrap();
-        agent.read_policy().unwrap(); // duplicate read: not re-observed
         agent.write_sample(sample(1));
         modeler.read_sample().unwrap();
         assert_eq!(
@@ -230,19 +204,6 @@ mod tests {
         );
         assert_eq!(
             telemetry.counter("endpoint_sample_writes_total", &[]).get(),
-            1
-        );
-        assert_eq!(
-            telemetry
-                .histogram("endpoint_policy_roundtrip_seconds", &[])
-                .count(),
-            1,
-            "one round-trip per new sequence number"
-        );
-        assert_eq!(
-            telemetry
-                .histogram("endpoint_sample_roundtrip_seconds", &[])
-                .count(),
             1
         );
     }
