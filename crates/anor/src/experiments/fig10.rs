@@ -7,13 +7,13 @@
 //! misclassified-case power staying under 24% error at least 90% of the
 //! time (all other cases under 17%).
 
+use super::hw::HwRunOptions;
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal, TrackingRecorder};
 use anor_cluster::{
-    recorder_meta, BudgetPolicy, BudgeterConfig, EmulatedCluster, EmulatorConfig, FaultPlan,
-    JobSetup,
+    recorder_meta, BudgetPolicy, BudgeterConfig, EmulatedCluster, EmulatorConfig, JobSetup,
 };
 use anor_exec::ExecPool;
-use anor_telemetry::{FlightRecorder, Telemetry, Tracer};
+use anor_telemetry::FlightRecorder;
 use anor_types::stats::OnlineStats;
 use anor_types::{Result, Seconds, Watts};
 
@@ -67,26 +67,14 @@ pub struct Fig10Config {
     pub seed: u64,
     /// Tracking statistics exclude this initial fill-up window.
     pub warmup: Seconds,
-    /// Telemetry sink shared by the four policies' emulated runs
-    /// (in-memory by default; the `fig10` binary passes a
-    /// directory-backed sink for `--telemetry <dir>`).
-    pub telemetry: Telemetry,
-    /// Causal tracer shared by the four policies' runs (off by default;
-    /// the `--trace <dir>` path of the `fig10` binary).
-    pub tracer: Tracer,
-    /// Worker threads for the four policies' emulated runs (0 = resolve
-    /// from `ANOR_JOBS` / available parallelism). Each policy's run is
-    /// seeded independently and results aggregate in legend order, so
-    /// the output is identical for every value.
-    pub jobs: usize,
-    /// Optional chaos schedule injected into every policy's emulated
-    /// transport (the `--faults <spec>` path); forked per policy so the
-    /// four runs see identical, independent fault schedules.
-    pub faults: Option<FaultPlan>,
-    /// Optional flight-recording directory (the `--record <dir>` path):
-    /// each policy's budgeter records into `<dir>/fig10-<policy>.rec`
-    /// for `anor-replay`.
-    pub record: Option<std::path::PathBuf>,
+    /// The sinks, worker count, chaos plan and recording directory the
+    /// four policies' emulated runs share. The runs fan out over
+    /// `options.jobs` workers and aggregate in legend order, so the
+    /// output is identical for every value; a chaos plan is forked per
+    /// policy, so the four runs see identical, independent fault
+    /// schedules; with a recording directory, each policy's budgeter
+    /// records into `<dir>/fig10-<policy>.rec` for `anor-replay`.
+    pub options: HwRunOptions,
 }
 
 impl Default for Fig10Config {
@@ -98,11 +86,7 @@ impl Default for Fig10Config {
             reserve: Watts(900.0),
             seed: 10,
             warmup: Seconds(180.0),
-            telemetry: Telemetry::new(),
-            tracer: Tracer::off(),
-            jobs: 0,
-            faults: None,
-            record: None,
+            options: HwRunOptions::default(),
         }
     }
 }
@@ -162,17 +146,18 @@ fn run_policy(
         Fig10Policy::Misclassified => (BudgetPolicy::EvenSlowdown, false, true),
         Fig10Policy::Adjusted => (BudgetPolicy::EvenSlowdown, true, true),
     };
+    let opts = &cfg.options;
     let mut ecfg = EmulatorConfig::paper(budget_policy, feedback)
-        .with_telemetry(cfg.telemetry.clone())
-        .with_tracer(cfg.tracer.clone());
-    if let Some(plan) = &cfg.faults {
+        .with_telemetry(opts.telemetry.clone())
+        .with_tracer(opts.tracer.clone());
+    if let Some(plan) = &opts.faults {
         // Legend position as the fork salt: stable per policy, so the
         // four runs draw identical but independent schedules.
         let salt = Fig10Policy::all().iter().position(|p| *p == policy);
         ecfg = ecfg.with_faults(plan.fork(salt.unwrap_or(0) as u64 + 1));
     }
     ecfg.seed = cfg.seed;
-    if let Some(dir) = &cfg.record {
+    if let Some(dir) = &opts.record_dir {
         let bcfg = BudgeterConfig::new(budget_policy, feedback);
         let meta = recorder_meta(&bcfg, &ecfg.lease, cfg.seed);
         let path = dir.join(format!("fig10-{}.rec", policy.label().to_lowercase()));
@@ -248,8 +233,8 @@ pub fn run(cfg: &Fig10Config) -> Result<Fig10Output> {
     // The four policies replay the same schedule independently; fan them
     // out and aggregate in legend order.
     let policies = Fig10Policy::all();
-    let results = ExecPool::new(cfg.jobs)
-        .with_telemetry(&cfg.telemetry)
+    let results = ExecPool::new(cfg.options.jobs)
+        .with_telemetry(&cfg.options.telemetry)
         .map(&policies, |&policy| {
             run_policy(policy, cfg, &jobs, &type_names)
         });

@@ -53,8 +53,10 @@ pub struct HwBar {
     pub jobs: Vec<(String, f64, f64)>,
 }
 
-/// Optional knobs shared by every figure's emulated-cluster grid
-/// ([`run_configs`]). Callers set what they need and take the rest from
+/// Optional knobs shared by every emulated-hardware figure: the
+/// Figs. 6–8 grid ([`run_configs`]) and Fig. 10's four policies
+/// ([`Fig10Config::options`](super::fig10::Fig10Config::options)).
+/// Callers set what they need and take the rest from
 /// `..HwRunOptions::default()`.
 #[derive(Debug, Clone, Default)]
 pub struct HwRunOptions {

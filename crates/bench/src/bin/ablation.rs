@@ -3,10 +3,11 @@
 //! `model_retrain` row measures the *cost* of a retrain at the paper's
 //! setting).
 
-use anor_bench::header;
+use anor_bench::{args, header, or_exit};
 use anor_core::experiments::ablation;
 
 fn main() {
+    or_exit(args().finish());
     header(
         "Ablations",
         "Misclassification-recovery fraction vs modeler design knobs",

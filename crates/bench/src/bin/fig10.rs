@@ -3,31 +3,22 @@
 //! Characterized / Misclassified / Adjusted policies, plus the tracking
 //! error summary of Section 6.3.
 
-use anor_bench::{
-    chaos_summary, faults_from_args, finish_recording, finish_telemetry, finish_tracer, header,
-    jobs_from_args, record_dir_from_args, scaled, telemetry_from_args, tracer_from_args,
-};
+use anor_bench::{args, close_run, header, or_exit, run_options, scaled};
 use anor_core::experiments::fig10::{self, Fig10Config, Fig10Policy};
 use anor_types::Seconds;
 
 fn main() {
+    let args = args();
+    let cfg = Fig10Config {
+        horizon: scaled(Seconds(3600.0), Seconds(900.0)),
+        options: run_options(&args),
+        ..Fig10Config::default()
+    };
+    or_exit(args.finish());
     header(
         "Fig. 10",
         "Mean slowdown (%) per job type, 4 capping policies (95% CI)",
     );
-    let telemetry = telemetry_from_args();
-    let tracer = tracer_from_args();
-    let faults = faults_from_args();
-    let record = record_dir_from_args();
-    let cfg = Fig10Config {
-        horizon: scaled(Seconds(3600.0), Seconds(900.0)),
-        telemetry: telemetry.clone(),
-        tracer: tracer.clone(),
-        jobs: jobs_from_args(),
-        faults: faults.clone(),
-        record: record.clone(),
-        ..Fig10Config::default()
-    };
     let out = fig10::run(&cfg).expect("demand-response run failed");
     println!(
         "{:>14} {:>10} {:>12} {:>9} {:>6}",
@@ -56,10 +47,5 @@ fn main() {
             p90 * 100.0
         );
     }
-    if faults.is_some() {
-        chaos_summary(&telemetry);
-    }
-    finish_telemetry(&telemetry);
-    finish_tracer(&tracer);
-    finish_recording(&record);
+    close_run(&cfg.options);
 }

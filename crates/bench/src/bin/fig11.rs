@@ -1,27 +1,25 @@
 //! Regenerates Fig. 11: 90th-percentile QoS degradation vs per-node
 //! performance-variation level on the simulated 1000-node cluster.
 
-use anor_bench::{
-    finish_telemetry, finish_tracer, header, jobs_from_args, quick_mode, telemetry_from_args,
-    tracer_from_args,
-};
+use anor_bench::{args, header, jobs, or_exit, quick_mode, sinks};
 use anor_core::experiments::fig11::{self, Fig11Config};
 use anor_core::render::render_table;
-use anor_telemetry::TraceStage;
+use anor_telemetry::{close_sinks, TraceStage};
 
 fn main() {
-    header(
-        "Fig. 11",
-        "90th-percentile QoS degradation vs performance variation (1000 nodes)",
-    );
-    let telemetry = telemetry_from_args();
-    let tracer = tracer_from_args();
+    let args = args();
+    let (telemetry, tracer) = sinks(&args);
     let mut cfg = if quick_mode() {
         Fig11Config::quick()
     } else {
         Fig11Config::default()
     };
-    cfg.jobs = jobs_from_args();
+    cfg.jobs = jobs(&args);
+    or_exit(args.finish());
+    header(
+        "Fig. 11",
+        "90th-percentile QoS degradation vs performance variation (1000 nodes)",
+    );
     let out = fig11::run(&cfg).expect("simulation failed");
     println!(
         "{}",
@@ -68,6 +66,5 @@ fn main() {
             },
         );
     }
-    finish_telemetry(&telemetry);
-    finish_tracer(&tracer);
+    print!("{}", or_exit(close_sinks(&telemetry, &tracer)));
 }

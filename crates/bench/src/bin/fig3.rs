@@ -1,11 +1,12 @@
 //! Regenerates Fig. 3: execution time of each job type under varied
 //! power caps, relative to the 280 W time; σ over repeated runs.
 
-use anor_bench::{header, scaled};
+use anor_bench::{args, header, or_exit, scaled};
 use anor_core::experiments::fig3;
 use anor_core::render::render_table;
 
 fn main() {
+    or_exit(args().finish());
     header(
         "Fig. 3",
         "Relative execution time vs node power cap (error = σ over runs)",

@@ -2,21 +2,21 @@
 //! one instance under a range of shared power budgets, comparing the
 //! even-slowdown (ideal) and even-power-caps budgeters.
 
-use anor_bench::{
-    finish_telemetry, finish_tracer, header, jobs_from_args, telemetry_from_args, tracer_from_args,
-};
+use anor_bench::{args, header, jobs, or_exit, sinks};
 use anor_core::experiments::fig4;
 use anor_core::render::render_table;
-use anor_telemetry::TraceStage;
+use anor_telemetry::{close_sinks, TraceStage};
 
 fn main() {
+    let args = args();
+    let (telemetry, tracer) = sinks(&args);
+    let jobs = jobs(&args);
+    or_exit(args.finish());
     header(
         "Fig. 4",
         "Job slowdown (%) vs shared cluster budget, two budgeters",
     );
-    let telemetry = telemetry_from_args();
-    let tracer = tracer_from_args();
-    let out = fig4::run(jobs_from_args());
+    let out = fig4::run(jobs);
     println!(
         "{}",
         render_table(
@@ -72,6 +72,5 @@ fn main() {
             worst(&out.even_slowdown)
         );
     }
-    finish_telemetry(&telemetry);
-    finish_tracer(&tracer);
+    print!("{}", or_exit(close_sinks(&telemetry, &tracer)));
 }

@@ -2,11 +2,12 @@
 //! is misclassified, across under/over-prediction and small/large
 //! unknown-job quadrants.
 
-use anor_bench::header;
+use anor_bench::{args, header, or_exit};
 use anor_core::experiments::fig5;
 use anor_core::render::render_table;
 
 fn main() {
+    or_exit(args().finish());
     header(
         "Fig. 5",
         "Slowdown (%) vs cluster budget when FT is misclassified (4 quadrants)",

@@ -2,19 +2,19 @@
 //! power over an hour of job arrivals, plus the Section 6.3 tracking
 //! error summary.
 
-use anor_bench::{
-    finish_telemetry, finish_tracer, header, scaled, telemetry_from_args, tracer_from_args,
-};
+use anor_bench::{args, header, or_exit, scaled, sinks};
 use anor_core::experiments::fig9::{self, Fig9Config};
+use anor_telemetry::close_sinks;
 use anor_types::Seconds;
 
 fn main() {
+    let args = args();
+    let (telemetry, tracer) = sinks(&args);
+    or_exit(args.finish());
     header(
         "Fig. 9",
         "Power target vs measured power over a 1-hour schedule",
     );
-    let telemetry = telemetry_from_args();
-    let tracer = tracer_from_args();
     let cfg = Fig9Config {
         horizon: scaled(Seconds(3600.0), Seconds(600.0)),
         telemetry: telemetry.clone(),
@@ -46,6 +46,5 @@ fn main() {
         "          mean |measured-target|/target = {:.1}% (paper abstract: ~8%)",
         out.mean_relative_miss * 100.0
     );
-    finish_telemetry(&telemetry);
-    finish_tracer(&tracer);
+    print!("{}", or_exit(close_sinks(&telemetry, &tracer)));
 }

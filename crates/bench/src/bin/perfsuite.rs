@@ -66,6 +66,7 @@
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
 use anor_bench::analyze::{flag_regressions, newest_ledger, parse_bench_file, BenchRow};
+use anor_bench::{args, or_exit};
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter};
 use anor_cluster::{
     recorder_meta, replay, run_load, BudgetPolicy, EmulatedCluster, EmulatorConfig, FramedStream,
@@ -394,29 +395,21 @@ fn write_json(path: &str, results: &[BenchResult]) -> std::io::Result<()> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let args = args();
+    let quick = args.flag("quick");
     // Defaults: compare against the newest ledger in the working
     // directory and write the next one.
     let newest = std::fs::read_dir(".").map_or(0, |dir| {
         newest_ledger(dir.filter_map(|e| e.ok()?.file_name().into_string().ok()))
     });
     let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| format!("BENCH_PR{}.json", newest + 1));
+        .get("out")
+        .map_or_else(|| format!("BENCH_PR{}.json", newest + 1), String::from);
     let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| format!("BENCH_PR{newest}.json"));
-    let runs = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(if quick { 3 } else { 5 });
+        .get("baseline")
+        .map_or_else(|| format!("BENCH_PR{newest}.json"), String::from);
+    let runs: usize = or_exit(args.get_or("runs", if quick { 3 } else { 5 }));
+    or_exit(args.finish());
 
     anor_bench::header(
         "perfsuite",

@@ -11,7 +11,7 @@
 //! statistic with the tabular simulator.
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
-use anor_bench::{header, scaled};
+use anor_bench::{args, header, or_exit, scaled};
 use anor_platform::PerformanceVariation;
 use anor_policy::BudgetPolicy;
 use anor_sim::{SimConfig, TabularSim};
@@ -19,6 +19,7 @@ use anor_types::stats::percentile;
 use anor_types::{standard_catalog, Seconds, Watts};
 
 fn main() {
+    or_exit(args().finish());
     header(
         "Section 5.2",
         "Wait/execution ratio of a saturated synthetic month-long queue",

@@ -12,7 +12,7 @@
 //! budget, and show the short partner *hides* BT's slowdown — which is
 //! why the paper omits IS/EP from its final schedules.
 
-use anor_bench::header;
+use anor_bench::{args, header, or_exit};
 use anor_cluster::{BudgetPolicy, EmulatedCluster, EmulatorConfig, JobSetup};
 use anor_types::{Seconds, Watts};
 
@@ -39,6 +39,7 @@ fn bt_slowdown(partner_short: bool) -> f64 {
 }
 
 fn main() {
+    or_exit(args().finish());
     header(
         "Section 7.2",
         "Short setup-dominated jobs hide co-scheduled slowdown",

@@ -14,17 +14,24 @@
 //!
 //! Set `ANOR_QUICK=1` to shrink trial counts / horizons for smoke runs.
 //!
-//! The `*_from_args` helpers parse the flags the figure binaries share
-//! (`--telemetry`, `--trace`, `--jobs`, `--faults`, `--record`), and
-//! [`run_hw_figure`] is the whole `main` of the emulated-hardware
-//! figures (Figs. 6–8). The harness imports the
+//! Every binary parses its command line once ([`args`], the workspace's
+//! one parser, [`anor_types::Args`]), reads only the options it honours
+//! (the shared ones through [`sinks`], [`jobs`] and [`run_options`]) and
+//! then calls [`Args::finish`] through [`or_exit`], which refuses any
+//! other option: a malformed, unusable or unread option exits 2 with the
+//! error before the run starts. [`run_hw_figure`] is the whole `main` of the
+//! emulated-hardware figures (Figs. 6–8). The harness imports the
 //! workspace crates it uses directly; the root `anor` crate is the
 //! facade for everyone else.
 
 pub mod analyze;
 
+use anor_cluster::FaultPlan;
 use anor_core::experiments::hw::{HwBar, HwRunOptions};
 use anor_core::render::render_bars;
+use anor_telemetry::{close_sinks, open_sinks, Telemetry, Tracer};
+use anor_types::Args;
+use std::path::PathBuf;
 
 /// True when the `ANOR_QUICK` environment variable requests a scaled-down
 /// run.
@@ -51,111 +58,73 @@ pub fn header(figure: &str, summary: &str) {
     println!();
 }
 
-/// Parse a `--jobs N` command-line option for the experiment fan-out
-/// worker count. Returns 0 when absent or malformed, which lets
-/// [`anor_exec`] fall back to `ANOR_JOBS` and then the machine's
-/// available parallelism. Output is identical for every value — `--jobs`
-/// only changes wall-clock time.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            if let Some(n) = args.next() {
-                match n.parse::<usize>() {
-                    Ok(n) => return n,
-                    Err(_) => {
-                        eprintln!("--jobs {n}: not a number; using automatic worker count");
-                        return 0;
-                    }
-                }
-            }
-        }
-    }
-    0
+/// The process's command line, parsed once by the workspace's one
+/// parser; a malformed command line exits 2 with the error.
+pub fn args() -> Args {
+    or_exit(Args::from_env())
 }
 
-/// Build the run's [`Telemetry`](anor_telemetry::Telemetry) sink from a
-/// `--telemetry <dir>` command-line option: directory-backed when the
-/// option is present (events stream to `<dir>/events.jsonl`), in-memory
-/// otherwise. Unknown options are ignored so figure binaries stay
-/// permissive.
-pub fn telemetry_from_args() -> anor_telemetry::Telemetry {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--telemetry" {
-            if let Some(dir) = args.next() {
-                match anor_telemetry::Telemetry::to_dir(&dir) {
-                    Ok(t) => return t,
-                    Err(e) => {
-                        eprintln!("--telemetry {dir}: {e}; falling back to in-memory telemetry");
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    anor_telemetry::Telemetry::new()
+/// The value of a fallible read of the command line, or exit 2 with the
+/// error: a malformed or unusable option value ends the run instead of
+/// falling back to a default.
+pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
-/// Flush telemetry artifacts and, when directory-backed, print the
-/// end-of-run summary table and where the artifacts went.
-pub fn finish_telemetry(telemetry: &anor_telemetry::Telemetry) {
-    if let Some(dir) = telemetry.dir() {
-        let dir = dir.to_path_buf();
-        match telemetry.write_artifacts() {
-            Ok(summary) => {
-                println!();
-                println!("{summary}");
-                println!("telemetry artifacts written to {}", dir.display());
-            }
-            Err(e) => eprintln!("failed to write telemetry artifacts: {e}"),
-        }
+/// The run's telemetry and tracer from `--telemetry <dir>` and
+/// `--trace <dir>` ([`anor_telemetry::open_sinks`]): directory-backed
+/// when given, in-memory and off otherwise.
+pub fn sinks(args: &Args) -> (Telemetry, Tracer) {
+    or_exit(open_sinks(args.get("telemetry"), args.get("trace")))
+}
+
+/// The experiment fan-out's worker count from `--jobs N`; 0 when absent,
+/// which lets [`anor_exec`] fall back to `ANOR_JOBS` and then the
+/// machine's available parallelism. Output is identical for every value
+/// — `--jobs` only changes wall-clock time.
+pub fn jobs(args: &Args) -> usize {
+    or_exit(args.get_or("jobs", 0))
+}
+
+/// The five options of the emulated-hardware figures (Figs. 6–8 and 10)
+/// as one [`HwRunOptions`]: the [`sinks`], the [`jobs`] count, the
+/// `--faults` chaos plan ([`FaultPlan::from_args`]) and the `--record`
+/// directory, created here so a typo'd path fails the run before hours
+/// of emulation.
+pub fn run_options(args: &Args) -> HwRunOptions {
+    let (telemetry, tracer) = sinks(args);
+    let record_dir = args.get("record").map(PathBuf::from);
+    if let Some(dir) = &record_dir {
+        or_exit(
+            std::fs::create_dir_all(dir).map_err(|e| format!("--record {}: {e}", dir.display())),
+        );
+    }
+    HwRunOptions {
+        telemetry,
+        tracer,
+        jobs: jobs(args),
+        faults: or_exit(FaultPlan::from_args(args)),
+        record_dir,
     }
 }
 
-/// Build a chaos [`FaultPlan`](anor_cluster::FaultPlan) from a
-/// `--faults <spec>` command-line option (e.g.
-/// `--faults drop@17,corrupt@42,delay@5:3`), seeded from an optional
-/// `--fault-seed N`. Returns `None` when absent; a malformed spec is an
-/// operator error and aborts the run rather than silently running
-/// fault-free.
-pub fn faults_from_args() -> Option<anor_cluster::FaultPlan> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let spec = {
-        let mut it = argv.iter();
-        let mut found = None;
-        while let Some(arg) = it.next() {
-            if arg == "--faults" {
-                found = it.next();
-                break;
-            }
-        }
-        found?
-    };
-    let seed = {
-        let mut it = argv.iter();
-        let mut seed = 0x5eed_u64;
-        while let Some(arg) = it.next() {
-            if arg == "--fault-seed" {
-                if let Some(s) = it.next() {
-                    match s.parse() {
-                        Ok(n) => seed = n,
-                        Err(_) => {
-                            eprintln!("--fault-seed {s}: not a number");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-            }
-        }
-        seed
-    };
-    match anor_cluster::FaultPlan::parse(spec) {
-        Ok(plan) => Some(plan.seeded(seed)),
-        Err(e) => {
-            eprintln!("--faults {spec}: {e}");
-            std::process::exit(2);
-        }
+/// Close an emulated-hardware run: the chaos summary when a fault plan
+/// was active, then the sinks, then where the flight recordings went and
+/// how to verify them.
+pub fn close_run(opts: &HwRunOptions) {
+    if opts.faults.is_some() {
+        chaos_summary(&opts.telemetry);
+    }
+    print!("{}", or_exit(close_sinks(&opts.telemetry, &opts.tracer)));
+    if let Some(dir) = &opts.record_dir {
+        println!();
+        println!(
+            "flight recordings written to {}; verify with: anor-replay --rec <file> --verify",
+            dir.display()
+        );
     }
 }
 
@@ -163,7 +132,7 @@ pub fn faults_from_args() -> Option<anor_cluster::FaultPlan> {
 /// fault plan was active): session reconnects, injected faults, expired
 /// leases and currently reclaimed watts, all read from the shared
 /// telemetry handle.
-pub fn chaos_summary(telemetry: &anor_telemetry::Telemetry) {
+fn chaos_summary(telemetry: &Telemetry) {
     let reconnects = telemetry
         .counter("endpoint_session_reconnects_total", &[])
         .get();
@@ -181,84 +150,10 @@ pub fn chaos_summary(telemetry: &anor_telemetry::Telemetry) {
     );
 }
 
-/// Parse a `--record <dir>` command-line option for budgeter flight
-/// recording. Creates the directory eagerly so a typo'd path fails the
-/// run before hours of emulation; returns `None` when the option is
-/// absent. The figure runners write one `.rec` per emulated cell,
-/// replayable with `anor-replay --verify`.
-pub fn record_dir_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--record" {
-            if let Some(dir) = args.next() {
-                let dir = std::path::PathBuf::from(dir);
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--record {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                return Some(dir);
-            }
-        }
-    }
-    None
-}
-
-/// Print where a `--record` run's flight recordings went and how to
-/// verify them.
-pub fn finish_recording(record_dir: &Option<std::path::PathBuf>) {
-    if let Some(dir) = record_dir {
-        println!();
-        println!(
-            "flight recordings written to {}; verify with: anor-replay --rec <file> --verify",
-            dir.display()
-        );
-    }
-}
-
-/// Build the run's causal [`Tracer`](anor_telemetry::Tracer) from a
-/// `--trace <dir>` command-line option: directory-backed when present
-/// (events stream to `<dir>/trace.jsonl`, flight-recorder postmortems
-/// land beside it), off otherwise. Unknown options are ignored so
-/// figure binaries stay permissive.
-pub fn tracer_from_args() -> anor_telemetry::Tracer {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            if let Some(dir) = args.next() {
-                match anor_telemetry::Tracer::to_dir(&dir) {
-                    Ok(t) => return t,
-                    Err(e) => {
-                        eprintln!("--trace {dir}: {e}; tracing disabled");
-                        return anor_telemetry::Tracer::off();
-                    }
-                }
-            }
-        }
-    }
-    anor_telemetry::Tracer::off()
-}
-
-/// Flush the tracer and print where the trace went and how to analyze it.
-pub fn finish_tracer(tracer: &anor_telemetry::Tracer) {
-    if let Err(e) = tracer.flush() {
-        eprintln!("failed to flush trace sink: {e}");
-    }
-    if let Some(dir) = tracer.dir() {
-        println!();
-        println!(
-            "trace written to {} ({} event(s)); analyze with: anor-trace {}",
-            dir.join("trace.jsonl").display(),
-            tracer.recorded(),
-            dir.display()
-        );
-    }
-}
-
 /// The whole `main` of the emulated-hardware figure binaries (Figs. 6–8):
-/// print the header, parse the five shared flags (`--telemetry`,
-/// `--trace`, `--faults`, `--record`, `--jobs`) into one
-/// [`HwRunOptions`], run the figure for `trials` trials from `seed`,
-/// render each bar and the paper `anchors`, then close the sinks.
+/// read the five shared options into one [`HwRunOptions`], print the
+/// header, run the figure for `trials` trials from `seed`, render each
+/// bar and the paper `anchors`, then close the run ([`close_run`]).
 pub fn run_hw_figure(
     figure: &str,
     summary: &str,
@@ -267,25 +162,16 @@ pub fn run_hw_figure(
     seed: u64,
     anchors: &str,
 ) {
+    let args = args();
+    let opts = run_options(&args);
+    or_exit(args.finish());
     header(figure, summary);
-    let opts = HwRunOptions {
-        telemetry: telemetry_from_args(),
-        tracer: tracer_from_args(),
-        faults: faults_from_args(),
-        record_dir: record_dir_from_args(),
-        jobs: jobs_from_args(),
-    };
     let bars = run(trials, seed, &opts).expect("emulated run failed");
     for bar in &bars {
         println!("{}", render_bars(&bar.label, &bar.jobs));
     }
     println!("{anchors}");
-    if opts.faults.is_some() {
-        chaos_summary(&opts.telemetry);
-    }
-    finish_telemetry(&opts.telemetry);
-    finish_tracer(&opts.tracer);
-    finish_recording(&opts.record_dir);
+    close_run(&opts);
 }
 
 #[cfg(test)]

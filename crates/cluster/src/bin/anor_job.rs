@@ -23,12 +23,12 @@
 //! samples/models, session transitions) is flight-recorded to
 //! `<dir>/job-<id>.rec` for inspection with `anor-replay`.
 
-use anor_cluster::{Args, JobEndpoint};
+use anor_cluster::{FaultPlan, JobEndpoint};
 use anor_geopm::JobRuntime;
 use anor_model::{ModelerConfig, PowerModeler};
 use anor_platform::Node;
-use anor_telemetry::{FlightRecorder, RecordingMeta, Telemetry, Tracer};
-use anor_types::{standard_catalog, JobId, NodeId, Seconds};
+use anor_telemetry::{close_sinks, open_sinks, FlightRecorder, RecordingMeta};
+use anor_types::{standard_catalog, Args, JobId, NodeId, Seconds};
 use std::time::Duration;
 
 fn main() {
@@ -57,10 +57,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let nodes_wanted: u32 = args.get_or("nodes", spec.nodes)?;
     let believed = catalog.find(&announced).unwrap_or(&spec).clone();
 
-    let telemetry = match args.get("telemetry") {
-        Some(dir) => Telemetry::to_dir(dir)?,
-        None => Telemetry::new(),
-    };
+    let (telemetry, tracer) = open_sinks(args.get("telemetry"), args.get("trace"))?;
     let nodes: Vec<Node> = (0..nodes_wanted).map(|i| Node::paper(NodeId(i))).collect();
     let (mut runtime, modeler_side) = JobRuntime::launch(job, spec.clone(), nodes, seed)?;
     runtime.attach_telemetry(&telemetry);
@@ -70,10 +67,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut modeler = PowerModeler::with_precharacterized(mcfg, believed.epoch_curve());
     modeler.attach_telemetry(&telemetry);
-    let tracer = match args.get("trace") {
-        Some(dir) => Tracer::to_dir(dir)?,
-        None => Tracer::off(),
-    };
     let mut builder = JobEndpoint::builder(
         connect.into(),
         job,
@@ -84,7 +77,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     )
     .telemetry(telemetry.clone())
     .tracer(&tracer);
-    if let Some(plan) = args.fault_plan()? {
+    if let Some(plan) = FaultPlan::from_args(&args)? {
         builder = builder.faults(plan);
     }
     // --record <dir>: flight-record the endpoint's wire traffic into
@@ -103,6 +96,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         recorder = FlightRecorder::create(path, meta)?;
         builder = builder.recorder(recorder.clone());
     }
+    args.finish()?;
     let mut endpoint = builder.connect()?;
     runtime.attach_tracer(&tracer);
 
@@ -127,17 +121,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
     endpoint.finish(runtime.elapsed())?;
     print!("{}", runtime.report().render());
-    if telemetry.dir().is_some() {
-        let summary = telemetry.write_artifacts()?;
-        println!("{summary}");
-    }
-    tracer.flush()?;
-    if let Some(dir) = tracer.dir() {
-        println!(
-            "anor-job: trace written to {}",
-            dir.join("trace.jsonl").display()
-        );
-    }
+    print!("{}", close_sinks(&telemetry, &tracer)?);
     recorder.flush()?;
     if let Some(path) = recorder.path() {
         println!(

@@ -22,8 +22,8 @@
 //! session, or the auditor flags a violation — so CI can gate on it.
 
 use anor_cluster::transport::{TransportKind, TransportOptions};
-use anor_cluster::{run_load, Args, LoadConfig};
-use anor_types::Watts;
+use anor_cluster::{run_load, FaultPlan, LoadConfig};
+use anor_types::{Args, Watts};
 
 fn main() {
     if let Err(e) = run() {
@@ -38,16 +38,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = LoadConfig {
         endpoints: args.get_or("endpoints", 64)?,
         storms: args.get_or("storms", 1)?,
-        faults: args.fault_plan()?,
+        faults: FaultPlan::from_args(&args)?,
         budget: Watts(args.get_or("budget", 0.0)?),
         policy: args.get("policy").unwrap_or("uniform").parse()?,
         transport: TransportOptions {
             kind,
-            shards: args.get_or("shards", 2)?,
+            shards: match kind {
+                TransportKind::Reactor => args.get_or("shards", 2)?,
+                TransportKind::Blocking => 1,
+            },
         },
         drivers: args.get_or("drivers", 2)?,
         ..LoadConfig::default()
     };
+    args.finish()?;
     let report = run_load(&cfg)?;
     println!("{report}");
     if !report.ok() {

@@ -18,8 +18,9 @@
 //! Exit status: 0 on success; 1 when `--verify` finds a divergence or any
 //! invariant violation, or when `--diff` finds the recordings diverging.
 
-use anor_cluster::{diff_recordings, replay, Args, ReplayOptions};
+use anor_cluster::{diff_recordings, replay, ReplayOptions};
 use anor_telemetry::read_recording;
+use anor_types::Args;
 use std::path::PathBuf;
 
 fn main() {
@@ -79,6 +80,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
     }
 
     if let Some(other) = args.get("diff") {
+        args.finish()?;
         let other_path = resolve_recording(other)?;
         let second = read_recording(&other_path)?;
         let d = diff_recordings(&rec, &second);
@@ -115,6 +117,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
             None => None,
         },
     };
+    args.finish()?;
     let out = replay(&rec, &opts)?;
     println!(
         "anor-replay: replayed {} pump(s), {} decision(s) {}, {} invariant violation(s), \

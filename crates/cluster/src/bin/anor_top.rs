@@ -20,9 +20,9 @@
 //! screen under a "disconnected, retrying" banner until the daemon
 //! answers again.
 
-use anor_cluster::Args;
 use anor_telemetry::json::{self, Json};
 use anor_telemetry::ops::http_get;
+use anor_types::Args;
 use std::time::Duration;
 
 fn main() {
@@ -38,6 +38,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let timeout = Duration::from_millis(args.get_or("timeout-ms", 2000)?);
 
     if let Some(path) = args.get("fetch") {
+        args.finish()?;
         let (code, body) = http_get(&addr, path, timeout)?;
         print!("{body}");
         if code != 200 || body.is_empty() {
@@ -48,6 +49,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let interval = Duration::from_millis(args.get_or("interval-ms", 1000)?);
     let iterations: u64 = args.get_or("iterations", 0)?;
+    args.finish()?;
     let mut done = 0u64;
     // The last successfully rendered frame: when the endpoint drops
     // mid-poll the dashboard keeps showing it under a "disconnected"

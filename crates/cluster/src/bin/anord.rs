@@ -39,10 +39,10 @@
 //! per job.
 
 use anor_cluster::budgeter::{BudgeterConfig, ClusterBudgeter, LeaseConfig};
-use anor_cluster::{Args, BudgetPolicy, StatusBoard, TransportKind};
+use anor_cluster::{BudgetPolicy, FaultPlan, StatusBoard, TransportKind};
 use anor_telemetry::ops::{OpsServer, StatusProvider};
-use anor_telemetry::{FlightRecorder, Telemetry, Tracer};
-use anor_types::{Seconds, Watts};
+use anor_telemetry::{close_sinks, open_sinks, FlightRecorder};
+use anor_types::{Args, Seconds, Watts};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,8 +62,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let tick_ms: u64 = args.get_or("tick-ms", 10)?;
     let expect_jobs: usize = args.get_or("expect-jobs", 0)?;
     let duration_secs: f64 = args.get_or("duration-secs", 0.0)?;
-    // Power objective: a constant budget or a targets file ladder.
-    let budget: f64 = args.get_or("budget", 0.0)?;
+    // Power objective: a targets file ladder, or else a constant budget.
     let targets: Vec<(Seconds, Watts)> = match args.get("targets") {
         Some(path) => {
             let file = std::fs::File::open(path)?;
@@ -71,23 +70,24 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         None => Vec::new(),
     };
+    let budget: f64 = if targets.is_empty() {
+        args.get_or("budget", 0.0)?
+    } else {
+        0.0
+    };
     if budget <= 0.0 && targets.is_empty() {
         return Err("need --budget WATTS or --targets FILE".into());
     }
 
-    let telemetry = match args.get("telemetry") {
-        Some(dir) => Telemetry::to_dir(dir)?,
-        None => Telemetry::new(),
-    };
-    let tracer = match args.get("trace") {
-        Some(dir) => Tracer::to_dir(dir)?,
-        None => Tracer::off(),
-    };
+    let (telemetry, tracer) = open_sinks(args.get("telemetry"), args.get("trace"))?;
     // Connection plane: --transport reactor --shards N runs the sharded
     // reactor for high endpoint fan-in; the default blocking plane polls
     // sockets inline on the pump thread.
     let transport: TransportKind = args.get("transport").unwrap_or("blocking").parse()?;
-    let shards: usize = args.get_or("shards", 2)?;
+    let shards: usize = match transport {
+        TransportKind::Reactor => args.get_or("shards", 2)?,
+        TransportKind::Blocking => 1,
+    };
     let cfg = BudgeterConfig::new(policy, feedback);
     let mut builder = ClusterBudgeter::builder(cfg.clone())
         .addr(listen)
@@ -95,7 +95,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .transport(transport)
         .shards(shards)
         .tracer(&tracer);
-    if let Some(plan) = args.fault_plan()? {
+    if let Some(plan) = FaultPlan::from_args(&args)? {
         builder = builder.faults(plan);
     }
     // --record <dir>: flight-record every inbound frame and emitted
@@ -110,8 +110,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // The live ops plane: --status-addr starts the introspection endpoint
     // (`/metrics`, `/health`, `/status`) and has the budgeter publish a
     // status snapshot each control pass.
+    let status_addr = args.get("status-addr");
+    args.finish()?;
     let mut ops = None;
-    if let Some(status_addr) = args.get("status-addr") {
+    if let Some(status_addr) = status_addr {
         let board = StatusBoard::new();
         builder = builder.status(board.clone());
         let provider: StatusProvider = Arc::new(move || board.render_json());
@@ -155,17 +157,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         std::thread::sleep(Duration::from_millis(tick_ms));
     }
-    if telemetry.dir().is_some() {
-        let summary = telemetry.write_artifacts()?;
-        println!("{summary}");
-    }
-    tracer.flush()?;
-    if let Some(dir) = tracer.dir() {
-        println!(
-            "anord: trace written to {}",
-            dir.join("trace.jsonl").display()
-        );
-    }
+    print!("{}", close_sinks(&telemetry, &tracer)?);
     recorder.flush()?;
     if let Some(path) = recorder.path() {
         println!(

@@ -44,9 +44,14 @@
 //!   byte-identical decision streams; replay's plane serves a recording;
 //! * [`load`] — the `anor-load` synthetic-endpoint harness: N endpoints
 //!   × reconnect storms × fault specs against a live budgeter.
+//!
+//! The crate's five binaries (`anord`, `anor-job`, `anor-load`,
+//! `anor-replay`, `anor-top`) parse their command lines with
+//! [`anor_types::Args`], read `--faults`/`--fault-seed` through
+//! [`FaultPlan::from_args`], and refuse any option they did not read
+//! before they bind, connect or replay.
 
 pub mod budgeter;
-pub mod cli;
 pub mod codec;
 pub mod emulator;
 pub mod endpoint;
@@ -57,7 +62,6 @@ pub mod status;
 pub mod transport;
 
 pub use budgeter::{BudgetPolicy, BudgeterBuilder, BudgeterConfig, ClusterBudgeter, LeaseConfig};
-pub use cli::Args;
 pub use codec::{FramedStream, StreamOptions, TransportMetrics};
 pub use emulator::{EmulatedCluster, EmulatorConfig, JobResult, JobSetup, RunReport};
 pub use endpoint::{EndpointBuilder, JobEndpoint};

@@ -23,7 +23,7 @@
 //!   counting across reconnects and every scheduled fault fires exactly
 //!   once.
 
-use anor_types::{AnorError, Result, Seconds};
+use anor_types::{AnorError, Args, Result, Seconds};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -286,6 +286,19 @@ impl FaultPlan {
             specs.push(FaultSpec { at, kind });
         }
         Ok(FaultPlan::new(specs))
+    }
+
+    /// The `--faults <spec>` chaos schedule, if given — e.g.
+    /// `drop@17,corrupt@42,delay@5:3` — with its corruption seed taken
+    /// from `--fault-seed` (default `0x5eed`), which is read only when
+    /// `--faults` is given. Shared by every binary that can run under
+    /// injected transport faults.
+    pub fn from_args(args: &Args) -> Result<Option<Self>> {
+        let Some(spec) = args.get("faults") else {
+            return Ok(None);
+        };
+        let seed: u64 = args.get_or("fault-seed", 0x5eed)?;
+        Ok(Some(FaultPlan::parse(spec)?.seeded(seed)))
     }
 
     /// Replace the corruption seed (builder-style).

@@ -101,7 +101,6 @@ impl Default for Config {
             "crates/telemetry/src/trace.rs",
         ];
         let extended = [
-            "crates/cluster/src/cli.rs",
             "crates/cluster/src/emulator.rs",
             "crates/model/src/fit.rs",
             "crates/model/src/window.rs",
@@ -109,6 +108,7 @@ impl Default for Config {
             "crates/types/src/qos.rs",
             "crates/types/src/msg.rs",
             "crates/types/src/catalog.rs",
+            "crates/types/src/cli.rs",
         ];
         Config {
             strict_panic_files: strict.iter().map(|s| s.to_string()).collect(),

@@ -25,12 +25,11 @@
 //! (`0` disables retention entirely).
 
 use anor_aqa::{poisson_schedule, PowerTarget, RegulationSignal};
-use anor_cluster::Args;
 use anor_platform::PerformanceVariation;
 use anor_policy::BudgetPolicy;
 use anor_sim::{dump_tables, write_history_csv, SimConfig, TabularSim};
-use anor_telemetry::{Telemetry, Tracer};
-use anor_types::{AnorError, QosDegradation, Seconds, Watts};
+use anor_telemetry::{close_sinks, open_sinks};
+use anor_types::{AnorError, Args, QosDegradation, Seconds, Watts};
 use std::io::Write;
 
 fn main() {
@@ -112,14 +111,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
     let variation =
         PerformanceVariation::with_level_percent(nodes as usize, variation_pct, seed ^ 0xfe);
-    let telemetry = match args.get("telemetry") {
-        Some(dir) => Telemetry::to_dir(dir)?,
-        None => Telemetry::new(),
-    };
-    let tracer = match args.get("trace") {
-        Some(dir) => Tracer::to_dir(dir)?,
-        None => Tracer::off(),
-    };
+    let (telemetry, tracer) = open_sinks(args.get("telemetry"), args.get("trace"))?;
     let mut sim = TabularSim::new(cfg.clone(), target, &variation, schedule, None);
     sim.attach_telemetry(&telemetry);
     sim.attach_tracer(&tracer);
@@ -128,12 +120,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         None => sim.record_history(true),
     }
 
-    let tables_path = args.get("tables").map(String::from);
-    let mut tables_out: Option<std::io::BufWriter<std::fs::File>> = match &tables_path {
+    let tables_path = args.get("tables");
+    let dump_every: u64 = match tables_path {
+        Some(_) => option(&args, "tables-every", 60, "at least 1", |k| k >= 1)?,
+        None => 60,
+    };
+    let history_path = args.get("history");
+    args.finish()?;
+    let mut tables_out: Option<std::io::BufWriter<std::fs::File>> = match tables_path {
         Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p)?)),
         None => None,
     };
-    let dump_every: u64 = option(&args, "tables-every", 60, "at least 1", |k| k >= 1)?;
 
     eprintln!(
         "anorsim: {nodes} nodes, util {utilization}, policy {}, bid {avg:.0} ± {reserve:.0}",
@@ -164,7 +161,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(mut out) = tables_out {
         out.flush()?;
     }
-    if let Some(path) = args.get("history") {
+    if let Some(path) = history_path {
         let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
         write_history_csv(&mut f, sim.history())?;
         f.flush()?;
@@ -203,17 +200,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         cfg.qos.limit,
         cfg.qos.probability * 100.0
     );
-    if telemetry.dir().is_some() {
-        let summary = telemetry.write_artifacts()?;
-        println!("{summary}");
-    }
-    tracer.flush()?;
-    if let Some(dir) = tracer.dir() {
-        println!(
-            "anorsim: trace written to {}",
-            dir.join("trace.jsonl").display()
-        );
-    }
+    print!("{}", close_sinks(&telemetry, &tracer)?);
     Ok(())
 }
 

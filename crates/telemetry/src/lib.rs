@@ -66,6 +66,53 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Open a run's two sinks: [`Telemetry::to_dir`] and [`Tracer::to_dir`]
+/// where a directory is given (the `--telemetry` and `--trace` options),
+/// in-memory telemetry and an off tracer otherwise. The error names the
+/// directory that could not be opened.
+pub fn open_sinks(
+    telemetry_dir: Option<&str>,
+    trace_dir: Option<&str>,
+) -> std::io::Result<(Telemetry, Tracer)> {
+    let named = |e: std::io::Error, what: &str, dir: &str| {
+        std::io::Error::new(e.kind(), format!("{what} directory {dir}: {e}"))
+    };
+    let telemetry = match telemetry_dir {
+        Some(dir) => Telemetry::to_dir(dir).map_err(|e| named(e, "telemetry", dir))?,
+        None => Telemetry::new(),
+    };
+    let tracer = match trace_dir {
+        Some(dir) => Tracer::to_dir(dir).map_err(|e| named(e, "trace", dir))?,
+        None => Tracer::off(),
+    };
+    Ok((telemetry, tracer))
+}
+
+/// Close the sinks [`open_sinks`] opened: write the telemetry artifacts
+/// and flush the trace. Returns the closing lines to print: the summary
+/// table and where the artifacts went, and where the trace went and how
+/// to analyze it; empty for in-memory telemetry and an off tracer.
+pub fn close_sinks(telemetry: &Telemetry, tracer: &Tracer) -> std::io::Result<String> {
+    let mut out = String::new();
+    if let Some(dir) = telemetry.dir() {
+        let summary = telemetry.write_artifacts()?;
+        out += &format!(
+            "\n{summary}\ntelemetry artifacts written to {}\n",
+            dir.display()
+        );
+    }
+    tracer.flush()?;
+    if let Some(dir) = tracer.dir() {
+        out += &format!(
+            "\ntrace written to {} ({} event(s)); analyze with: anor-trace {}\n",
+            dir.join("trace.jsonl").display(),
+            tracer.recorded(),
+            dir.display()
+        );
+    }
+    Ok(out)
+}
+
 #[derive(Debug)]
 struct Inner {
     registry: Registry,

@@ -19,9 +19,12 @@
 //!   Box–Muller normal and Poisson-process sampling) so the workspace does
 //!   not need `rand_distr`;
 //! * [`msg`] — the cluster-tier ↔ job-tier wire protocol message types;
-//! * [`error`] — the shared error enum.
+//! * [`error`] — the shared error enum;
+//! * [`cli`] — [`Args`], the one command-line parser every binary uses;
+//!   it refuses any option the binary did not read ([`Args::finish`]).
 
 pub mod catalog;
+pub mod cli;
 pub mod curve;
 pub mod error;
 pub mod ids;
@@ -32,6 +35,7 @@ pub mod stats;
 pub mod units;
 
 pub use catalog::{standard_catalog, Catalog};
+pub use cli::Args;
 pub use curve::{CapRange, PowerCurve};
 pub use error::AnorError;
 pub use ids::{JobId, NodeId, PackageId};
