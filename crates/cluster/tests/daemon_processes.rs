@@ -133,6 +133,32 @@ fn daemon_rejects_bad_configuration() {
 }
 
 #[test]
+fn daemons_refuse_options_they_do_not_read() {
+    let anord = [
+        "--listen",
+        "127.0.0.1:0",
+        "--budget",
+        "400",
+        "--duration-secs",
+        "0.3",
+        "--queue-depth",
+        "8",
+    ];
+    let job = ["--connect", "127.0.0.1:1", "--type", "is.D.32", "--bogus"];
+    for (bin, args, unread) in [
+        (env!("CARGO_BIN_EXE_anord"), &anord[..], "--queue-depth"),
+        (env!("CARGO_BIN_EXE_anor-job"), &job[..], "--bogus"),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("run daemon");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bin} accepted {args:?}");
+        assert!(err.contains(unread), "{bin}: {err}");
+        // Refused before it bound or connected anything.
+        assert!(out.stdout.is_empty(), "{bin} started: {out:?}");
+    }
+}
+
+#[test]
 fn job_rejects_unknown_type() {
     let out = Command::new(env!("CARGO_BIN_EXE_anor-job"))
         .args([

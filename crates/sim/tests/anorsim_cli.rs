@@ -86,10 +86,15 @@ fn anorsim_rejects_out_of_range_numbers_as_config_errors() {
         ("--reserve-watts", "-100"),
         ("--tables-every", "0"),
         ("--history-cap", "x"),
+        ("--histroy", "x.csv"),  // misspelt: refused, not ignored
+        ("--history", "--seed"), // the path is missing
     ] {
         // A small, short run, so a value that slipped through would
-        // still finish quickly and fail the assertions below.
+        // still finish quickly and fail the assertions below. Every
+        // refusal comes before the run writes anything.
+        let tables = std::env::temp_dir().join(format!("anorsim-refused-{}", std::process::id()));
         let mut args = vec!["--nodes", "40", "--horizon-secs", "60"];
+        args.extend(["--tables", tables.to_str().unwrap()]);
         match args.iter().position(|a| *a == opt) {
             Some(i) => args[i + 1] = value,
             None => args.extend([opt, value]),
@@ -101,6 +106,8 @@ fn anorsim_rejects_out_of_range_numbers_as_config_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{opt} {value}: {stderr}");
         assert!(stderr.contains("config error"), "{opt} {value}: {stderr}");
+        assert!(stderr.contains(opt), "{opt} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{opt} {value}: {stderr}");
+        assert!(!tables.exists(), "{opt} {value}: the run started");
     }
 }
