@@ -115,9 +115,14 @@ struct HistogramCore {
 }
 
 impl Histogram {
-    /// Default latency buckets: ~1 µs to ~30 s, four per decade.
+    /// Default latency buckets: 1 ns to ~30 s, four per decade. The
+    /// twelve edges below 1 µs give sub-microsecond series (most pump
+    /// phases, a GEOPM step) quantiles of their own; the edges from 1 µs
+    /// up are computed as they always were, so their bits do not move.
     pub fn default_bounds() -> Vec<f64> {
-        let mut bounds = Vec::with_capacity(32);
+        let mut bounds: Vec<f64> = (0..12)
+            .map(|k| 1e-9 * 10f64.powf(0.25 * k as f64))
+            .collect();
         let mut edge = 1e-6;
         while edge < 40.0 {
             bounds.push(edge);
@@ -526,6 +531,20 @@ mod tests {
             h.quantile(0.9)
         );
         assert!((h.quantile(0.99) - 0.99).abs() < 0.02);
+    }
+
+    #[test]
+    fn sub_microsecond_series_read_their_own_quantiles() {
+        let r = Registry::new();
+        let h = r.histogram("phase", &[]);
+        for _ in 0..990 {
+            h.observe(200e-9);
+        }
+        for _ in 0..10 {
+            h.observe(50e-6);
+        }
+        let p50 = h.quantile(0.5);
+        assert!((100e-9..=300e-9).contains(&p50), "p50 {p50}");
     }
 
     #[test]
