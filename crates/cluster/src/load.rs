@@ -120,7 +120,8 @@ pub struct LoadReport {
     pub invariant_violations: u64,
     /// Σ cap × nodes over lease holders at the end of the run.
     pub allocated_watts: f64,
-    /// The busy budget the run distributed.
+    /// The busy budget the run's last pass distributed: the configured
+    /// budget, or 5% above it when the run ended inside a wobble.
     pub budget_watts: f64,
     /// Wall-clock for the whole gated run.
     pub elapsed_s: f64,
@@ -131,6 +132,37 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// The report of a run on `b`: the budgeter's counters and its final
+    /// status snapshot, whose budget and allocation are the last pass's.
+    fn of(
+        b: &ClusterBudgeter,
+        cfg: &LoadConfig,
+        reconnects: u64,
+        elapsed_s: f64,
+        stalled_stages: Vec<String>,
+    ) -> LoadReport {
+        let pump_h = b.telemetry().histogram("budgeter_pump_seconds", &[]);
+        let snapshot = b.status_snapshot();
+        LoadReport {
+            endpoints: cfg.endpoints,
+            storms: cfg.storms,
+            connected: b.active_jobs(),
+            accepted: snapshot.accepted,
+            reconnects,
+            endpoints_per_sec: (cfg.endpoints as u64 + reconnects) as f64 / elapsed_s,
+            pump_p50_ms: pump_h.quantile(0.5) * 1e3,
+            pump_p99_ms: pump_h.quantile(0.99) * 1e3,
+            phases: snapshot.phases,
+            backpressure_drops: b.backpressure_drops(),
+            invariant_violations: b.invariant_violations(),
+            allocated_watts: snapshot.allocated_watts,
+            budget_watts: snapshot.budget,
+            elapsed_s,
+            pumps: b.pump_count(),
+            stalled_stages,
+        }
+    }
+
     /// Did the run hold the line: every stage completed, every endpoint
     /// connected at the end, zero invariant violations?
     pub fn ok(&self) -> bool {
@@ -196,6 +228,19 @@ struct Endpoint {
 }
 
 impl Endpoint {
+    /// The `i`-th (0-based) synthetic endpoint, not yet connected.
+    fn new(i: usize) -> Endpoint {
+        Endpoint {
+            job: JobId(i as u64 + 1),
+            type_name: TYPE_NAMES[i % TYPE_NAMES.len()],
+            stream: None,
+            registered: false,
+            last_cap: Watts(-1.0),
+            sweeps: 0,
+            samples_sent: 0,
+        }
+    }
+
     /// (Re)establish the connection: `Hello` on first contact, `Resume`
     /// (carrying the believed cap) afterwards. Connect failures are left
     /// for the next sweep — under a storm the listener backlog may need
@@ -385,15 +430,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
     for d in 0..drivers {
         let endpoints: Vec<Endpoint> = (0..cfg.endpoints)
             .filter(|i| i % drivers == d)
-            .map(|i| Endpoint {
-                job: JobId(i as u64 + 1),
-                type_name: TYPE_NAMES[i % TYPE_NAMES.len()],
-                stream: None,
-                registered: false,
-                last_cap: Watts(-1.0),
-                sweeps: 0,
-                samples_sent: 0,
-            })
+            .map(Endpoint::new)
             .collect();
         let ctl = Arc::clone(&ctl);
         let metrics = client_metrics.clone();
@@ -444,27 +481,8 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
     for t in threads {
         let _ = t.join();
     }
-    let pump_h = telemetry.histogram("budgeter_pump_seconds", &[]);
-    let snapshot = b.status_snapshot();
     let reconnects = ctl.reconnects.load(Ordering::SeqCst);
-    Ok(LoadReport {
-        endpoints: cfg.endpoints,
-        storms: cfg.storms,
-        connected: b.active_jobs(),
-        accepted: snapshot.accepted,
-        reconnects,
-        endpoints_per_sec: (cfg.endpoints as u64 + reconnects) as f64 / elapsed,
-        pump_p50_ms: pump_h.quantile(0.5) * 1e3,
-        pump_p99_ms: pump_h.quantile(0.99) * 1e3,
-        phases: snapshot.phases,
-        backpressure_drops: b.backpressure_drops(),
-        invariant_violations: b.invariant_violations(),
-        allocated_watts: snapshot.allocated_watts,
-        budget_watts: budget.value(),
-        elapsed_s: elapsed,
-        pumps: b.pump_count(),
-        stalled_stages: stalled,
-    })
+    Ok(LoadReport::of(&b, cfg, reconnects, elapsed, stalled))
 }
 
 #[cfg(test)]
@@ -507,5 +525,45 @@ mod tests {
             ]
         );
         assert!(text.ends_with("invariant violations: 0"), "{text}");
+    }
+
+    /// Pumps 20–39 of a stage run 5% over the budget: a report taken
+    /// there states the budget that pass distributed, so a clean run
+    /// never reads as allocating more than its budget.
+    #[test]
+    fn report_states_the_budget_of_the_last_pass() {
+        let telemetry = Telemetry::new();
+        let (mut b, addr) =
+            ClusterBudgeter::builder(BudgeterConfig::new(BudgetPolicy::Uniform, false))
+                .listener(crate::transport::Listener::in_process())
+                .telemetry(telemetry.clone())
+                .bind()
+                .unwrap();
+        let metrics = TransportMetrics::new(&telemetry, "load-endpoint");
+        let reconnects = AtomicU64::new(0);
+        let mut endpoints: Vec<Endpoint> = (0..2).map(Endpoint::new).collect();
+        let done = pump_stage(&mut b, Watts(400.0), Duration::from_secs(30), |b| {
+            for ep in endpoints.iter_mut() {
+                ep.ensure_connected(&addr, &metrics, &reconnects);
+                ep.sweep();
+            }
+            b.pump_count() == 25
+        })
+        .unwrap();
+        assert!(done);
+        let cfg = LoadConfig {
+            endpoints: 2,
+            ..LoadConfig::default()
+        };
+        let report = LoadReport::of(&b, &cfg, 0, 1.0, Vec::new());
+        assert_eq!(report.connected, 2);
+        assert_eq!(report.budget_watts, 420.0);
+        assert!(
+            (report.allocated_watts - report.budget_watts).abs() < 1e-9,
+            "{report}"
+        );
+        assert!(report
+            .to_string()
+            .contains("allocated 420.0 of budget 420.0"));
     }
 }
