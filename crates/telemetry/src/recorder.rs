@@ -386,23 +386,12 @@ impl BinWriter {
         Ok(())
     }
 
-    fn rotated_path(&self, n: usize) -> PathBuf {
-        let mut s = self.path.as_os_str().to_os_string();
-        s.push(format!(".{n}"));
-        PathBuf::from(s)
-    }
-
-    /// Same chain-shift discipline as the JSONL sink: flush, rename
-    /// `.N` → `.N+1` (dropping the oldest beyond [`crate::ROTATE_KEEP`]),
-    /// then start a fresh segment with an incremented header.
+    /// The JSONL sink's chain shift ([`crate::sink::rotate_chain`]):
+    /// flush, shift the chain, then start a fresh segment with an
+    /// incremented header.
     fn rotate(&mut self) -> std::io::Result<()> {
         self.writer.flush()?;
-        let _ = std::fs::remove_file(self.rotated_path(crate::sink::ROTATE_KEEP));
-        for n in (1..crate::sink::ROTATE_KEEP).rev() {
-            let _ = std::fs::rename(self.rotated_path(n), self.rotated_path(n + 1));
-        }
-        std::fs::rename(&self.path, self.rotated_path(1))?;
-        self.writer = BufWriter::new(File::create(&self.path)?);
+        self.writer = BufWriter::new(crate::sink::rotate_chain(&self.path)?);
         self.bytes = 0;
         self.segment = self.segment.saturating_add(1);
         self.write_header()

@@ -167,6 +167,26 @@ pub(crate) struct RotatingFile {
 /// How many rotated files to keep next to the active one.
 pub const ROTATE_KEEP: usize = 3;
 
+/// Shift the rotated chain next to `path` — `path.N` → `path.N+1`,
+/// dropping the oldest beyond [`ROTATE_KEEP`], then `path` → `path.1` —
+/// and create a fresh, empty `path`. Shared by the JSONL event sink and
+/// the flight recorder. On any failure the caller keeps its current
+/// writer, which stays usable (an open fd survives a rename on POSIX),
+/// so it can keep appending rather than dropping records.
+pub(crate) fn rotate_chain(path: &Path) -> std::io::Result<File> {
+    let rotated = |n: usize| {
+        let mut s = path.as_os_str().to_os_string();
+        s.push(format!(".{n}"));
+        PathBuf::from(s)
+    };
+    let _ = std::fs::remove_file(rotated(ROTATE_KEEP));
+    for n in (1..ROTATE_KEEP).rev() {
+        let _ = std::fs::rename(rotated(n), rotated(n + 1));
+    }
+    std::fs::rename(path, rotated(1))?;
+    File::create(path)
+}
+
 /// Default rotation threshold for file event sinks (64 MiB).
 pub const DEFAULT_ROTATE_BYTES: u64 = 64 * 1024 * 1024;
 
@@ -181,25 +201,13 @@ impl RotatingFile {
         })
     }
 
-    fn rotated_path(&self, n: usize) -> PathBuf {
-        let mut s = self.path.as_os_str().to_os_string();
-        s.push(format!(".{n}"));
-        PathBuf::from(s)
-    }
-
-    /// Flush the outgoing file, shift the rotated chain, and open a
-    /// fresh active file. Buffered lines are flushed *before* any rename
-    /// so a rotated file is always complete; on any failure the current
-    /// writer stays usable (an open fd survives a rename on POSIX), so
-    /// the caller can keep appending rather than dropping records.
+    /// Flush the outgoing file, shift the rotated chain and open a fresh
+    /// active file ([`rotate_chain`]). Buffered lines are flushed
+    /// *before* any rename so a rotated file is always complete; on any
+    /// failure the current writer stays usable.
     fn rotate(&mut self) -> std::io::Result<()> {
         self.writer.flush()?;
-        let _ = std::fs::remove_file(self.rotated_path(ROTATE_KEEP));
-        for n in (1..ROTATE_KEEP).rev() {
-            let _ = std::fs::rename(self.rotated_path(n), self.rotated_path(n + 1));
-        }
-        std::fs::rename(&self.path, self.rotated_path(1))?;
-        self.writer = BufWriter::new(File::create(&self.path)?);
+        self.writer = BufWriter::new(rotate_chain(&self.path)?);
         self.bytes = 0;
         Ok(())
     }
