@@ -110,6 +110,20 @@ diff -u results/anorsim.txt "$SMOKE_DIR/anorsim.txt" > "$SMOKE_DIR/anorsim.diff"
     || { echo "anorsim goldens: output differs from results/anorsim.txt"; \
          head -40 "$SMOKE_DIR/anorsim.diff"; exit 1; }
 
+# Every binary parses with anor_types::Args and refuses an option it does
+# not read, before its run starts: a misspelt or removed option must fail
+# the command, not run it on defaults.
+echo "==> options smoke: each figure binary, perfsuite and anorsim refuse --no-such-option"
+for BIN in fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablation sec72_short_jobs \
+    qos_justification perfsuite anorsim; do
+    if timeout 5 "./target/release/$BIN" --no-such-option > /dev/null 2> "$SMOKE_DIR/options.err"; then
+        echo "options smoke: $BIN accepted --no-such-option"; exit 1
+    fi
+    grep -q -- "--no-such-option" "$SMOKE_DIR/options.err" \
+        || { echo "options smoke: $BIN did not name the option within 5 s"; \
+             cat "$SMOKE_DIR/options.err"; exit 1; }
+done
+
 # Traced under injected faults, so the failure paths trace too: every
 # postmortem kind the link faults raise must be dumped, and the trace
 # plus all of its postmortems must parse.
