@@ -409,6 +409,10 @@ fn main() {
         .get("baseline")
         .map_or_else(|| format!("BENCH_PR{newest}.json"), String::from);
     let runs: usize = or_exit(args.get_or("runs", if quick { 3 } else { 5 }));
+    if runs == 0 {
+        eprintln!("option --runs: must be at least 1");
+        std::process::exit(2);
+    }
     or_exit(args.finish());
 
     anor_bench::header(

@@ -20,6 +20,11 @@ fn unread_options_and_unusable_values_exit_2_before_the_run() {
             &["--runs", "two"][..],
             "--runs",
         ),
+        (
+            env!("CARGO_BIN_EXE_perfsuite"),
+            &["--runs", "0"][..],
+            "--runs",
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("run binary");
         let err = String::from_utf8_lossy(&out.stderr);
