@@ -64,9 +64,9 @@ pub fn args() -> Args {
     or_exit(Args::from_env())
 }
 
-/// The value of a fallible read of the command line, or exit 2 with the
-/// error: a malformed or unusable option value ends the run instead of
-/// falling back to a default.
+/// The value of `result`, or exit 2 with its error: a malformed or
+/// unusable option value, or a sink that cannot be written, ends the run
+/// instead of falling back to a default.
 pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
