@@ -8,7 +8,7 @@
 //! (Section 6.1.1).
 
 use crate::job_view::JobView;
-use anor_types::Watts;
+use anor_types::{CurveOnRange, Seconds, Watts};
 
 /// A cluster-tier power-budget distribution policy.
 pub trait Budgeter {
@@ -102,23 +102,50 @@ impl Budgeter for EvenPowerBudgeter {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvenSlowdownBudgeter;
 
+/// One job's even-slowdown inputs that do not depend on `s`: its believed
+/// curve on its power window, with `t_ref = T(p_max)` and `T(p_min)`
+/// evaluated once per [`EvenSlowdownBudgeter::assign`] instead of once per
+/// bisection step.
+#[derive(Debug, Clone, Copy)]
+struct SlowdownTarget(CurveOnRange);
+
+impl SlowdownTarget {
+    fn new(job: &JobView) -> Self {
+        SlowdownTarget(CurveOnRange::new(job.curve, job.power_window()))
+    }
+
+    /// [`JobView::cap_for_slowdown`], bit for bit: the window's max is
+    /// `p_max`, so its precomputed end time is the same `t_ref`.
+    fn cap_for_slowdown(&self, s: f64) -> Watts {
+        debug_assert!(s >= 1.0, "slowdown below 1 is not achievable");
+        self.0
+            .power_for_time(Seconds(self.0.time_at_max().value() * s))
+    }
+
+    /// [`JobView::believed_slowdown`] at `p_min`, bit for bit: the
+    /// window clamps `p_min` to itself.
+    fn slowdown_at_min(&self) -> f64 {
+        self.0.time_at_min().value() / self.0.time_at_max().value()
+    }
+}
+
 impl EvenSlowdownBudgeter {
     /// Bisection convergence tolerance on total watts.
     const TOLERANCE: Watts = Watts(0.5);
     /// Bisection iteration bound.
     const MAX_ITERS: u32 = 64;
 
-    fn caps_at(&self, s: f64, jobs: &[JobView]) -> Vec<Watts> {
-        jobs.iter().map(|j| j.cap_for_slowdown(s)).collect()
+    fn caps_at(s: f64, targets: &[SlowdownTarget]) -> Vec<Watts> {
+        targets.iter().map(|t| t.cap_for_slowdown(s)).collect()
     }
 
     /// [`Self::caps_at`] into an existing buffer: the bisection loop
     /// re-evaluates caps up to `MAX_ITERS` times per assignment and this
     /// is the budgeter's per-pump (and the simulator's per-tick) hot
     /// path, so it must not allocate per iteration.
-    fn fill_caps(&self, s: f64, jobs: &[JobView], caps: &mut [Watts]) {
-        for (j, c) in jobs.iter().zip(caps.iter_mut()) {
-            *c = j.cap_for_slowdown(s);
+    fn fill_caps(s: f64, targets: &[SlowdownTarget], caps: &mut [Watts]) {
+        for (t, c) in targets.iter().zip(caps.iter_mut()) {
+            *c = t.cap_for_slowdown(s);
         }
     }
 }
@@ -128,19 +155,20 @@ impl Budgeter for EvenSlowdownBudgeter {
         if jobs.is_empty() {
             return Vec::new();
         }
+        let targets: Vec<SlowdownTarget> = jobs.iter().map(SlowdownTarget::new).collect();
         // Feasible window.
-        let at_max = self.caps_at(1.0, jobs);
+        let at_max = Self::caps_at(1.0, &targets);
         if total_power(jobs, &at_max).value() <= budget.value() {
             return at_max;
         }
         // Upper bound on useful s: the worst believed slowdown any job
         // reaches at its minimum cap (beyond that everyone saturates).
-        let s_hi = jobs
+        let s_hi = targets
             .iter()
-            .map(|j| j.believed_slowdown(j.p_min()))
+            .map(SlowdownTarget::slowdown_at_min)
             .fold(1.0f64, f64::max)
             .max(1.0 + 1e-9);
-        let at_min = self.caps_at(s_hi, jobs);
+        let at_min = Self::caps_at(s_hi, &targets);
         if total_power(jobs, &at_min).value() >= budget.value() {
             return at_min;
         }
@@ -149,7 +177,7 @@ impl Budgeter for EvenSlowdownBudgeter {
         let mut caps = at_min;
         for _ in 0..Self::MAX_ITERS {
             let mid = 0.5 * (lo + hi);
-            self.fill_caps(mid, jobs, &mut caps);
+            Self::fill_caps(mid, &targets, &mut caps);
             let total = total_power(jobs, &caps);
             if (total - budget).abs().value() <= Self::TOLERANCE.value() {
                 return caps;
@@ -176,7 +204,7 @@ impl Budgeter for EvenSlowdownBudgeter {
         // caused the jump are belief-indifferent across it, so the only
         // defensible split of the leftover watts is uniform per node.
         if total_power(jobs, &caps).value() > budget.value() + Self::TOLERANCE.value() {
-            caps = self.caps_at(hi, jobs);
+            caps = Self::caps_at(hi, &targets);
         }
         let mut spare = (budget - total_power(jobs, &caps)).value();
         // Equal watts per node among every job still below its p_max,
@@ -369,6 +397,77 @@ mod tests {
                 spent <= budget.max(floor) + 1.0,
                 "budget {budget}: assigned {spent}"
             );
+        }
+    }
+
+    /// One coefficient of an arbitrary believed curve: `kind` picks its
+    /// class (negative, positive, zero, −0, below the inversion's linear
+    /// threshold, NaN, ±∞) and `mag` its size on the coefficient's scale.
+    fn coefficient(kind: u8, mag: f64, scale: f64) -> f64 {
+        match kind {
+            0..=2 => -mag * scale,
+            3..=4 => mag * scale,
+            5 => 0.0,
+            6 => -0.0,
+            7 => mag * 1e-19,
+            8 => f64::NAN,
+            9 => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    proptest::proptest! {
+        /// The per-job values `assign` hoists out of its bisection give
+        /// the caps and the `s` bound `JobView` computes from scratch, bit
+        /// for bit: for anchored curves (increasing ones included) and
+        /// arbitrary quadratics, on windows where `p_max == p_min` too.
+        #[test]
+        fn hoisted_cap_is_cap_for_slowdown_bit_for_bit(
+            kinds in (0u8..11, 0u8..11, 0u8..11),
+            mags in (0.0f64..2.0, 0.0f64..2.0, 0.0f64..2.0),
+            anchored in 0u8..3,
+            sensitivity in -1.0f64..2.0,
+            window in (100.0f64..200.0, 0.0f64..150.0, -60.0f64..200.0),
+            s in 1.0f64..4.0,
+        ) {
+            use anor_types::{CapRange, PowerCurve, Seconds};
+            let (lo, span, draw) = window;
+            // A narrow span collapses the window to one point.
+            let hi = if span < 20.0 { lo } else { lo + span };
+            let cap_range = CapRange::new(Watts(lo), Watts(hi));
+            let curve = if anchored == 0 && hi > lo {
+                PowerCurve::from_anchor(Seconds(1.0 + 99.0 * mags.0), sensitivity, cap_range)
+            } else {
+                PowerCurve::new(
+                    coefficient(kinds.0, mags.0, 1e-4),
+                    coefficient(kinds.1, mags.1, 0.1),
+                    coefficient(kinds.2, mags.2, 100.0),
+                )
+            };
+            // A draw below the platform floor also pins p_max to p_min.
+            let view = JobView {
+                job: JobId(1),
+                nodes: 1,
+                curve,
+                cap_range,
+                max_draw: Watts(lo + draw),
+            };
+            let target = SlowdownTarget::new(&view);
+            for s in [1.0, 1.0 + 1e-9, s, 1e6, f64::INFINITY] {
+                let hoisted = target.cap_for_slowdown(s).value();
+                let scratch = view.cap_for_slowdown(s).value();
+                proptest::prop_assert_eq!(
+                    hoisted.to_bits(),
+                    scratch.to_bits(),
+                    "{:?} at s = {}: {} vs {}",
+                    view,
+                    s,
+                    hoisted,
+                    scratch
+                );
+            }
+            let at_min = view.believed_slowdown(view.p_min());
+            proptest::prop_assert_eq!(target.slowdown_at_min().to_bits(), at_min.to_bits());
         }
     }
 

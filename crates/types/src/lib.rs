@@ -36,7 +36,7 @@ pub mod units;
 
 pub use catalog::{standard_catalog, Catalog};
 pub use cli::Args;
-pub use curve::{CapRange, PowerCurve};
+pub use curve::{CapRange, CurveOnRange, PowerCurve};
 pub use error::AnorError;
 pub use ids::{JobId, NodeId, PackageId};
 pub use jobtype::{JobTypeId, JobTypeSpec, SensitivityClass};
