@@ -35,7 +35,7 @@ use anor_telemetry::{
     Tracer,
 };
 use anor_types::msg::{ClusterToJob, JobToCluster};
-use anor_types::{AnorError, Catalog, JobId, Result, Seconds, Watts};
+use anor_types::{AnorError, CapRange, Catalog, JobId, PowerCurve, Result, Seconds, Watts};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
@@ -435,6 +435,7 @@ impl BudgeterBuilder {
             status: self.status,
             pumps: 0,
             last_budget: Watts::ZERO,
+            assigned: AssignMemo::default(),
             recorder: self.recorder,
             model_observe_s: 0.0,
         })
@@ -469,6 +470,63 @@ impl AuditKind {
     }
 }
 
+/// The last assignment and the exact inputs it was computed from. The
+/// policies' `assign` is a pure function of the budget and the lease
+/// holders' views, so a pass whose inputs are bit-identical to the last
+/// pass's reuses its caps. Most passes are such passes: a view changes
+/// only on a `Hello`, `Model`, widening `Sample`, `Done` or lease expiry,
+/// and a demand-response budget holds for several passes between steps.
+#[derive(Debug, Default)]
+struct AssignMemo {
+    budget: Watts,
+    views: Vec<JobView>,
+    caps: Vec<Watts>,
+}
+
+impl AssignMemo {
+    /// `policy.assign(budget, &views, &[])`, reusing the last caps when
+    /// `budget` and every view have the last call's bits. Bits, not `==`:
+    /// 0.0 and −0.0 compare equal and a NaN equals nothing, yet either
+    /// can steer the inversion differently.
+    fn assign(&mut self, policy: BudgetPolicy, budget: Watts, views: Vec<JobView>) -> &[Watts] {
+        let hit = budget.value().to_bits() == self.budget.value().to_bits()
+            && views
+                .iter()
+                .map(view_bits)
+                .eq(self.views.iter().map(view_bits));
+        if hit {
+            debug_assert!(
+                bits(&policy.assign(budget, &views, &[])).eq(bits(&self.caps)),
+                "a reused assignment must equal a fresh one"
+            );
+        } else {
+            self.caps = policy.assign(budget, &views, &[]);
+            self.budget = budget;
+            self.views = views;
+        }
+        &self.caps
+    }
+}
+
+/// Every input a view gives `assign`, as bits. The pattern names every
+/// field, so a field added to `JobView` does not compile here until the
+/// memo's key covers it.
+fn view_bits(view: &JobView) -> (JobId, u32, [u64; 6]) {
+    let JobView {
+        job,
+        nodes,
+        curve: PowerCurve { a, b, c },
+        cap_range: CapRange { min, max },
+        max_draw,
+    } = *view;
+    let floats = [a, b, c, min.value(), max.value(), max_draw.value()];
+    (job, nodes, floats.map(f64::to_bits))
+}
+
+fn bits(caps: &[Watts]) -> impl Iterator<Item = u64> + '_ {
+    caps.iter().map(|c| c.value().to_bits())
+}
+
 /// What a control pass's decide phase concluded.
 enum Decision {
     /// No job holds a lease: nothing to assign.
@@ -501,6 +559,8 @@ pub struct ClusterBudgeter {
     status: Option<StatusBoard>,
     pumps: u64,
     last_budget: Watts,
+    /// The last decide pass's inputs and caps.
+    assigned: AssignMemo,
     recorder: FlightRecorder,
     /// Seconds spent in `Sample`/`Model` handling during the current
     /// pump (the model-observe phase, carved out of ingest).
@@ -988,12 +1048,12 @@ impl ClusterBudgeter {
         if views.is_empty() {
             return Decision::Idle;
         }
-        let caps = self.cfg.policy.assign(busy_budget, &views, &[]);
+        let caps = self.assigned.assign(self.cfg.policy, busy_budget, views);
         // Which caps moved enough to resend?
         let threshold = self.cfg.recap_threshold.value();
         let changed: Vec<(JobId, Watts)> = held
             .into_iter()
-            .zip(caps)
+            .zip(caps.iter().copied())
             .filter(|((_, last), cap)| {
                 last.is_none_or(|prev| (prev - *cap).abs().value() > threshold)
             })
@@ -1348,7 +1408,7 @@ mod tests {
     use super::*;
     use crate::codec::{FramedStream, StreamOptions};
     use anor_types::msg::EpochSample;
-    use anor_types::{Joules, PowerCurve};
+    use anor_types::Joules;
 
     fn connect(addr: &Addr) -> FramedStream {
         addr.dial(StreamOptions::default()).unwrap()
@@ -1941,6 +2001,140 @@ mod tests {
         assert_eq!(b.active_jobs(), 3);
         assert_eq!(b.job_traffic(JobId(1)), Some((0, 0)));
         assert!(!b.status_snapshot().jobs[0].done);
+    }
+
+    /// One control pass at `budget`, checked bit for bit against a
+    /// from-scratch `BudgetPolicy::assign` over the `holders`' believed
+    /// views: the connected endpoints receive exactly the caps that moved
+    /// past the resend threshold, and every holder keeps either its
+    /// re-sent cap or the one it held before the pass. Returns the jobs
+    /// whose cap was re-sent.
+    fn checked_pass(
+        b: &mut ClusterBudgeter,
+        budget: Watts,
+        holders: &[u64],
+        clients: &mut BTreeMap<u64, FramedStream>,
+    ) -> Vec<u64> {
+        let before: BTreeMap<JobId, Option<Watts>> = b.job_caps().into_iter().collect();
+        b.pump(budget).unwrap();
+        assert_eq!(b.active_jobs(), holders.len());
+        let ids: Vec<JobId> = holders.iter().map(|&j| JobId(j)).collect();
+        let views: Vec<JobView> = ids
+            .iter()
+            .map(|&id| b.believed_view(id).unwrap().clone())
+            .collect();
+        let fresh = b.cfg.policy.assign(budget, &views, &[]);
+        let threshold = b.cfg.recap_threshold.value();
+        let resent: Vec<(JobId, Watts)> = ids
+            .iter()
+            .copied()
+            .zip(fresh.iter().copied())
+            .filter(|(id, cap)| {
+                let prev = before.get(id).copied().flatten();
+                prev.is_none_or(|prev| (prev - *cap).abs().value() > threshold)
+            })
+            .collect();
+        let mut received = Vec::new();
+        for (&job, client) in clients.iter_mut() {
+            for frame in client.recv_frames().unwrap() {
+                if let ClusterToJob::SetPowerCap { cap, .. } = ClusterToJob::decode(frame).unwrap()
+                {
+                    received.push((JobId(job), cap.value().to_bits()));
+                }
+            }
+        }
+        let delivered: Vec<(JobId, u64)> = resent
+            .iter()
+            .filter(|(id, _)| clients.contains_key(&id.0))
+            .map(|(id, cap)| (*id, cap.value().to_bits()))
+            .collect();
+        assert_eq!(received, delivered, "caps sent at {budget}");
+        let after: BTreeMap<JobId, Option<Watts>> = b.job_caps().into_iter().collect();
+        for (id, cap) in ids.iter().zip(&fresh) {
+            let kept = match resent.iter().any(|(r, _)| r == id) {
+                true => Some(*cap),
+                false => before.get(id).copied().flatten(),
+            };
+            let bits = |c: Option<Watts>| c.map(|c| c.value().to_bits());
+            assert_eq!(bits(after[id]), bits(kept), "cap held by {id}");
+        }
+        resent.into_iter().map(|(id, _)| id.0).collect()
+    }
+
+    /// The decide pass may reuse the last pass's caps, so every input
+    /// that can change an assignment must reach it. One input per pass;
+    /// each must move a cap past the resend threshold, so a reuse keyed
+    /// on too little fails here in release builds too, where the reuse's
+    /// own debug check is compiled out.
+    #[test]
+    fn every_assignment_input_reaches_the_decide_pass() {
+        let cfg = BudgeterConfig::new(BudgetPolicy::EvenSlowdown, true);
+        let (mut b, addr) = ClusterBudgeter::builder(cfg)
+            .listener(Listener::in_process())
+            .lease(LeaseConfig::after_misses(2))
+            .bind()
+            .unwrap();
+        let mut clients = BTreeMap::new();
+        for (job, name) in [(1, "bt.D.81"), (2, "sp.D.81")] {
+            let mut client = connect(&addr);
+            client.send(hello(job, name, 2)).unwrap();
+            clients.insert(job, client);
+        }
+        let mut budget = Watts(800.0);
+        assert_eq!(checked_pass(&mut b, budget, &[1, 2], &mut clients), [1, 2]);
+        let quiet = checked_pass(&mut b, budget, &[1, 2], &mut clients);
+        assert!(quiet.is_empty(), "no input, yet {quiet:?} re-sent");
+
+        budget = Watts(760.0);
+        assert!(!checked_pass(&mut b, budget, &[1, 2], &mut clients).is_empty());
+
+        let model = JobToCluster::Model {
+            job: JobId(1),
+            curve: PowerCurve::from_anchor(Seconds(100.0), 0.3, CapRange::paper_node()),
+            samples: 12,
+            cause: 0,
+        };
+        clients.get_mut(&1).unwrap().send(model.encode()).unwrap();
+        assert!(!checked_pass(&mut b, budget, &[1, 2], &mut clients).is_empty());
+
+        // 279 W per node is past sp's believed 230 W draw: feedback
+        // widens its window.
+        let sample = JobToCluster::Sample(EpochSample {
+            job: JobId(2),
+            epoch_count: 3,
+            energy: Joules(1000.0),
+            avg_power: Watts(558.0),
+            avg_cap: Watts(560.0),
+            timestamp: Seconds(3.0),
+            cause: 0,
+        });
+        clients.get_mut(&2).unwrap().send(sample.encode()).unwrap();
+        assert!(!checked_pass(&mut b, budget, &[1, 2], &mut clients).is_empty());
+        assert_eq!(b.believed_view(JobId(2)).unwrap().max_draw, Watts(279.0));
+
+        let mut client = connect(&addr);
+        client.send(hello(3, "is.D.32", 1)).unwrap();
+        clients.insert(3, client);
+        assert!(!checked_pass(&mut b, budget, &[1, 2, 3], &mut clients).is_empty());
+
+        let done = JobToCluster::Done {
+            job: JobId(2),
+            elapsed: Seconds(60.0),
+        };
+        clients.get_mut(&2).unwrap().send(done.encode()).unwrap();
+        assert!(!checked_pass(&mut b, budget, &[1, 3], &mut clients).is_empty());
+
+        // A lost connection keeps the lease for one more pass, changing
+        // nothing; then the lease expires and the watts move.
+        clients.remove(&1);
+        let quiet = checked_pass(&mut b, budget, &[1, 3], &mut clients);
+        assert!(quiet.is_empty(), "a held lease re-sent {quiet:?}");
+        assert_eq!(checked_pass(&mut b, budget, &[3], &mut clients), [3]);
+        assert_eq!(b.job_session(JobId(1)), Some(SessionState::Gone));
+
+        let quiet = checked_pass(&mut b, budget, &[3], &mut clients);
+        assert!(quiet.is_empty(), "no input, yet {quiet:?} re-sent");
+        assert_eq!(b.invariant_violations(), 0);
     }
 
     #[test]
