@@ -113,7 +113,7 @@ diff -u results/anorsim.txt "$SMOKE_DIR/anorsim.txt" > "$SMOKE_DIR/anorsim.diff"
 # Every binary parses with anor_types::Args and refuses an option it does
 # not read, before its run starts: a misspelt or removed option must fail
 # the command, not run it on defaults.
-echo "==> options smoke: each figure binary, perfsuite and anorsim refuse --no-such-option"
+echo "==> options smoke: each figure binary, perfsuite and anorsim refuse --no-such-option, creating nothing"
 for BIN in fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablation sec72_short_jobs \
     qos_justification perfsuite anorsim; do
     if timeout 5 "./target/release/$BIN" --no-such-option > /dev/null 2> "$SMOKE_DIR/options.err"; then
@@ -122,6 +122,20 @@ for BIN in fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablation sec72_short_j
     grep -q -- "--no-such-option" "$SMOKE_DIR/options.err" \
         || { echo "options smoke: $BIN did not name the option within 5 s"; \
              cat "$SMOKE_DIR/options.err"; exit 1; }
+done
+# A refused command line creates nothing: the binaries that write
+# --telemetry, --trace and --record paths open them only after every
+# option is accepted.
+REFUSED_DIR="$SMOKE_DIR/refused"
+for BIN in fig4 fig6 fig9 fig10 fig11 anorsim; do
+    RECORD=()
+    case "$BIN" in fig6|fig10) RECORD=(--record "$REFUSED_DIR/record") ;; esac
+    if timeout 5 "./target/release/$BIN" --telemetry "$REFUSED_DIR/telemetry" \
+        --trace "$REFUSED_DIR/trace" "${RECORD[@]}" --no-such-option > /dev/null 2>&1; then
+        echo "options smoke: $BIN accepted --no-such-option"; exit 1
+    fi
+    [ ! -e "$REFUSED_DIR" ] \
+        || { echo "options smoke: refused $BIN created:"; find "$REFUSED_DIR"; exit 1; }
 done
 
 # Traced under injected faults, so the failure paths trace too: every

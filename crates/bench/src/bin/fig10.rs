@@ -3,18 +3,16 @@
 //! Characterized / Misclassified / Adjusted policies, plus the tracking
 //! error summary of Section 6.3.
 
-use anor_bench::{args, close_run, header, or_exit, run_options, scaled};
+use anor_bench::{args, close_run, finish_with_run_options, header, scaled};
 use anor_core::experiments::fig10::{self, Fig10Config, Fig10Policy};
 use anor_types::Seconds;
 
 fn main() {
-    let args = args();
     let cfg = Fig10Config {
         horizon: scaled(Seconds(3600.0), Seconds(900.0)),
-        options: run_options(&args),
+        options: finish_with_run_options(args()),
         ..Fig10Config::default()
     };
-    or_exit(args.finish());
     header(
         "Fig. 10",
         "Mean slowdown (%) per job type, 4 capping policies (95% CI)",

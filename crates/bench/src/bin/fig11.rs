@@ -1,21 +1,20 @@
 //! Regenerates Fig. 11: 90th-percentile QoS degradation vs per-node
 //! performance-variation level on the simulated 1000-node cluster.
 
-use anor_bench::{args, header, jobs, or_exit, quick_mode, sinks};
+use anor_bench::{args, finish_with_sinks, header, jobs, or_exit, quick_mode};
 use anor_core::experiments::fig11::{self, Fig11Config};
 use anor_core::render::render_table;
 use anor_telemetry::{close_sinks, TraceStage};
 
 fn main() {
     let args = args();
-    let (telemetry, tracer) = sinks(&args);
     let mut cfg = if quick_mode() {
         Fig11Config::quick()
     } else {
         Fig11Config::default()
     };
     cfg.jobs = jobs(&args);
-    or_exit(args.finish());
+    let (telemetry, tracer) = finish_with_sinks(args);
     header(
         "Fig. 11",
         "90th-percentile QoS degradation vs performance variation (1000 nodes)",

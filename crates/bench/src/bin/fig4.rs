@@ -2,16 +2,15 @@
 //! one instance under a range of shared power budgets, comparing the
 //! even-slowdown (ideal) and even-power-caps budgeters.
 
-use anor_bench::{args, header, jobs, or_exit, sinks};
+use anor_bench::{args, finish_with_sinks, header, jobs, or_exit};
 use anor_core::experiments::fig4;
 use anor_core::render::render_table;
 use anor_telemetry::{close_sinks, TraceStage};
 
 fn main() {
     let args = args();
-    let (telemetry, tracer) = sinks(&args);
     let jobs = jobs(&args);
-    or_exit(args.finish());
+    let (telemetry, tracer) = finish_with_sinks(args);
     header(
         "Fig. 4",
         "Job slowdown (%) vs shared cluster budget, two budgeters",

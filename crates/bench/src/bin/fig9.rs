@@ -2,15 +2,13 @@
 //! power over an hour of job arrivals, plus the Section 6.3 tracking
 //! error summary.
 
-use anor_bench::{args, header, or_exit, scaled, sinks};
+use anor_bench::{args, finish_with_sinks, header, or_exit, scaled};
 use anor_core::experiments::fig9::{self, Fig9Config};
 use anor_telemetry::close_sinks;
 use anor_types::Seconds;
 
 fn main() {
-    let args = args();
-    let (telemetry, tracer) = sinks(&args);
-    or_exit(args.finish());
+    let (telemetry, tracer) = finish_with_sinks(args());
     header(
         "Fig. 9",
         "Power target vs measured power over a 1-hour schedule",

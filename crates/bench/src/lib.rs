@@ -16,10 +16,11 @@
 //!
 //! Every binary parses its command line once ([`args`], the workspace's
 //! one parser, [`anor_types::Args`]), reads only the options it honours
-//! (the shared ones through [`sinks`], [`jobs`] and [`run_options`]) and
-//! then calls [`Args::finish`] through [`or_exit`], which refuses any
-//! other option: a malformed, unusable or unread option exits 2 with the
-//! error before the run starts. [`run_hw_figure`] is the whole `main` of the
+//! (the shared ones through [`jobs`], [`finish_with_sinks`] and
+//! [`finish_with_run_options`]) and then calls [`Args::finish`] through
+//! [`or_exit`], which refuses any other option: a malformed, unusable or
+//! unread option exits 2 with the error before the run starts, and
+//! before any `--telemetry`, `--trace` or `--record` path is created. [`run_hw_figure`] is the whole `main` of the
 //! emulated-hardware figures (Figs. 6–8). The harness imports the
 //! workspace crates it uses directly; the root `anor` crate is the
 //! facade for everyone else.
@@ -74,11 +75,16 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     })
 }
 
-/// The run's telemetry and tracer from `--telemetry <dir>` and
-/// `--trace <dir>` ([`anor_telemetry::open_sinks`]): directory-backed
-/// when given, in-memory and off otherwise.
-pub fn sinks(args: &Args) -> (Telemetry, Tracer) {
-    or_exit(open_sinks(args.get("telemetry"), args.get("trace")))
+/// Refuse every option the binary did not read ([`Args::finish`]
+/// through [`or_exit`]), then open the run's telemetry and tracer from
+/// `--telemetry <dir>` and `--trace <dir>`
+/// ([`anor_telemetry::open_sinks`]): directory-backed when given,
+/// in-memory and off otherwise. It takes the command line last, after
+/// every other read, so a refused command line creates no file.
+pub fn finish_with_sinks(args: Args) -> (Telemetry, Tracer) {
+    let (telemetry_dir, trace_dir) = (args.get("telemetry"), args.get("trace"));
+    or_exit(args.finish());
+    or_exit(open_sinks(telemetry_dir, trace_dir))
 }
 
 /// The experiment fan-out's worker count from `--jobs N`; 0 when absent,
@@ -90,13 +96,15 @@ pub fn jobs(args: &Args) -> usize {
 }
 
 /// The five options of the emulated-hardware figures (Figs. 6–8 and 10)
-/// as one [`HwRunOptions`]: the [`sinks`], the [`jobs`] count, the
-/// `--faults` chaos plan ([`FaultPlan::from_args`]) and the `--record`
-/// directory, created here so a typo'd path fails the run before hours
-/// of emulation.
-pub fn run_options(args: &Args) -> HwRunOptions {
-    let (telemetry, tracer) = sinks(args);
+/// as one [`HwRunOptions`]: the [`jobs`] count, the `--faults` chaos plan
+/// ([`FaultPlan::from_args`]), then [`finish_with_sinks`], then the
+/// `--record` directory, created here so a typo'd path fails the run
+/// before hours of emulation and a refused command line creates none.
+pub fn finish_with_run_options(args: Args) -> HwRunOptions {
+    let jobs = jobs(&args);
+    let faults = or_exit(FaultPlan::from_args(&args));
     let record_dir = args.get("record").map(PathBuf::from);
+    let (telemetry, tracer) = finish_with_sinks(args);
     if let Some(dir) = &record_dir {
         or_exit(
             std::fs::create_dir_all(dir).map_err(|e| format!("--record {}: {e}", dir.display())),
@@ -105,8 +113,8 @@ pub fn run_options(args: &Args) -> HwRunOptions {
     HwRunOptions {
         telemetry,
         tracer,
-        jobs: jobs(args),
-        faults: or_exit(FaultPlan::from_args(args)),
+        jobs,
+        faults,
         record_dir,
     }
 }
@@ -162,9 +170,7 @@ pub fn run_hw_figure(
     seed: u64,
     anchors: &str,
 ) {
-    let args = args();
-    let opts = run_options(&args);
-    or_exit(args.finish());
+    let opts = finish_with_run_options(args());
     header(figure, summary);
     let bars = run(trials, seed, &opts).expect("emulated run failed");
     for bar in &bars {

@@ -56,8 +56,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .clone();
     let nodes_wanted: u32 = args.get_or("nodes", spec.nodes)?;
     let believed = catalog.find(&announced).unwrap_or(&spec).clone();
+    let (telemetry_dir, trace_dir) = (args.get("telemetry"), args.get("trace"));
+    let faults = FaultPlan::from_args(&args)?;
+    let record_dir = args.get("record");
+    // Refuse the command line before creating any sink or recording.
+    args.finish()?;
 
-    let (telemetry, tracer) = open_sinks(args.get("telemetry"), args.get("trace"))?;
+    let (telemetry, tracer) = open_sinks(telemetry_dir, trace_dir)?;
     let nodes: Vec<Node> = (0..nodes_wanted).map(|i| Node::paper(NodeId(i))).collect();
     let (mut runtime, modeler_side) = JobRuntime::launch(job, spec.clone(), nodes, seed)?;
     runtime.attach_telemetry(&telemetry);
@@ -77,13 +82,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     )
     .telemetry(telemetry.clone())
     .tracer(&tracer);
-    if let Some(plan) = FaultPlan::from_args(&args)? {
+    if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
     // --record <dir>: flight-record the endpoint's wire traffic into
     // <dir>/job-<id>.rec (role "endpoint" — inspectable, not replayable).
     let mut recorder = FlightRecorder::off();
-    if let Some(dir) = args.get("record") {
+    if let Some(dir) = record_dir {
         let meta = RecordingMeta {
             seed,
             config: format!(
@@ -96,7 +101,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         recorder = FlightRecorder::create(path, meta)?;
         builder = builder.recorder(recorder.clone());
     }
-    args.finish()?;
     let mut endpoint = builder.connect()?;
     runtime.attach_tracer(&tracer);
 

@@ -79,7 +79,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         return Err("need --budget WATTS or --targets FILE".into());
     }
 
-    let (telemetry, tracer) = open_sinks(args.get("telemetry"), args.get("trace"))?;
+    let (telemetry_dir, trace_dir) = (args.get("telemetry"), args.get("trace"));
     // Connection plane: --transport reactor --shards N runs the sharded
     // reactor for high endpoint fan-in; the default blocking plane polls
     // sockets inline on the pump thread.
@@ -88,6 +88,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         TransportKind::Reactor => args.get_or("shards", 2)?,
         TransportKind::Blocking => 1,
     };
+    let faults = FaultPlan::from_args(&args)?;
+    // --record <dir> (stamped with --seed N): where the flight recording
+    // goes.
+    let record = match args.get("record") {
+        Some(dir) => Some((dir, args.get_or("seed", 0u64)?)),
+        None => None,
+    };
+    // The live ops plane: --status-addr starts the introspection endpoint
+    // (`/metrics`, `/health`, `/status`) and has the budgeter publish a
+    // status snapshot each control pass.
+    let status_addr = args.get("status-addr");
+    // Refuse the command line before creating any sink or recording.
+    args.finish()?;
+    let (telemetry, tracer) = open_sinks(telemetry_dir, trace_dir)?;
     let cfg = BudgeterConfig::new(policy, feedback);
     let mut builder = ClusterBudgeter::builder(cfg.clone())
         .addr(listen)
@@ -95,23 +109,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .transport(transport)
         .shards(shards)
         .tracer(&tracer);
-    if let Some(plan) = FaultPlan::from_args(&args)? {
+    if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
-    // --record <dir>: flight-record every inbound frame and emitted
-    // decision into <dir>/anord.rec for `anor-replay`.
+    // Flight-record every inbound frame and emitted decision into
+    // <dir>/anord.rec for `anor-replay`.
     let mut recorder = FlightRecorder::off();
-    if let Some(dir) = args.get("record") {
-        let seed: u64 = args.get_or("seed", 0)?;
+    if let Some((dir, seed)) = record {
         let meta = anor_cluster::recorder_meta(&cfg, &LeaseConfig::default(), seed);
         recorder = FlightRecorder::create(std::path::Path::new(dir).join("anord.rec"), meta)?;
         builder = builder.recorder(recorder.clone());
     }
-    // The live ops plane: --status-addr starts the introspection endpoint
-    // (`/metrics`, `/health`, `/status`) and has the budgeter publish a
-    // status snapshot each control pass.
-    let status_addr = args.get("status-addr");
-    args.finish()?;
     let mut ops = None;
     if let Some(status_addr) = status_addr {
         let board = StatusBoard::new();

@@ -159,6 +159,33 @@ fn daemons_refuse_options_they_do_not_read() {
 }
 
 #[test]
+fn refused_daemons_create_no_sink_or_recording() {
+    let base = std::env::temp_dir().join(format!("daemon-sinks-{}", std::process::id()));
+    let path = |name: &str| base.join(name).to_str().unwrap().to_string();
+    let (telemetry, trace, record) = (path("telemetry"), path("trace"), path("record"));
+    let sinks = [
+        "--telemetry",
+        &telemetry,
+        "--trace",
+        &trace,
+        "--record",
+        &record,
+    ];
+    let anord = ["--listen", "127.0.0.1:0", "--budget", "400", "--bogus"];
+    let job = ["--connect", "127.0.0.1:1", "--type", "is.D.32", "--bogus"];
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_anord"), [&anord[..], &sinks].concat()),
+        (env!("CARGO_BIN_EXE_anor-job"), [&job[..], &sinks].concat()),
+    ] {
+        let out = Command::new(bin).args(&args).output().expect("run daemon");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bin} accepted {args:?}");
+        assert!(err.contains("--bogus"), "{bin}: {err}");
+        assert!(!base.exists(), "{bin} {args:?} created {}", base.display());
+    }
+}
+
+#[test]
 fn job_rejects_unknown_type() {
     let out = Command::new(env!("CARGO_BIN_EXE_anor-job"))
         .args([

@@ -111,22 +111,28 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     };
     let variation =
         PerformanceVariation::with_level_percent(nodes as usize, variation_pct, seed ^ 0xfe);
-    let (telemetry, tracer) = open_sinks(args.get("telemetry"), args.get("trace"))?;
-    let mut sim = TabularSim::new(cfg.clone(), target, &variation, schedule, None);
-    sim.attach_telemetry(&telemetry);
-    sim.attach_tracer(&tracer);
-    match args.get("history-cap") {
-        Some(_) => sim.record_history_capped(args.get_or("history-cap", 0)?),
-        None => sim.record_history(true),
-    }
-
+    let (telemetry_dir, trace_dir) = (args.get("telemetry"), args.get("trace"));
+    let history_cap: Option<usize> = match args.get("history-cap") {
+        Some(_) => Some(args.get_or("history-cap", 0)?),
+        None => None,
+    };
     let tables_path = args.get("tables");
     let dump_every: u64 = match tables_path {
         Some(_) => option(&args, "tables-every", 60, "at least 1", |k| k >= 1)?,
         None => 60,
     };
     let history_path = args.get("history");
+    // Refuse the command line before creating any sink or output file.
     args.finish()?;
+
+    let (telemetry, tracer) = open_sinks(telemetry_dir, trace_dir)?;
+    let mut sim = TabularSim::new(cfg.clone(), target, &variation, schedule, None);
+    sim.attach_telemetry(&telemetry);
+    sim.attach_tracer(&tracer);
+    match history_cap {
+        Some(cap) => sim.record_history_capped(cap),
+        None => sim.record_history(true),
+    }
     let mut tables_out: Option<std::io::BufWriter<std::fs::File>> = match tables_path {
         Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p)?)),
         None => None,

@@ -111,3 +111,22 @@ fn anorsim_rejects_out_of_range_numbers_as_config_errors() {
         assert!(!tables.exists(), "{opt} {value}: the run started");
     }
 }
+
+#[test]
+fn refused_anorsim_creates_no_sink() {
+    let base = std::env::temp_dir().join(format!("anorsim-sinks-{}", std::process::id()));
+    let telemetry = base.join("telemetry");
+    let trace = base.join("trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_anorsim"))
+        .args(["--nodes", "64", "--horizon-secs", "300", "--telemetry"])
+        .arg(&telemetry)
+        .arg("--trace")
+        .arg(&trace)
+        .arg("--no-such-option")
+        .output()
+        .expect("run anorsim");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--no-such-option"), "{err}");
+    assert!(!base.exists(), "anorsim created {}", base.display());
+}
